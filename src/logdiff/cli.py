@@ -129,7 +129,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config, "verify") or ExperimentConfig()
+    # verify replays a pair of simulate runs, so a simulate config is expected
+    cfg = _load_config(args.config, "simulate") or ExperimentConfig()
     traj_g = load_trajectory(args.manifest_g)
     traj_G = load_trajectory(args.manifest_G)
     cutoff = CutoffSpec(cfg.r0, cfg.R_list[0], cfg.gamma_list[0])
@@ -172,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", default="out",
                         help="artifact directory (default: out)")
     common.add_argument("--jobs", metavar="N", type=int, default=1,
-                        help="worker processes for sweep points (default: 1)")
+                        help="worker processes for sweep points, at most one per "
+                             "core (default: 1)")
 
     parser = _Parser(
         prog="logdiff",

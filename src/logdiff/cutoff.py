@@ -46,6 +46,19 @@ __all__ = [
 INV_SQUARE_CONSTANT = 9.0 / (32.0 * math.log(2.0) ** 2)
 
 
+_SERIES_CUT = 1e-4
+
+
+def _excess_ratio_series(x):
+    """log_excess(x)/x^2 = 1/2 - x/6 + x^2/12 - x^3/20 + x^4/30, for |x| < 1e-4.
+
+    Plain arithmetic, so the one set of coefficients serves Python floats
+    (the QUADPACK callbacks) and numpy arrays (log_excess) alike; the next
+    term x^5/42 is below 1e-22 relative at the cut.
+    """
+    return 0.5 + x * (-1.0 / 6.0 + x * (1.0 / 12.0 + x * (-1.0 / 20.0 + x / 30.0)))
+
+
 def log_excess(x):
     """(1+x) log(1+x) - x, stable near x = 0.
 
@@ -56,14 +69,27 @@ def log_excess(x):
     through adaptive quadrature sampling arbitrarily close to the endpoint.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
+    small = np.abs(x) < _SERIES_CUT
     xs = np.where(small, x, 0.0)
-    # x^2/2 - x^3/6 + x^4/12 - x^5/20 + x^6/30; next term <= 1e-30 at the cut
-    series = xs * xs * (1.0 / 2.0 + xs * (-1.0 / 6.0 + xs * (1.0 / 12.0 + xs * (-1.0 / 20.0 + xs / 30.0))))
+    series = xs * xs * _excess_ratio_series(xs)
     xl = np.where(small, 1.0, x)
     direct = (1.0 + xl) * np.log1p(xl) - xl
     out = np.where(small, series, direct)
     return float(out) if out.ndim == 0 else out
+
+
+def _excess_scalar(x: float) -> float:
+    """log_excess for one Python float, without entering numpy."""
+    if abs(x) < _SERIES_CUT:
+        return x * x * _excess_ratio_series(x)
+    return (1.0 + x) * math.log1p(x) - x
+
+
+def _excess_ratio_scalar(x: float) -> float:
+    """log_excess(x)/x^2 for one Python float; tends to 1/2 as x -> 0."""
+    if abs(x) < _SERIES_CUT:
+        return _excess_ratio_series(x)
+    return ((1.0 + x) * math.log1p(x) - x) / (x * x)
 
 
 def _f1(a: float) -> float:
@@ -248,38 +274,34 @@ class QReport:
             raise ValueError("Q integrals must be nonnegative")
 
 
+def _q_smooth(beta: float, gamma: float) -> float:
+    """beta^{gamma-1} ((beta log beta - beta + 1)/(beta-1)^2)^{-gamma}: the
+    integrand with its (beta-1)^{-2 gamma} endpoint factor divided out."""
+    return beta ** (gamma - 1.0) * _excess_ratio_scalar(beta - 1.0) ** (-gamma)
+
+
+def _q_direct(beta: float, gamma: float) -> float:
+    """beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}, the full integrand."""
+    return beta ** (gamma - 1.0) * _excess_scalar(beta - 1.0) ** (-gamma)
+
+
 def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12) -> tuple:
     """int_{b_lo}^{b_hi} beta^{gamma-1} (beta log beta - beta + 1)^{-gamma} dbeta.
 
-    The integrand blows up like 2^gamma (beta-1)^{-2 gamma} at beta = 1, so the
-    singular factor is handed to the quadrature routine as an algebraic weight
-    and the remaining smooth part is evaluated with log_excess protection.
+    The integrand blows up like 2^gamma (beta-1)^{-2 gamma} at beta = 1, so
+    from b_lo = 1 the singular factor is handed to the quadrature routine as
+    an algebraic weight and only the bounded remainder _q_smooth is sampled.
+    QUADPACK calls the integrands with one Python float at a time, so both
+    are scalar code (math.log1p and the shared series below |x| = 1e-4)
+    rather than the vectorized log_excess.
     """
     if b_hi <= b_lo:
         return 0.0, 0.0
-
-    def smooth(beta):
-        beta = np.asarray(beta, dtype=float)
-        x = beta - 1.0
-        # (beta log beta - beta + 1)/(beta-1)^2, series-protected; -> 1/2 at beta=1
-        small = np.abs(x) < 1e-4
-        xsafe = np.where(small, 1.0, x)
-        ratio = np.where(small,
-                         0.5 + x * (-1.0 / 6.0 + x * (1.0 / 12.0 - x / 20.0)),
-                         log_excess(xsafe) / (xsafe * xsafe))
-        return beta ** (gamma - 1.0) * ratio ** (-gamma)
-
     if b_lo == 1.0:
-        val, err = integrate.quad(smooth, b_lo, b_hi, weight="alg", wvar=(-2.0 * gamma, 0.0),
-                                  epsabs=tol, epsrel=tol, limit=200)
-        return val, err
-
-    def integrand(beta):
-        beta = np.asarray(beta, dtype=float)
-        return beta ** (gamma - 1.0) * log_excess(beta - 1.0) ** (-gamma)
-
-    val, err = integrate.quad(integrand, b_lo, b_hi, epsabs=tol, epsrel=tol, limit=200)
-    return val, err
+        return integrate.quad(_q_smooth, b_lo, b_hi, args=(gamma,), weight="alg",
+                              wvar=(-2.0 * gamma, 0.0), epsabs=tol, epsrel=tol, limit=200)
+    return integrate.quad(_q_direct, b_lo, b_hi, args=(gamma,),
+                          epsabs=tol, epsrel=tol, limit=200)
 
 
 def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:

@@ -11,9 +11,9 @@ Four runners, each emitting one deterministic CSV artifact:
 
 Runners return result objects holding the rows they wrote so callers can
 assert on values without re-reading files.  Sweep points are dispatched to a
-process pool when jobs > 1; workers exchange plain arrays only (boundary
-schedules hold closures, which do not pickle), and the parent assembles the
-CSV after all workers finish.
+process pool of min(jobs, cores) workers when that exceeds one; workers
+exchange plain arrays only (boundary schedules hold closures, which do not
+pickle), and the parent assembles the CSV after all workers finish.
 """
 
 import math
@@ -60,9 +60,11 @@ __all__ = [
 
 
 def _map_tasks(fn, payloads, jobs):
-    if jobs <= 1 or len(payloads) <= 1:
+    # more workers than cores only adds fork and scheduling cost
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads))
 
 

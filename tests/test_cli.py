@@ -3,11 +3,14 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from logdiff.cli import main
 from logdiff.config import ExperimentConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _pair_configs(tmp_path, k_lo, k_hi):
@@ -150,6 +153,26 @@ def test_experiment_id_mismatch_warns_but_runs(tmp_path, capsys):
     assert rc == 0
     captured = capsys.readouterr()
     assert "config says experiment=simulate" in captured.err
+
+
+def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
+    # verify replays simulate runs, so a simulate config is no mismatch there
+    lo = str(CONFIGS / "exhaustion_lo.ini")
+    hi = str(CONFIGS / "exhaustion_hi.ini")
+    assert main(["simulate", "--config", lo, "--out", str(tmp_path / "lo")]) == 0
+    assert main(["simulate", "--config", hi, "--out", str(tmp_path / "hi")]) == 0
+    capsys.readouterr()
+    rc = main([
+        "verify",
+        str(tmp_path / "lo" / "snap_manifest.csv"),
+        str(tmp_path / "hi" / "snap_manifest.csv"),
+        "--config", lo,
+        "--out", str(tmp_path / "ver"),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert main(["q-sweep", "--config", lo, "--out", str(tmp_path / "q")]) == 0
+    assert "note: config says experiment=simulate, running q-sweep" in capsys.readouterr().err
 
 
 def test_console_script_wired():

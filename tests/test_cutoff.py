@@ -19,6 +19,7 @@ from logdiff.cutoff import (
     q_bound_constant,
 )
 from logdiff.cutoff import _f1, _i2  # branch internals are part of the contract here
+from logdiff.cutoff import _excess_ratio_scalar, _excess_scalar, _q_direct, _q_smooth
 
 # [frozen] mpmath dps=40 values, computed before the implementation existed.
 Q_CASE_A = 10.18574547976275190944  # r0=e^{-1/2}, R=e^{-1/10}, gamma=1/4 (single range)
@@ -72,6 +73,31 @@ def test_log_excess_vectorized_and_nonnegative():
     assert v.shape == x.shape
     assert np.all(v >= 0.0)
     assert np.all(np.diff(v) > 0.0)  # strictly increasing for x > 0
+
+
+# x on both sides of the 1e-4 series cut, the cut itself, and far out
+KERNEL_XS = [-0.5, -0.1, -1.0001e-4, -1e-4, -9.999e-5, -1e-8, -1e-12,
+             1e-12, 1e-8, 9.999e-5, 1e-4, 1.0001e-4, 0.3, 1.0, 4.0, 1e3]
+
+
+@pytest.mark.parametrize("x", KERNEL_XS)
+def test_scalar_excess_kernels_match_vectorized(x):
+    # the QUADPACK callbacks use these scalar kernels; log_excess is the reference
+    ref = float(log_excess(np.array([x]))[0])
+    assert _excess_scalar(x) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert _excess_ratio_scalar(x) == pytest.approx(ref / (x * x), rel=1e-15, abs=0.0)
+
+
+def test_scalar_excess_ratio_limit_at_zero():
+    assert _excess_ratio_scalar(0.0) == 0.5
+    assert _excess_scalar(0.0) == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0 + 1e-12, 1.0 + 5e-5, 1.5, math.exp(2.0), 40.0])
+def test_q_integrands_return_plain_float(beta):
+    # a numpy scalar here would mean the callback went back through numpy
+    for fn in (_q_smooth, _q_direct):
+        assert type(fn(beta, 0.3)) is float
 
 
 # ----------------------------------------------------------------- flux profile
@@ -261,6 +287,26 @@ def test_q_cases_match_independent_reference():
     assert float(qb) == pytest.approx(Q_CASE_B, rel=1e-14)
     assert float(q1b) == pytest.approx(Q1_CASE_B, rel=1e-14)
     assert float(q2b) == pytest.approx(Q2_CASE_B, rel=1e-14)
+
+
+@pytest.mark.parametrize("r0, R, gamma, split", [
+    (0.8, 0.95, 0.4, False),
+    (0.75, 0.93, 0.45, False),
+    (0.9, 0.97, 0.05, False),
+    (0.6, 0.97, 0.45, True),
+    (0.55, 0.995, 0.45, True),
+    (0.7, 0.99, 0.25, True),
+])
+def test_compute_q_matches_reference(r0, R, gamma, split):
+    from oracle_support import q_reference
+
+    spec = CutoffSpec(r0, R, gamma)
+    rep = compute_Q(spec)
+    assert rep.split_applied == split
+    q, q1, q2 = (float(v) for v in q_reference(spec.s0, spec.S, gamma, split=True))
+    assert rep.Q == pytest.approx(q, rel=1e-12)
+    assert rep.Q1 == pytest.approx(q1, rel=1e-12, abs=0.0)
+    assert rep.Q2 == pytest.approx(q2, rel=1e-12)
 
 
 def test_i2_frozen_table():

@@ -14,7 +14,6 @@ The tracked constants are assembled once per gamma:
 """
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ from .geometry import (
     gauss_curvature,
     hyperbolic_factor,
 )
+from .snapshots import hash_comment, write_atomic
 from .solver import Trajectory, check_order_preservation
 
 __all__ = [
@@ -95,19 +95,18 @@ def constants_table(gammas) -> list:
     return rows
 
 
-def _hash_comment(payload: str) -> str:
-    return "# config-hash=" + hashlib.sha1(payload.encode()).hexdigest()[:12]
-
-
 def write_constants_csv(path, gammas) -> None:
     rows = constants_table(gammas)
     fields = list(rows[0].keys())
-    with open(path, "w", newline="") as fh:
-        fh.write(_hash_comment("constants:" + ",".join(f"{g:.12g}" for g in gammas)) + "\n")
+
+    def write(fh):
+        fh.write(hash_comment("constants:" + ",".join(f"{g:.12g}" for g in gammas)) + "\n")
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: repr(v) for k, v in row.items()})
+
+    write_atomic(path, write)
 
 
 # -------------------------------------------------------------- report types
@@ -147,14 +146,17 @@ class EstimateReport:
     def write_csv(self, path) -> None:
         """One row per (sample time, inequality id); leading config-hash comment."""
         meta_str = ",".join(f"{k}={self.meta[k]}" for k in sorted(self.meta))
-        with open(path, "w", newline="") as fh:
-            fh.write(_hash_comment("estimates:" + meta_str) + "\n")
+
+        def write(fh):
+            fh.write(hash_comment("estimates:" + meta_str) + "\n")
             writer = csv.writer(fh)
             writer.writerow(["time", "inequality", "lhs", "rhs", "margin", "constants"])
             for r in self.rows:
                 writer.writerow(
                     [repr(r.time), r.inequality, repr(r.lhs), repr(r.rhs), repr(r.margin), r.constants]
                 )
+
+        write_atomic(path, write)
 
 
 # ------------------------------------------------------------ pair plumbing

@@ -9,7 +9,9 @@ Snapshot format, one state per file:
 Values are written with repr so save/load round-trips bitwise. A trajectory
 is a directory of snapshots plus a manifest CSV listing (index, time, file);
 the manifest carries the config hash comment like every other CSV artifact.
-Loaders never modify files in place.
+Every artifact is written to a temporary file beside it and renamed into
+place, so an interrupted run never leaves a truncated file under a valid
+header. Loaders never modify files in place.
 """
 
 import csv
@@ -30,6 +32,7 @@ __all__ = [
     "write_rows_csv",
     "read_rows_csv",
     "hash_comment",
+    "write_atomic",
 ]
 
 _HEADER = re.compile(r"^# logdiff-state t=(?P<t>[^ ]+) n=(?P<n>\d+)$")
@@ -41,11 +44,27 @@ def hash_comment(payload: str) -> str:
     return "# config-hash=" + hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
+def write_atomic(path, write) -> None:
+    """Calls write(fh) on path + ".tmp" in the same directory, then renames
+    it over path; if write raises, the previous file at path is untouched
+    and the temporary file is removed."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_state(state: ConformalState, path) -> None:
-    with open(path, "w") as fh:
+    def write(fh):
         fh.write(f"# logdiff-state t={state.time!r} n={state.grid.n}\n")
         for s, u in zip(state.grid.nodes, state.values):
             fh.write(f"{float(s)!r},{float(u)!r}\n")
+
+    write_atomic(path, write)
 
 
 def load_state(path) -> ConformalState:
@@ -110,7 +129,8 @@ def load_trajectory(manifest_path) -> Trajectory:
 def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:
     """CSV artifact convention: hash comment first, then header, then rows.
     Floats are written with repr; everything else with str."""
-    with open(path, "w", newline="") as fh:
+
+    def write(fh):
         fh.write(hash_comment(hash_payload) + "\n")
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -120,6 +140,8 @@ def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:
                 v = row[k]
                 out[k] = repr(v) if isinstance(v, float) else v
             writer.writerow(out)
+
+    write_atomic(path, write)
 
 
 def read_rows_csv(path) -> list:

@@ -14,6 +14,11 @@ data growing like k*t the problem is stiff near s_min and unconditional
 stability matters more than temporal order, which the convergence tests
 recover by refinement.
 
+Each Newton iteration solves the tridiagonal Jacobian system with one direct
+call of LAPACK dgtsv (Gaussian elimination with partial pivoting).  A zero
+pivot fails the step like a stalled iteration does, so evolve halves dt and
+retries.
+
 No randomness anywhere: identical inputs produce bitwise-identical runs.
 """
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .geometry import ConformalState, LogPolarGrid, model_factor
 
@@ -187,40 +192,55 @@ def _d2_coeffs(s: np.ndarray):
 
 
 def _newton_solve(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
-    """Solve the backward-Euler system in w = log U; returns (w, iterations)."""
+    """Solve the backward-Euler system in w = log U; returns (w, iterations).
+
+    Raises ValueError when the initial residual is not finite, and
+    StepFailure when the Jacobian is singular, the line search exhausts its
+    halvings, or the iteration budget runs out.
+    """
     cl, cc, cr = coeffs if coeffs is not None else _d2_coeffs(s)
+    # dgtsv overwrites its diagonals with the factorization, so these two are
+    # passed with overwrite off and serve every iteration of the solve
+    du = -dt * cr[:-1]
+    dl = -dt * cl[1:]
+    dt_cc = dt * cc
+    u_int = u_old[1:-1]
     w = np.log(u_old)
     w[0], w[-1] = w_in, w_out
-    u_int = u_old[1:-1]
+    w_try = w.copy()
 
     def residual(wv):
+        # returns F(w) and e^w at the interior nodes; e^w is reused as the
+        # Jacobian diagonal of the next iteration
+        ew = np.exp(wv[1:-1])
         d2 = cl * wv[:-2] + cc * wv[1:-1] + cr * wv[2:]
-        return np.exp(wv[1:-1]) - u_int - dt * d2
+        return ew - u_int - dt * d2, ew
 
-    f = residual(w)
-    fnorm = float(np.max(np.abs(f)))
+    f, ew = residual(w)
+    fnorm = float(np.abs(f).max())
+    if not math.isfinite(fnorm):
+        raise ValueError("Newton system has non-finite values (is U positive and finite?)")
     for it in range(1, cfg.max_newton_iter + 1):
-        ab = np.zeros((3, s.size - 2))
-        ab[0, 1:] = -dt * cr[:-1]
-        ab[1, :] = np.exp(w[1:-1]) - dt * cc
-        ab[2, :-1] = -dt * cl[1:]
-        delta = solve_banded((1, 1), ab, -f)
+        _, _, _, delta, info = dgtsv(dl, ew - dt_cc, du, -f, overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise StepFailure(f"singular Newton Jacobian (dgtsv info={info})", fnorm)
 
         # damped update: halve until the residual stops growing
         scale = 1.0
         for _ in range(30):
-            w_try = w.copy()
-            w_try[1:-1] = w[1:-1] + scale * delta
-            f_try = residual(w_try)
-            fnorm_try = float(np.max(np.abs(f_try)))
-            if np.isfinite(fnorm_try) and fnorm_try <= fnorm * (1.0 + 1e-12) + 1e-300:
+            dw = scale * delta
+            np.add(w[1:-1], dw, out=w_try[1:-1])
+            f_try, ew_try = residual(w_try)
+            fnorm_try = float(np.abs(f_try).max())
+            if math.isfinite(fnorm_try) and fnorm_try <= fnorm * (1.0 + 1e-12) + 1e-300:
                 break
             scale *= 0.5
         else:
             raise StepFailure("Newton damping exhausted", fnorm)
 
-        w, f, fnorm = w_try, f_try, fnorm_try
-        if float(np.max(np.abs(scale * delta))) < cfg.newton_tol:
+        w, w_try = w_try, w
+        f, ew, fnorm = f_try, ew_try, fnorm_try
+        if float(np.abs(dw).max()) < cfg.newton_tol:
             return w, it
     raise StepFailure("Newton iteration budget exhausted", fnorm)
 

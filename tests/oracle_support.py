@@ -5,9 +5,16 @@ routines below, run at 40 significant digits before the implementation under
 test existed.  A handful of tests re-derive a value here and compare against
 both the frozen literal and the double-precision implementation, so a
 regression in either direction is caught.  mpmath is a test-only dependency.
+
+The module also keeps the solver's former Newton loop on
+scipy.linalg.solve_banded, which the LAPACK kernel must reproduce bitwise.
 """
 
 import mpmath as mp
+import numpy as np
+from scipy.linalg import solve_banded
+
+from logdiff.solver import StepFailure, _d2_coeffs
 
 mp.mp.dps = 40
 
@@ -147,3 +154,47 @@ def pair_flux_rate_reference(s0, S, s_max):
 
     knots = sorted({S, s0 / 2, s0, s_max})
     return 4 * mp.pi * mp.quad(integrand, knots)
+
+
+def newton_solve_reference(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
+    """The backward-Euler Newton loop as written on scipy.linalg.solve_banded.
+
+    Kept verbatim as the reference for logdiff.solver._newton_solve, which
+    calls LAPACK dgtsv directly (solve_banded is dgtsv for (1, 1) bands) and
+    must return a bitwise-equal w after the same number of iterations.
+    """
+    cl, cc, cr = coeffs if coeffs is not None else _d2_coeffs(s)
+    w = np.log(u_old)
+    w[0], w[-1] = w_in, w_out
+    u_int = u_old[1:-1]
+
+    def residual(wv):
+        d2 = cl * wv[:-2] + cc * wv[1:-1] + cr * wv[2:]
+        return np.exp(wv[1:-1]) - u_int - dt * d2
+
+    f = residual(w)
+    fnorm = float(np.max(np.abs(f)))
+    for it in range(1, cfg.max_newton_iter + 1):
+        ab = np.zeros((3, s.size - 2))
+        ab[0, 1:] = -dt * cr[:-1]
+        ab[1, :] = np.exp(w[1:-1]) - dt * cc
+        ab[2, :-1] = -dt * cl[1:]
+        delta = solve_banded((1, 1), ab, -f)
+
+        # damped update: halve until the residual stops growing
+        scale = 1.0
+        for _ in range(30):
+            w_try = w.copy()
+            w_try[1:-1] = w[1:-1] + scale * delta
+            f_try = residual(w_try)
+            fnorm_try = float(np.max(np.abs(f_try)))
+            if np.isfinite(fnorm_try) and fnorm_try <= fnorm * (1.0 + 1e-12) + 1e-300:
+                break
+            scale *= 0.5
+        else:
+            raise StepFailure("Newton damping exhausted", fnorm)
+
+        w, f, fnorm = w_try, f_try, fnorm_try
+        if float(np.max(np.abs(scale * delta))) < cfg.newton_tol:
+            return w, it
+    raise StepFailure("Newton iteration budget exhausted", fnorm)

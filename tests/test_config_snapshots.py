@@ -233,3 +233,14 @@ class TestRowsCsv:
         write_rows_csv(tmp_path / "x.csv", ["a"], rows, "p")
         write_rows_csv(tmp_path / "y.csv", ["a"], rows, "p")
         assert (tmp_path / "x.csv").read_text() == (tmp_path / "y.csv").read_text()
+
+    def test_failed_write_keeps_previous_artifact(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_rows_csv(p, ["a"], [{"a": 1.5}], "old")
+        before = p.read_bytes()
+        # the second row lacks its column, so the writer raises after the
+        # hash comment, the header and one row are already written
+        with pytest.raises(KeyError):
+            write_rows_csv(p, ["a"], [{"a": 2.5}, {}], "new")
+        assert p.read_bytes() == before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["t.csv"]

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logdiff.geometry import BigBang, ConformalState, Cusp, FlatDisc, LogPolarGrid, model_state
+from logdiff import solver
+from logdiff.geometry import (
+    BigBang,
+    ConformalState,
+    Cusp,
+    FlatDisc,
+    LogPolarGrid,
+    model_factor,
+    model_state,
+)
 from logdiff.solver import (
     BoundarySchedule,
     RunError,
@@ -18,6 +27,7 @@ from logdiff.solver import (
     mms_residual,
     step,
 )
+from oracle_support import newton_solve_reference
 
 
 def flat_setup(n=101, s_min=0.1, s_max=6.0):
@@ -64,6 +74,102 @@ def test_positivity_under_violent_ramp():
     out = step(st0, 0.05, sched)
     assert np.all(out.values > 0.0)
     assert out.values[0] == pytest.approx(5e4)  # Dirichlet value k*t
+
+
+# ------------------------------------------------------------ Newton kernel
+
+
+def _kernel_case(name):
+    """(nodes, u_old, w_in, w_out, dt) of one backward-Euler step."""
+    if name == "flatdisc-static":
+        g, st0, _ = flat_setup()
+        return g.nodes, st0.values, math.log(st0.values[0]), math.log(st0.values[-1]), 0.05
+    if name == "bigbang-model":
+        g = LogPolarGrid.uniform(0.3, 4.0, 81)
+        u = model_state(BigBang, g, 0.2).values
+        m_in, m_out = (float(model_factor(BigBang, x, 0.25)) for x in (g.s_min, g.s_max))
+        return g.nodes, u, math.log(m_in), math.log(m_out), 0.05
+    if name == "ramp-1e6-graded":
+        # the full Newton step overshoots once here, so the line search halves
+        g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
+        u = model_state(FlatDisc, g, 0.0).values
+        return g.nodes, u, math.log(1e6 * 0.05), math.log(u[-1]), 0.05
+    g = LogPolarGrid.graded(0.01, 8.0, 241, ratio=1.02)
+    u = model_state(FlatDisc, g, 0.0).values
+    return g.nodes, u, math.log(max(u[0], 1e4 * 1e-4)), math.log(u[-1]), 1e-4
+
+
+@pytest.mark.parametrize(
+    "name", ["flatdisc-static", "bigbang-model", "ramp-1e6-graded", "n241-dt1e-4"]
+)
+def test_newton_kernel_matches_solve_banded_reference(name):
+    s, u, w_in, w_out, dt = _kernel_case(name)
+    cfg = SolverConfig(dt=dt)
+    coeffs = solver._d2_coeffs(s)
+    u_before = u.copy()
+    w, iters = solver._newton_solve(s, u, w_in, w_out, dt, cfg, coeffs)
+    w_ref, iters_ref = newton_solve_reference(s, u, w_in, w_out, dt, cfg, coeffs)
+    assert iters == iters_ref
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(u, u_before)
+
+
+def test_evolve_leaves_inputs_and_cached_coeffs_untouched(monkeypatch):
+    # dgtsv may overwrite what it is given; the caller's data and the
+    # second-difference weights shared by every step must survive a run
+    made = []
+    d2_coeffs = solver._d2_coeffs
+
+    def recording_coeffs(s):
+        out = d2_coeffs(s)
+        made.append((out, tuple(c.copy() for c in out)))
+        return out
+
+    monkeypatch.setattr(solver, "_d2_coeffs", recording_coeffs)
+    g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
+    st0 = model_state(FlatDisc, g, 0.0)
+    before = st0.values.copy()
+    sched = BoundarySchedule.ramp(float(st0.values[0]), 1e6, float(st0.values[-1]))
+    traj = evolve(st0, sched, SolverConfig(dt=0.01), 0.05)
+    assert traj.nsteps >= 5
+    assert np.array_equal(st0.values, before)
+    (live, saved), = made
+    for a, b in zip(live, saved):
+        assert np.array_equal(a, b)
+
+
+def test_non_finite_input_raises_value_error():
+    s, u, w_in, w_out, dt = _kernel_case("flatdisc-static")
+    cfg = SolverConfig(dt=dt)
+    _, st0, _ = flat_setup()
+    inf_inner = BoundarySchedule(inner=lambda t: math.inf, outer=lambda t: 1.0)
+    with np.errstate(invalid="ignore"):
+        for bad in (math.nan, math.inf):
+            u_bad = u.copy()
+            u_bad[len(u) // 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                solver._newton_solve(s, u_bad, w_in, w_out, dt, cfg)
+        with pytest.raises(ValueError, match="non-finite"):
+            step(st0, 0.01, inf_inner)
+
+
+def test_singular_jacobian_fails_step_then_run(monkeypatch):
+    calls = []
+
+    def singular_dgtsv(dl, d, du, b, **kwargs):
+        calls.append(d.size)
+        return dl, d, du, np.zeros_like(b), 1
+
+    monkeypatch.setattr(solver, "dgtsv", singular_dgtsv)
+    _, st0, sched = flat_setup()
+    with pytest.raises(StepFailure, match="singular"):
+        step(st0, 0.01, sched)
+    calls.clear()
+    cfg = SolverConfig(dt=0.01, max_halvings=3)
+    with pytest.raises(RunError, match="after 3 halvings") as exc:
+        evolve(st0, sched, cfg, 0.05)
+    assert len(calls) == cfg.max_halvings + 1
+    assert exc.value.partial.nsteps == 0
 
 
 # --------------------------------------------------- manufactured solutions

@@ -11,6 +11,7 @@ import sys
 from logdiff.cli import main as cli_main
 
 SUITES = ("exact-suite", "q-sweep", "uniqueness", "boundary-layer")
+SWEEPS = ("exact-suite", "q-sweep", "uniqueness")  # the suites that take --jobs
 
 
 def main() -> int:
@@ -21,8 +22,10 @@ def main() -> int:
     worst = 0
     for suite in SUITES:
         print(f"== {suite} ==")
-        rc = cli_main([suite, "--out", f"{args.out}/{suite.replace('-', '_')}",
-                       "--jobs", str(args.jobs)])
+        argv = [suite, "--out", f"{args.out}/{suite.replace('-', '_')}"]
+        if suite in SWEEPS:
+            argv += ["--jobs", str(args.jobs)]
+        rc = cli_main(argv)
         worst = max(worst, rc)
     return worst
 

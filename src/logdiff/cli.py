@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig, parse_config
 from .cutoff import CutoffSpec
 from .estimates import full_report
@@ -26,7 +24,7 @@ from .experiments import (
     run_q_sweep,
     run_uniqueness_experiment,
 )
-from .geometry import ConformalState, LogPolarGrid
+from .geometry import FlatDisc, LogPolarGrid, model_state
 from .snapshots import load_trajectory, save_trajectory
 from .solver import BoundarySchedule, RunError, SolverConfig, evolve
 
@@ -114,11 +112,9 @@ def _cmd_simulate(args) -> int:
     R = cfg.R_list[0]
     k = cfg.ramps[0]
     s_lo, s_hi = cfg.grid_bounds(R)
-    grid = LogPolarGrid.graded(s_lo, s_hi, cfg.n, cfg.ratio)
-    u0 = np.exp(-2.0 * grid.nodes)  # flat initial data
-    schedule = BoundarySchedule.ramp(float(u0[0]), k, float(u0[-1]))
+    st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, cfg.n, cfg.ratio), 0.0)
     samples = cfg.sample_times or tuple(cfg.T * (j + 1) / 5 for j in range(5))
-    traj = evolve(ConformalState(grid, u0, 0.0), schedule,
+    traj = evolve(st0, BoundarySchedule.ramp(st0, k),
                   SolverConfig(dt=cfg.dt), cfg.T, sample_times=samples)
     os.makedirs(args.out, exist_ok=True)
     manifest = save_trajectory(traj, args.out, stem="snap", hash_payload=cfg.config_hash)
@@ -172,20 +168,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI experiment config (defaults used when omitted)")
     common.add_argument("--out", metavar="DIR", default="out",
                         help="artifact directory (default: out)")
-    common.add_argument("--jobs", metavar="N", type=int, default=1,
-                        help="worker processes for sweep points, at most one per "
-                             "core (default: 1)")
+    # only the three sweeps spread work over a pool; the other commands
+    # reject --jobs rather than ignore it
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--jobs", metavar="N", type=int, default=1,
+                       help="worker processes for sweep points, at most one per "
+                            "core (default: 1)")
 
     parser = _Parser(
         prog="logdiff",
         description="Log-diffusion flow laboratory: exhaustion runs and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("exact-suite", parents=[common],
+    sub.add_parser("exact-suite", parents=[sweep],
                    help="convergence orders against closed-form flows")
-    sub.add_parser("q-sweep", parents=[common],
+    sub.add_parser("q-sweep", parents=[sweep],
                    help="Q integral against its analytic bound over (r0, R, gamma)")
-    sub.add_parser("uniqueness", parents=[common],
+    sub.add_parser("uniqueness", parents=[sweep],
                    help="interior differences between exhaustion ramps, per R")
     sub.add_parser("boundary-layer", parents=[common],
                    help="boundary layer width exponent (exploratory, never gates)")

@@ -13,7 +13,6 @@ The tracked constants are assembled once per gamma:
     C_L    = C* C_Q^{1/(1+gamma)}             area-difference lemma constant
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,8 @@ from .geometry import (
     gauss_curvature,
     hyperbolic_factor,
 )
-from .snapshots import hash_comment, write_atomic
-from .solver import Trajectory, check_order_preservation
+from .snapshots import write_rows_csv
+from .solver import Trajectory, _check_pair, check_order_preservation
 
 __all__ = [
     "AreaCertificate",
@@ -97,16 +96,8 @@ def constants_table(gammas) -> list:
 
 def write_constants_csv(path, gammas) -> None:
     rows = constants_table(gammas)
-    fields = list(rows[0].keys())
-
-    def write(fh):
-        fh.write(hash_comment("constants:" + ",".join(f"{g:.12g}" for g in gammas)) + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(v) for k, v in row.items()})
-
-    write_atomic(path, write)
+    write_rows_csv(path, list(rows[0].keys()), rows,
+                   "constants:" + ",".join(f"{g:.12g}" for g in gammas))
 
 
 # -------------------------------------------------------------- report types
@@ -146,25 +137,20 @@ class EstimateReport:
     def write_csv(self, path) -> None:
         """One row per (sample time, inequality id); leading config-hash comment."""
         meta_str = ",".join(f"{k}={self.meta[k]}" for k in sorted(self.meta))
-
-        def write(fh):
-            fh.write(hash_comment("estimates:" + meta_str) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(["time", "inequality", "lhs", "rhs", "margin", "constants"])
-            for r in self.rows:
-                writer.writerow(
-                    [repr(r.time), r.inequality, repr(r.lhs), repr(r.rhs), repr(r.margin), r.constants]
-                )
-
-        write_atomic(path, write)
+        rows = [
+            {"time": r.time, "inequality": r.inequality, "lhs": r.lhs, "rhs": r.rhs,
+             "margin": r.margin, "constants": r.constants}
+            for r in self.rows
+        ]
+        write_rows_csv(path, ["time", "inequality", "lhs", "rhs", "margin", "constants"],
+                       rows, "estimates:" + meta_str)
 
 
 # ------------------------------------------------------------ pair plumbing
 
 
 def _pair_arrays(traj_g: Trajectory, traj_G: Trajectory, t: float):
-    if not np.array_equal(traj_g.grid.nodes, traj_G.grid.nodes):
-        raise ValueError("trajectories live on incompatible grids")
+    _check_pair(traj_g, traj_G)
     # state_at refuses interpolation, so an unsampled t fails loudly here
     return traj_g.grid.nodes, traj_g.state_at(t).values, traj_G.state_at(t).values
 
@@ -230,10 +216,8 @@ class DjdtReport:
 
 
 def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> DjdtReport:
+    _check_pair(traj_g, traj_G)
     times = traj_g.times
-    tb = traj_G.times
-    if times.size != tb.size or not np.allclose(times, tb, rtol=1e-12, atol=1e-14):
-        raise ValueError("trajectories have mismatched sample times")
     if times.size < 2:
         raise ValueError("need at least two sample times to difference J")
     traj_g.state_at(t)  # validates t is sampled
@@ -454,11 +438,7 @@ class AreaCertificate:
 
 
 def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: str) -> AreaCertificate:
-    if not np.array_equal(traj_g.grid.nodes, traj_G.grid.nodes):
-        raise ValueError("trajectories live on incompatible grids")
-    ta, tb = traj_g.times, traj_G.times
-    if ta.size != tb.size or not np.allclose(ta, tb, rtol=1e-12, atol=1e-14):
-        raise ValueError("trajectories have mismatched sample times")
+    _check_pair(traj_g, traj_G)
     if R is None:
         R = _default_R(traj_g.grid)
     spec = CutoffSpec(r0, R, gamma)  # validates every parameter range
@@ -552,9 +532,17 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
 
     Ordered pairs get the J invariants, the ODI, and the interior-area
     certificate; crossing pairs fall back to the positive-part variants.
-    Curvature monotonicity is included only when its precondition holds.
+    A pair given larger flow first raises ValueError: read as a crossing
+    pair it would drop the ordered certificates and pass on a volume excess
+    that is zero by construction.  Curvature monotonicity is included only
+    when its precondition holds.
     """
     order = check_order_preservation(traj_g, traj_G)
+    if not order.ordered and check_order_preservation(traj_G, traj_g).ordered:
+        raise ValueError(
+            "pair is in reverse order: the first flow lies above the second "
+            f"(by up to {order.max_violation:.3e}); give the smaller flow first"
+        )
     gamma = cutoff.gamma
     rows = []
     times = [float(t) for t in traj_g.times]

@@ -12,8 +12,8 @@ Four runners, each emitting one deterministic CSV artifact:
 Runners return result objects holding the rows they wrote so callers can
 assert on values without re-reading files.  Sweep points are dispatched to a
 process pool of min(jobs, cores) workers when that exceeds one; workers
-exchange plain arrays only (boundary schedules hold closures, which do not
-pickle), and the parent assembles the CSV after all workers finish.
+return plain data (row dicts, or whole trajectories, which pickle), and the
+parent assembles the CSV after all workers finish.
 """
 
 import math
@@ -29,7 +29,6 @@ from .cutoff import CutoffSpec, _q_integral_beta, compute_Q
 from .estimates import interior_area_verify
 from .geometry import (
     BigBang,
-    ConformalState,
     Cusp,
     FlatDisc,
     LogPolarGrid,
@@ -309,28 +308,14 @@ def run_q_sweep(config=None, out_dir=None, jobs: int = 1,
 # -------------------------------------------------------------- uniqueness
 
 def _uniq_task(payload):
+    """One exhaustion member; returns its Trajectory, or the error text."""
     s_lo, s_hi, n, ratio, k, T, dt, samples = payload
     try:
-        grid = LogPolarGrid.graded(s_lo, s_hi, int(n), ratio)
-        st0 = model_state(FlatDisc(), grid, 0.0)
-        sched = BoundarySchedule.ramp(float(st0.values[0]), k, float(st0.values[-1]))
-        traj = evolve(st0, sched, SolverConfig(dt=dt), T, sample_times=samples)
-        return {"ok": True, "k": k, "nodes": grid.nodes, "grading": ratio,
-                "times": tuple(float(t) for t in traj.times),
-                "values": np.stack([st.values for st in traj.states])}
+        st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, int(n), ratio), 0.0)
+        return evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=dt), T,
+                      sample_times=samples)
     except (RunError, StepFailure, ValueError) as exc:
-        return {"ok": False, "k": k, "error": str(exc)}
-
-
-def _rebuild(run) -> Trajectory:
-    """Trajectory from a worker's plain-array record (schedules hold closures
-    and do not cross the process boundary, so the ramp is reattached here)."""
-    grid = LogPolarGrid(run["nodes"], grading=run["grading"])
-    states = tuple(ConformalState(grid, run["values"][i], run["times"][i])
-                   for i in range(len(run["times"])))
-    u0, u1 = float(run["values"][0][0]), float(run["values"][0][-1])
-    sched = BoundarySchedule.ramp(u0, run["k"], u1)
-    return Trajectory(states=states, schedule=sched, config=SolverConfig())
+        return str(exc)
 
 
 @dataclass(frozen=True)
@@ -383,11 +368,11 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
     keys = [(R, j) for R in Rs for j in range(len(config.ramps))]
     runs = {}
     failures = []
-    for key, rec in zip(keys, raw):
-        if rec["ok"]:
-            runs[key] = _rebuild(rec)
+    for (R, j), run in zip(keys, raw):
+        if isinstance(run, Trajectory):
+            runs[(R, j)] = run
         else:
-            failures.append(f"R={key[0]:g} k={rec['k']:g}: {rec['error']}")
+            failures.append(f"R={R:g} k={float(config.ramps[j]):g}: {run}")
 
     s0 = -math.log(config.r0)
     rows = []
@@ -482,17 +467,15 @@ def matched_truncation_gauge(k_lo: float = 1e3, k_hi: float = 1e4,
     # the shallower depth becomes an exact node so the two windows share nodes
     master = LogPolarGrid(np.sort(np.unique(np.concatenate([base, [depth_lo]]))))
     sub = master.restrict(depth_lo)
+    # all three windows end at the same outer node, so they share the
+    # pinned outer value
     st_hi = model_state(FlatDisc(), master, 0.0)
     st_lo = model_state(FlatDisc(), sub, 0.0)
-    u_out = float(st_hi.values[-1])
-    hi = evolve(st_hi, BoundarySchedule.ramp(float(st_hi.values[0]), k_hi, u_out),
-                SolverConfig(dt=dt), T)
-    lo = evolve(st_lo, BoundarySchedule.ramp(float(st_lo.values[0]), k_lo, u_out),
-                SolverConfig(dt=dt), T)
+    hi = evolve(st_hi, BoundarySchedule.ramp(st_hi, k_hi), SolverConfig(dt=dt), T)
+    lo = evolve(st_lo, BoundarySchedule.ramp(st_lo, k_lo), SolverConfig(dt=dt), T)
     fine = master.refine()
     st_f = model_state(FlatDisc(), fine, 0.0)
-    hif = evolve(st_f, BoundarySchedule.ramp(float(st_f.values[0]), k_hi, u_out),
-                 SolverConfig(dt=0.5 * dt), T)
+    hif = evolve(st_f, BoundarySchedule.ramp(st_f, k_hi), SolverConfig(dt=0.5 * dt), T)
     s0 = -math.log(r0)
     on_sub = master.index_of(sub)
     m_sub = sub.nodes >= s0
@@ -540,9 +523,8 @@ def run_boundary_layer_experiment(config=None, out_dir=None, k: float | None = N
     s_min = 0.005 if config is None or config.s_min is None else config.s_min
     grid = LogPolarGrid.graded(s_min, 4.0, 301, 1.02)
     st0 = model_state(FlatDisc(), grid, 0.0)
-    sched = BoundarySchedule.ramp(float(st0.values[0]), k, float(st0.values[-1]))
     samples = np.logspace(-3.0, -1.0, n_samples)
-    traj = evolve(st0, sched, SolverConfig(dt=1e-4, dt_cap=2e-3), 0.1,
+    traj = evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=1e-4, dt_cap=2e-3), 0.1,
                   sample_times=samples)
     flat = np.exp(-2.0 * grid.nodes)
     rows = []

@@ -63,14 +63,9 @@ def hyperbolic_factor(s):
 
 @dataclass(frozen=True)
 class LogPolarGrid:
-    """Strictly increasing nodes s_0 < s_1 < ... < s_{N-1}, all positive.
-
-    grading records the geometric ratio used at construction time (1.0 for
-    uniform grids); it is descriptive only and never consulted by numerics.
-    """
+    """Strictly increasing nodes s_0 < s_1 < ... < s_{N-1}, all positive."""
 
     nodes: np.ndarray
-    grading: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -96,7 +91,7 @@ class LogPolarGrid:
 
     @classmethod
     def uniform(cls, s_min: float, s_max: float, n: int) -> "LogPolarGrid":
-        return cls(np.linspace(s_min, s_max, n), grading=1.0)
+        return cls(np.linspace(s_min, s_max, n))
 
     @classmethod
     def graded(cls, s_min: float, s_max: float, n: int, ratio: float = 1.05) -> "LogPolarGrid":
@@ -114,7 +109,7 @@ class LogPolarGrid:
         steps = ratio ** np.arange(n - 1)
         pos = np.concatenate([[0.0], np.cumsum(steps)])
         pos *= (s_max - s_min) / pos[-1]
-        return cls(s_min + pos, grading=ratio)
+        return cls(s_min + pos)
 
     def refine(self) -> "LogPolarGrid":
         """Insert every cell midpoint: N nodes -> 2N-1, original nodes kept exactly."""
@@ -122,14 +117,14 @@ class LogPolarGrid:
         out = np.empty(2 * self.n - 1)
         out[0::2] = self.nodes
         out[1::2] = mids
-        return LogPolarGrid(out, grading=self.grading)
+        return LogPolarGrid(out)
 
     def restrict(self, s_from: float) -> "LogPolarGrid":
         """Subgrid of nodes with s >= s_from - 1e-12 (node values preserved)."""
         j = int(np.searchsorted(self.nodes, s_from - 1e-12))
         if self.n - j < 3:
             raise ValueError("restriction leaves fewer than 3 nodes")
-        return LogPolarGrid(self.nodes[j:].copy(), grading=self.grading)
+        return LogPolarGrid(self.nodes[j:].copy())
 
     def index_of(self, other: "LogPolarGrid") -> np.ndarray:
         """Positions of other's nodes inside self (exact match required)."""

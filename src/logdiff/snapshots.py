@@ -22,7 +22,7 @@ import re
 import numpy as np
 
 from .geometry import ConformalState, LogPolarGrid
-from .solver import BoundarySchedule, SolverConfig, Trajectory
+from .solver import SolverConfig, Trajectory
 
 __all__ = [
     "save_state",
@@ -104,9 +104,11 @@ def save_trajectory(traj: Trajectory, out_dir, stem: str = "snap", hash_payload:
 
 
 def load_trajectory(manifest_path) -> Trajectory:
-    """Rebuilds a Trajectory from a manifest. The boundary schedule is not
-    stored on disk, so the loaded trajectory carries a from-disk placeholder;
-    estimates only consume grids, times and values."""
+    """Rebuilds a Trajectory from a manifest and the snapshots beside it.
+    The solver config is not stored on disk, so the loaded trajectory carries
+    the default SolverConfig; estimates consume grids, times and values, and
+    the default newton_tol for their tolerances. Every manifest entry must be
+    a bare file name in the manifest's own directory."""
     base = os.path.dirname(manifest_path)
     states = []
     with open(manifest_path) as fh:
@@ -114,21 +116,21 @@ def load_trajectory(manifest_path) -> Trajectory:
         if reader.fieldnames is None or "file" not in reader.fieldnames:
             raise ValueError(f"{manifest_path}: not a trajectory manifest")
         for row in reader:
-            states.append(load_state(os.path.join(base, row["file"])))
+            name = row["file"]
+            if not name or name in (".", "..") or os.path.basename(name) != name:
+                raise ValueError(
+                    f"{manifest_path}: entry {name!r} is not a file name in the manifest's directory"
+                )
+            states.append(load_state(os.path.join(base, name)))
     if not states:
         raise ValueError(f"{manifest_path}: empty manifest")
-    first = states[0]
-    sched = BoundarySchedule(
-        inner=lambda t, u0=float(first.values[0]): u0,
-        outer=lambda t, u1=float(first.values[-1]): u1,
-        label="from-disk",
-    )
-    return Trajectory(states=tuple(states), schedule=sched, config=SolverConfig())
+    return Trajectory(states=tuple(states), config=SolverConfig())
 
 
 def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:
     """CSV artifact convention: hash comment first, then header, then rows.
-    Floats are written with repr; everything else with str."""
+    Floats, numpy float scalars included, are written with repr of the plain
+    float; everything else with str."""
 
     def write(fh):
         fh.write(hash_comment(hash_payload) + "\n")
@@ -138,7 +140,7 @@ def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:
             out = {}
             for k in fieldnames:
                 v = row[k]
-                out[k] = repr(v) if isinstance(v, float) else v
+                out[k] = repr(float(v)) if isinstance(v, float) else v
             writer.writerow(out)
 
     write_atomic(path, write)

@@ -25,7 +25,7 @@ No randomness anywhere: identical inputs produce bitwise-identical runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,12 +86,12 @@ class BoundarySchedule:
         return cls(inner=lambda t: u_in, outer=lambda t: u_out, label="static")
 
     @classmethod
-    def ramp(cls, u0_in: float, k: float, u_out: float) -> "BoundarySchedule":
-        """Standard exhaustion member: inner max(u0_in, k*t), outer pinned."""
-        if u0_in <= 0.0 or u_out <= 0.0:
-            raise ValueError("boundary values must be positive")
+    def ramp(cls, initial: ConformalState, k: float) -> "BoundarySchedule":
+        """Standard exhaustion member started from initial: inner
+        max(U0(s_min), k*t), outer pinned at U0(s_max)."""
         if k <= 0.0:
             raise ValueError("ramp slope k must be positive")
+        u0_in, u_out = float(initial.values[0]), float(initial.values[-1])
         return cls(
             inner=lambda t: max(u0_in, k * t),
             outer=lambda t: u_out,
@@ -144,10 +144,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run at strictly increasing sample times."""
+    """Snapshots of one run at strictly increasing sample times.
+
+    Plain data: a trajectory pickles, so process-pool workers return it
+    whole.
+    """
 
     states: tuple
-    schedule: BoundarySchedule
     config: SolverConfig
     nsteps: int = 0
     newton_iters: int = 0
@@ -245,6 +248,14 @@ def _newton_solve(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
     raise StepFailure("Newton iteration budget exhausted", fnorm)
 
 
+def _advance(s, u, t_new, dt, schedule, cfg, coeffs=None):
+    """Backward-Euler step from values u to time t_new; returns (w, iterations)."""
+    m_in, m_out = float(schedule.inner(t_new)), float(schedule.outer(t_new))
+    if m_in <= 0.0 or m_out <= 0.0:
+        raise ValueError("schedule produced a nonpositive boundary value")
+    return _newton_solve(s, u, math.log(m_in), math.log(m_out), dt, cfg, coeffs)
+
+
 def step(
     state: ConformalState,
     dt: float,
@@ -256,12 +267,7 @@ def step(
         raise ValueError("dt must be positive")
     cfg = config if config is not None else SolverConfig(dt=dt)
     t_new = state.time + dt
-    m_in, m_out = float(schedule.inner(t_new)), float(schedule.outer(t_new))
-    if m_in <= 0.0 or m_out <= 0.0:
-        raise ValueError("schedule produced a nonpositive boundary value")
-    w, _ = _newton_solve(
-        state.grid.nodes, state.values, math.log(m_in), math.log(m_out), dt, cfg
-    )
+    w, _ = _advance(state.grid.nodes, state.values, t_new, dt, schedule, cfg)
     return ConformalState(state.grid, np.exp(w), t_new)
 
 
@@ -326,20 +332,14 @@ def evolve(
             halvings = 0
             while True:
                 t_new = t + dt_try
-                m_in, m_out = float(schedule.inner(t_new)), float(schedule.outer(t_new))
-                if m_in <= 0.0 or m_out <= 0.0:
-                    raise ValueError("schedule produced a nonpositive boundary value")
                 try:
-                    w, iters = _newton_solve(
-                        s, u, math.log(m_in), math.log(m_out), dt_try, cfg, coeffs
-                    )
+                    w, iters = _advance(s, u, t_new, dt_try, schedule, cfg, coeffs)
                     break
                 except StepFailure as exc:
                     halvings += 1
                     if halvings > cfg.max_halvings:
                         partial = Trajectory(
                             states=tuple(snapshots),
-                            schedule=schedule,
                             config=cfg,
                             nsteps=nsteps,
                             newton_iters=newton_total,
@@ -369,7 +369,6 @@ def evolve(
 
     return Trajectory(
         states=tuple(snapshots),
-        schedule=schedule,
         config=cfg,
         nsteps=nsteps,
         newton_iters=newton_total,
@@ -407,10 +406,8 @@ def exhaust(
     # decrease breaks the exhaustion ordering
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("ramps must be nondecreasing")
-    u0_in = float(initial.values[0])
-    u_out = float(initial.values[-1])
     trajectories = [
-        evolve(initial, BoundarySchedule.ramp(u0_in, k, u_out), config, T, sample_times)
+        evolve(initial, BoundarySchedule.ramp(initial, k), config, T, sample_times)
         for k in ks
     ]
 
@@ -476,15 +473,24 @@ class OrderReport:
         return self.ordered
 
 
+def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
+    """Raise ValueError unless both trajectories share one grid and one set
+    of sample times; every pair comparison starts here."""
+    if not np.array_equal(traj_a.grid.nodes, traj_b.grid.nodes):
+        raise ValueError("trajectories live on incompatible grids")
+    # np.allclose(rtol=1e-12, atol=1e-14) on a few finite floats, without its
+    # per-call overhead: certificates run this once per sample time
+    ta = [st.time for st in traj_a.states]
+    tb = [st.time for st in traj_b.states]
+    if len(ta) != len(tb) or any(abs(a - b) > 1e-14 + 1e-12 * abs(b) for a, b in zip(ta, tb)):
+        raise ValueError("trajectories have mismatched sample times")
+
+
 def check_order_preservation(
     traj_a: Trajectory, traj_b: Trajectory, tol: float | None = None
 ) -> OrderReport:
     """Check U_a <= U_b + tol at every node of every shared sample time."""
-    if not np.array_equal(traj_a.grid.nodes, traj_b.grid.nodes):
-        raise ValueError("trajectories live on incompatible grids")
-    ta, tb = traj_a.times, traj_b.times
-    if ta.size != tb.size or not np.allclose(ta, tb, rtol=1e-12, atol=1e-14):
-        raise ValueError("trajectories have mismatched sample times")
+    _check_pair(traj_a, traj_b)
     if tol is None:
         scale = max(
             float(np.max(traj_a.states[-1].values)),
@@ -493,7 +499,7 @@ def check_order_preservation(
         )
         tol = 10.0 * traj_a.config.newton_tol * scale
     worst = -math.inf
-    worst_t = float(ta[0])
+    worst_t = float(traj_a.states[0].time)
     for st_a, st_b in zip(traj_a.states, traj_b.states):
         v = float(np.max(st_a.values - st_b.values))
         if v > worst:

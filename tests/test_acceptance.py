@@ -33,12 +33,10 @@ def _exact_pair(grid, times):
     cfg = SolverConfig()
     tg = Trajectory(
         states=tuple(model_state(BigBang, grid, t) for t in times),
-        schedule=BoundarySchedule.from_model(BigBang, grid.s_min, grid.s_max),
         config=cfg,
     )
     tG = Trajectory(
         states=tuple(model_state(Cusp, grid, t) for t in times),
-        schedule=BoundarySchedule.from_model(Cusp, grid.s_min, grid.s_max),
         config=cfg,
     )
     return tg, tG

@@ -42,7 +42,9 @@ def test_help_exits_zero(capsys):
 
 def test_usage_errors_exit_three():
     # 2 is reserved for certificate failures; bad command lines get 3
-    for argv in ([], ["wibble"], ["verify", "only_one.csv"]):
+    # --jobs exists only on the sweeps, so elsewhere it is a usage error
+    for argv in ([], ["wibble"], ["verify", "only_one.csv"], ["simulate", "--jobs", "2"],
+                 ["boundary-layer", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -92,6 +94,18 @@ def test_simulate_verify_roundtrip_passes(tmp_path, capsys):
     assert report.startswith("# config-hash=")
     assert "lower-barrier" in report and "interior-area" in report
 
+    # the same pair given larger flow first is refused, not passed vacuously
+    rc = main([
+        "verify",
+        str(tmp_path / "hi" / "snap_manifest.csv"),
+        str(tmp_path / "lo" / "snap_manifest.csv"),
+        "--config", str(lo),
+        "--out", str(tmp_path / "rev"),
+    ])
+    assert rc == 3
+    assert "reverse order" in capsys.readouterr().err
+    assert not (tmp_path / "rev" / "verify_report.csv").exists()
+
 
 def test_simulate_reruns_are_byte_identical(tmp_path):
     lo, _ = _pair_configs(tmp_path, 2e3, 2e4)
@@ -128,6 +142,21 @@ def test_bad_config_exits_three(tmp_path, capsys):
 def test_missing_manifest_exits_three(tmp_path):
     rc = main(["verify", "nope.csv", "also_nope.csv", "--out", str(tmp_path)])
     assert rc == 3
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_manifest_entry_outside_its_directory_exits_three(tmp_path, capsys, absolute):
+    lo, _ = _pair_configs(tmp_path, 2e3, 2e4)
+    assert main(["simulate", "--config", str(lo), "--out", str(tmp_path / "run")]) == 0
+    snap = tmp_path / "run" / "snap_000.txt"
+    entry = str(snap) if absolute else "../run/snap_000.txt"
+    other = tmp_path / "other"
+    other.mkdir()
+    manifest = other / "m.csv"
+    manifest.write_text(f"# config-hash=abc\nindex,time,file\n0,0.0,{entry}\n")
+    rc = main(["verify", str(manifest), str(manifest), "--out", str(tmp_path / "ver")])
+    assert rc == 3
+    assert "not a file name" in capsys.readouterr().err
 
 
 def test_uniqueness_precondition_exits_three(tmp_path, capsys):

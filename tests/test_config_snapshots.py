@@ -13,7 +13,7 @@ from logdiff.snapshots import (
     save_trajectory,
     write_rows_csv,
 )
-from logdiff.solver import BoundarySchedule, SolverConfig, Trajectory
+from logdiff.solver import SolverConfig, Trajectory
 
 MINIMAL = """\
 [experiment]
@@ -176,8 +176,7 @@ class TestSnapshots:
     def make_traj(self):
         grid = LogPolarGrid.uniform(0.1, 5.0, 61)
         states = tuple(model_state(BigBang(), grid, t) for t in (0.2, 0.4, 0.6))
-        sched = BoundarySchedule.static(1.0, 1.0)
-        return Trajectory(states=states, schedule=sched, config=SolverConfig())
+        return Trajectory(states=states, config=SolverConfig())
 
     def test_trajectory_roundtrip(self, tmp_path):
         traj = self.make_traj()
@@ -186,7 +185,6 @@ class TestSnapshots:
         assert np.array_equal(back.times, traj.times)
         for a, b in zip(back.states, traj.states):
             assert np.array_equal(a.values, b.values)
-        assert back.schedule.label == "from-disk"
 
     def test_manifest_has_hash_comment(self, tmp_path):
         traj = self.make_traj()

@@ -37,12 +37,10 @@ def exact_pair(grid, times):
     cfg = SolverConfig()
     tg = Trajectory(
         states=tuple(model_state(BigBang, grid, t) for t in times),
-        schedule=BoundarySchedule.from_model(BigBang, grid.s_min, grid.s_max),
         config=cfg,
     )
     tG = Trajectory(
         states=tuple(model_state(Cusp, grid, t) for t in times),
-        schedule=BoundarySchedule.from_model(Cusp, grid.s_min, grid.s_max),
         config=cfg,
     )
     return tg, tG
@@ -68,9 +66,8 @@ def exhaust_pair(exhaust_spec):
     st0 = model_state(FlatDisc, g)
     cfg = SolverConfig(dt=1e-3)
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
-    lo = evolve(st0, BoundarySchedule.ramp(u_in, 1e2, u_out), cfg, 0.1, sample_times=ts)
-    hi = evolve(st0, BoundarySchedule.ramp(u_in, 1e3, u_out), cfg, 0.1, sample_times=ts)
+    lo = evolve(st0, BoundarySchedule.ramp(st0, 1e2), cfg, 0.1, sample_times=ts)
+    hi = evolve(st0, BoundarySchedule.ramp(st0, 1e3), cfg, 0.1, sample_times=ts)
     return lo, hi
 
 
@@ -235,8 +232,7 @@ def test_barrier_flags_violator():
     states = tuple(
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
-    sched = BoundarySchedule.static(float(states[0].values[0]), float(states[0].values[-1]))
-    viol = Trajectory(states=states, schedule=sched, config=SolverConfig())
+    viol = Trajectory(states=states, config=SolverConfig())
     rep = est.lower_barrier_check(viol)
     assert rep.min_margin < -1.0
     # node restriction matters: the worst violation sits at small s
@@ -265,8 +261,7 @@ def test_inverse_bound_not_asserted_without_barrier():
     states = tuple(
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
-    sched = BoundarySchedule.static(float(states[0].values[0]), float(states[0].values[-1]))
-    viol = Trajectory(states=states, schedule=sched, config=SolverConfig())
+    viol = Trajectory(states=states, config=SolverConfig())
     rep = est.pointwise_u_inverse_bound(viol, 0.4)
     assert not rep.precondition_ok
     assert rep.margin is None
@@ -465,6 +460,18 @@ def test_full_report_on_exhaustion_pair(exhaust_pair, exhaust_spec, tmp_path):
     parsed = list(reader)
     assert len(parsed) == len(rep.rows)
     assert {row["inequality"] for row in parsed} >= {"main-odi", "volume-excess"}
+    # numpy scalars must reach the file as plain float text
+    for row in parsed:
+        for col in ("time", "lhs", "rhs", "margin"):
+            float(row[col])
+
+
+def test_full_report_refuses_reversed_pair(exhaust_pair, exhaust_spec):
+    # larger flow first would otherwise read as a crossing pair and pass on
+    # a volume excess that is zero by construction
+    lo, hi = exhaust_pair
+    with pytest.raises(ValueError, match="reverse order"):
+        est.full_report(hi, lo, exhaust_spec)
 
 
 def test_full_report_dominating_ramps_all_pass(exhaust_spec):
@@ -472,22 +479,22 @@ def test_full_report_dominating_ramps_all_pass(exhaust_spec):
     # every certificate row is nonnegative
     g = LogPolarGrid.graded(exhaust_spec.S / 4.0, 8.0, 261, ratio=1.02)
     st0 = model_state(FlatDisc, g)
-    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
     two_H = 2.0 / math.sinh(g.s_min) ** 2
     cfg = SolverConfig(dt=1e-3)
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    lo = evolve(st0, BoundarySchedule.ramp(u_in, 2.0 * two_H, u_out), cfg, 0.1, sample_times=ts)
-    hi = evolve(st0, BoundarySchedule.ramp(u_in, 10.0 * two_H, u_out), cfg, 0.1, sample_times=ts)
+    lo = evolve(st0, BoundarySchedule.ramp(st0, 2.0 * two_H), cfg, 0.1, sample_times=ts)
+    hi = evolve(st0, BoundarySchedule.ramp(st0, 10.0 * two_H), cfg, 0.1, sample_times=ts)
     rep = est.full_report(lo, hi, exhaust_spec)
     assert rep.passed
     assert rep.rows_for("u-inverse-bound")  # barrier holds, so bound asserted
 
 
 def test_full_report_crossing_pair_falls_back(crossing_pair, exhaust_spec):
-    a, b = crossing_pair
-    rep = est.full_report(a, b, exhaust_spec)
-    assert not rep.meta["ordered"]
-    assert rep.rows_for("main-odi") == ()
-    assert rep.rows_for("interior-area") == ()
-    rows = rep.rows_for("volume-excess")
-    assert rows and all(r.margin >= 0.0 for r in rows)
+    # neither order of a crossing pair is refused as reversed
+    for a, b in (crossing_pair, crossing_pair[::-1]):
+        rep = est.full_report(a, b, exhaust_spec)
+        assert not rep.meta["ordered"]
+        assert rep.rows_for("main-odi") == ()
+        assert rep.rows_for("interior-area") == ()
+        rows = rep.rows_for("volume-excess")
+        assert rows and all(r.margin >= 0.0 for r in rows)

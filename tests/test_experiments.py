@@ -180,6 +180,11 @@ class TestUniqueness:
     def test_passed_without_gauge(self, uniq_result):
         assert uniq_result.passed
 
+    def test_jobs_parallel_same_rows(self, uniq_result):
+        par = run_uniqueness_experiment(small_uniqueness_config(), jobs=2, gauge=False)
+        assert par.rows == uniq_result.rows
+        assert par.failures == uniq_result.failures
+
     def test_identical_ramps_give_zero_diffs(self):
         cfg = ExperimentConfig(
             experiment="uniqueness", r0=0.75,

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def test_step_failure_carries_residual():
 def test_positivity_under_violent_ramp():
     g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
     st0 = model_state(FlatDisc, g, 0.0)
-    sched = BoundarySchedule.ramp(float(st0.values[0]), 1e6, float(st0.values[-1]))
+    sched = BoundarySchedule.ramp(st0, 1e6)
     out = step(st0, 0.05, sched)
     assert np.all(out.values > 0.0)
     assert out.values[0] == pytest.approx(5e4)  # Dirichlet value k*t
@@ -129,7 +130,7 @@ def test_evolve_leaves_inputs_and_cached_coeffs_untouched(monkeypatch):
     g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
     st0 = model_state(FlatDisc, g, 0.0)
     before = st0.values.copy()
-    sched = BoundarySchedule.ramp(float(st0.values[0]), 1e6, float(st0.values[-1]))
+    sched = BoundarySchedule.ramp(st0, 1e6)
     traj = evolve(st0, sched, SolverConfig(dt=0.01), 0.05)
     assert traj.nsteps >= 5
     assert np.array_equal(st0.values, before)
@@ -258,7 +259,7 @@ def test_evolve_bigbang_exact_schedule():
 def test_evolve_is_deterministic():
     g = LogPolarGrid.graded(0.05, 8.0, 141, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    sched = BoundarySchedule.ramp(float(st0.values[0]), 1e3, float(st0.values[-1]))
+    sched = BoundarySchedule.ramp(st0, 1e3)
     a = evolve(st0, sched, SolverConfig(dt=2e-3), 0.1, sample_times=[0.05, 0.1])
     b = evolve(st0, sched, SolverConfig(dt=2e-3), 0.1, sample_times=[0.05, 0.1])
     assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
@@ -301,10 +302,24 @@ def test_trajectory_lookup_and_validation():
     with pytest.raises(ValueError, match="not a sample time"):
         traj.state_at(0.15)
     with pytest.raises(ValueError):
-        Trajectory(states=(), schedule=sched, config=SolverConfig())
+        Trajectory(states=(), config=SolverConfig())
     other = ConformalState(LogPolarGrid.uniform(0.1, 6.0, 51), np.ones(51), 0.1)
     with pytest.raises(ValueError, match="grid"):
-        Trajectory(states=(st0, other), schedule=sched, config=SolverConfig())
+        Trajectory(states=(st0, other), config=SolverConfig())
+
+
+def test_evolve_trajectory_pickles():
+    # plain data, so pool workers can return a run whole
+    g, st0, _ = flat_setup()
+    traj = evolve(st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=0.02), 0.1,
+                  sample_times=[0.05, 0.1])
+    back = pickle.loads(pickle.dumps(traj))
+    assert back.config == traj.config
+    assert (back.nsteps, back.newton_iters) == (traj.nsteps, traj.newton_iters)
+    assert np.array_equal(back.grid.nodes, traj.grid.nodes)
+    assert np.array_equal(back.times, traj.times)
+    for a, b in zip(back.states, traj.states):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_config_validation():
@@ -319,9 +334,10 @@ def test_config_validation():
 def test_schedule_constructors_validate():
     with pytest.raises(ValueError):
         BoundarySchedule.static(0.0, 1.0)
+    st0 = ConformalState(LogPolarGrid.uniform(0.1, 1.0, 5), np.linspace(2.0, 1.0, 5), 0.0)
     with pytest.raises(ValueError):
-        BoundarySchedule.ramp(1.0, -5.0, 1.0)
-    sched = BoundarySchedule.ramp(2.0, 100.0, 1.0)
+        BoundarySchedule.ramp(st0, -5.0)
+    sched = BoundarySchedule.ramp(st0, 100.0)
     assert sched.inner(0.0) == 2.0  # ramp below initial data at t=0
     assert sched.inner(1.0) == 100.0
     assert sched.ramp_k == 100.0
@@ -418,7 +434,6 @@ def test_ordered_ramps_give_ordered_flows(k1, factor):
     g = LogPolarGrid.graded(0.1, 6.0, 61, ratio=1.05)
     st0 = model_state(FlatDisc, g, 0.0)
     cfg = SolverConfig(dt=2e-3)
-    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
-    lo = evolve(st0, BoundarySchedule.ramp(u_in, k1, u_out), cfg, 0.02)
-    hi = evolve(st0, BoundarySchedule.ramp(u_in, k2, u_out), cfg, 0.02)
+    lo = evolve(st0, BoundarySchedule.ramp(st0, k1), cfg, 0.02)
+    hi = evolve(st0, BoundarySchedule.ramp(st0, k2), cfg, 0.02)
     assert check_order_preservation(lo, hi).ordered

@@ -11,21 +11,16 @@ import sys
 from logdiff.cli import main as cli_main
 
 SUITES = ("exact-suite", "q-sweep", "uniqueness", "boundary-layer")
-SWEEPS = ("exact-suite", "q-sweep", "uniqueness")  # the suites that take --jobs
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="out", help="artifact root, one subdir per suite")
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     args = ap.parse_args()
     worst = 0
     for suite in SUITES:
         print(f"== {suite} ==")
-        argv = [suite, "--out", f"{args.out}/{suite.replace('-', '_')}"]
-        if suite in SWEEPS:
-            argv += ["--jobs", str(args.jobs)]
-        rc = cli_main(argv)
+        rc = cli_main([suite, "--out", f"{args.out}/{suite.replace('-', '_')}"])
         worst = max(worst, rc)
     return worst
 

@@ -63,7 +63,7 @@ def _default_uniqueness_config() -> ExperimentConfig:
 
 def _cmd_exact_suite(args) -> int:
     cfg = _load_config(args.config, "exact-suite")
-    result = run_exact_solution_suite(cfg, out_dir=args.out, jobs=args.jobs)
+    result = run_exact_solution_suite(cfg, out_dir=args.out)
     for (model, kind), slope in sorted(result.orders.items()):
         print(f"  {model:8s} {kind:8s} order {slope:.3f}")
     print(f"  flat-disc max drift {result.flat_max_error:.3e}  ({result.elapsed:.1f}s)")
@@ -73,7 +73,7 @@ def _cmd_exact_suite(args) -> int:
 
 def _cmd_q_sweep(args) -> int:
     cfg = _load_config(args.config, "q-sweep")
-    result = run_q_sweep(cfg, out_dir=args.out, jobs=args.jobs)
+    result = run_q_sweep(cfg, out_dir=args.out)
     worst = max(r["ratio"] for r in result.rows if r["status"] == "ok")
     print(f"  {len(result.rows)} rows, worst Q/bound ratio {worst:.4f}")
     print(f"  bounded={result.all_bounded} monotone={result.monotone_in_R} "
@@ -84,7 +84,7 @@ def _cmd_q_sweep(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     cfg = _load_config(args.config, "uniqueness") or _default_uniqueness_config()
-    result = run_uniqueness_experiment(cfg, out_dir=args.out, jobs=args.jobs)
+    result = run_uniqueness_experiment(cfg, out_dir=args.out)
     print(f"  {len(result.rows)} certificate rows, failures={len(result.failures)}")
     print(f"  certified={result.all_certified} area_monotone={result.area_monotone_in_R} "
           f"sup_monotone={result.sup_monotone_in_R}")
@@ -168,23 +168,17 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="INI experiment config (defaults used when omitted)")
     common.add_argument("--out", metavar="DIR", default="out",
                         help="artifact directory (default: out)")
-    # only the three sweeps spread work over a pool; the other commands
-    # reject --jobs rather than ignore it
-    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
-    sweep.add_argument("--jobs", metavar="N", type=int, default=1,
-                       help="worker processes for sweep points, at most one per "
-                            "core (default: 1)")
 
     parser = _Parser(
         prog="logdiff",
         description="Log-diffusion flow laboratory: exhaustion runs and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("exact-suite", parents=[sweep],
+    sub.add_parser("exact-suite", parents=[common],
                    help="convergence orders against closed-form flows")
-    sub.add_parser("q-sweep", parents=[sweep],
+    sub.add_parser("q-sweep", parents=[common],
                    help="Q integral against its analytic bound over (r0, R, gamma)")
-    sub.add_parser("uniqueness", parents=[sweep],
+    sub.add_parser("uniqueness", parents=[common],
                    help="interior differences between exhaustion ramps, per R")
     sub.add_parser("boundary-layer", parents=[common],
                    help="boundary layer width exponent (exploratory, never gates)")

@@ -19,7 +19,7 @@ _EXPERIMENTS = ("exact-suite", "uniqueness", "q-sweep", "boundary-layer", "simul
 # section -> allowed keys; anything else is an unknown-key error.
 # configparser lowercases option names, so the schema is lowercase too.
 _SCHEMA = {
-    "experiment": {"id", "out_dir", "seed"},
+    "experiment": {"id"},
     "grid": {"s_min", "s_max", "n", "ratio"},
     "cutoff": {"r0", "r", "gamma"},
     "flow": {"ramps", "t", "dt", "sample_times"},
@@ -37,8 +37,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str = "simulate"
-    out_dir: str = "out"
-    seed: int = 0  # reserved for perturbation studies, unused by the numerics
     s_min: float | None = None  # None: derive S/4 from the cutoff at run time
     s_max: float | None = None  # None: derive max(8, 4 s0)
     n: int = 261
@@ -74,7 +72,7 @@ class ExperimentConfig:
 
     def write_ini(self, path) -> None:
         cp = configparser.ConfigParser()
-        cp["experiment"] = {"id": self.experiment, "out_dir": self.out_dir, "seed": str(self.seed)}
+        cp["experiment"] = {"id": self.experiment}
         grid = {"n": str(self.n), "ratio": repr(self.ratio)}
         if self.s_min is not None:
             grid["s_min"] = repr(self.s_min)
@@ -164,8 +162,6 @@ def parse_config(path) -> ExperimentConfig:
         if cp.has_section("experiment"):
             sec = cp["experiment"]
             kwargs["experiment"] = sec.get("id", ExperimentConfig.experiment)
-            kwargs["out_dir"] = sec.get("out_dir", ExperimentConfig.out_dir)
-            kwargs["seed"] = sec.getint("seed", ExperimentConfig.seed)
         if cp.has_section("grid"):
             sec = cp["grid"]
             if "s_min" in sec:

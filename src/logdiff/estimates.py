@@ -535,8 +535,11 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     A pair given larger flow first raises ValueError: read as a crossing
     pair it would drop the ordered certificates and pass on a volume excess
     that is zero by construction.  Curvature monotonicity is included only
-    when its precondition holds.
+    when its precondition holds.  A pair with fewer than two sample times
+    raises ValueError: it holds no evolved state to certify.
     """
+    if min(len(traj_g.states), len(traj_G.states)) < 2:
+        raise ValueError("pair has fewer than two sample times: no evolved state to certify")
     order = check_order_preservation(traj_g, traj_G)
     if not order.ordered and check_order_preservation(traj_G, traj_g).ordered:
         raise ValueError(

@@ -10,16 +10,15 @@ Four runners, each emitting one deterministic CSV artifact:
   boundary-layer         width of the near-boundary disturbance versus time
 
 Runners return result objects holding the rows they wrote so callers can
-assert on values without re-reading files.  Sweep points are dispatched to a
-process pool of min(jobs, cores) workers when that exceeds one; workers
-return plain data (row dicts, or whole trajectories, which pickle), and the
-parent assembles the CSV after all workers finish.
+assert on values without re-reading files.  Everything runs in one process:
+the exact-solution suite and the uniqueness ensemble hand all their runs to
+solver.evolve_many, which advances them together in one batched Newton
+solve per step, and the Q sweep evaluates its points in turn.
 """
 
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,10 @@ from .geometry import (
 from .snapshots import write_rows_csv
 from .solver import (
     BoundarySchedule,
-    RunError,
     SolverConfig,
-    StepFailure,
     Trajectory,
     evolve,
+    evolve_many,
 )
 
 __all__ = [
@@ -58,15 +56,6 @@ __all__ = [
 ]
 
 
-def _map_tasks(fn, payloads, jobs):
-    # more workers than cores only adds fork and scheduling cost
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, payloads))
-
-
 # ---------------------------------------------------------- exact solutions
 
 _SPATIAL_BASE = (0.1, 6.0, 151, 1.02)  # refined by midpoint insertion per level
@@ -80,49 +69,49 @@ _STATIC_NS = (101, 201, 401)
 _MODELS = {"bigbang": BigBang, "cusp": Cusp, "flatdisc": FlatDisc}
 
 
-def _exact_task(task):
-    """One refinement level of one study.  Returns a row dict; solver
-    failures land in the status column and the suite continues."""
-    kind, name, level = task[0], task[1], task[2]
-    model = _MODELS[name]()
-    try:
-        if kind == "static":
-            n = _STATIC_NS[level]
-            grid = LogPolarGrid.graded(0.1, 6.0, n, 1.02)
-            st0 = model_state(model, grid, 0.0)
-            sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
-            traj = evolve(st0, sched, SolverConfig(dt=1e-3), 0.1)
-            err = float(np.max(np.abs(traj.states[-1].values - st0.values)))
-            return {"kind": kind, "model": name, "level": level, "n": n,
-                    "dt": 1e-3, "h": float(np.min(np.diff(grid.nodes))),
-                    "error": err, "status": "ok"}
-        if kind == "spatial":
-            s_lo, s_hi, n0, ratio = _SPATIAL_BASE
-            grid = LogPolarGrid.graded(s_lo, s_hi, n0, ratio)
-            for _ in range(level):
-                grid = grid.refine()
-            t0, T = _SPATIAL_SPAN
-            sched = BoundarySchedule.from_model(model, s_lo, s_hi)
-            traj = evolve(model_state(model, grid, t0), sched, SolverConfig(dt=_SPATIAL_DT), T)
-            exact = model_factor(model, grid.nodes, T)
-            err = float(np.max(np.abs(traj.states[-1].values - exact)) / np.max(exact))
-            return {"kind": kind, "model": name, "level": level, "n": grid.n,
-                    "dt": _SPATIAL_DT, "h": float(np.min(np.diff(grid.nodes))),
-                    "error": err, "status": "ok"}
-        # temporal: fixed grid, one run per dt; errors are successive
-        # terminal differences computed by the parent after the merge
+def _exact_run(kind, model, level):
+    """The evolve_many run of one refinement level of one study."""
+    if kind == "static":
+        grid = LogPolarGrid.graded(0.1, 6.0, _STATIC_NS[level], 1.02)
+        st0 = model_state(model, grid, 0.0)
+        sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
+        return st0, sched, SolverConfig(dt=1e-3), 0.1
+    if kind == "spatial":
+        s_lo, s_hi, n0, ratio = _SPATIAL_BASE
+        grid = LogPolarGrid.graded(s_lo, s_hi, n0, ratio)
+        for _ in range(level):
+            grid = grid.refine()
+        t0, T = _SPATIAL_SPAN
+        dt = _SPATIAL_DT
+    else:  # temporal: fixed grid, one run per dt
         s_lo, s_hi, n = _TEMPORAL_GRID
-        dtv = _TEMPORAL_DTS[level]
         grid = LogPolarGrid.uniform(s_lo, s_hi, n)
         t0, T = _TEMPORAL_SPAN
-        sched = BoundarySchedule.from_model(model, s_lo, s_hi)
-        traj = evolve(model_state(model, grid, t0), sched, SolverConfig(dt=dtv), T)
-        return {"kind": kind, "model": name, "level": level, "n": n,
-                "dt": dtv, "h": dtv, "error": "",
-                "terminal": traj.states[-1].values, "status": "ok"}
-    except (RunError, StepFailure, ValueError) as exc:
+        dt = _TEMPORAL_DTS[level]
+    sched = BoundarySchedule.from_model(model, s_lo, s_hi)
+    return model_state(model, grid, t0), sched, SolverConfig(dt=dt), T
+
+
+def _exact_row(kind, name, level, run, traj):
+    """Row of one refinement level; solver failures land in the status
+    column and the suite continues.  Temporal errors are successive
+    terminal differences, filled in once every level has run."""
+    if isinstance(traj, Exception):
         return {"kind": kind, "model": name, "level": level, "n": "", "dt": "",
-                "h": "", "error": "", "status": f"failed: {exc}"}
+                "h": "", "error": "", "status": f"failed: {traj}"}
+    st0, _, cfg, T = run
+    grid = st0.grid
+    h = float(np.min(np.diff(grid.nodes)))
+    final = traj.states[-1].values
+    if kind == "static":
+        error = float(np.max(np.abs(final - st0.values)))
+    elif kind == "spatial":
+        exact = model_factor(_MODELS[name](), grid.nodes, T)
+        error = float(np.max(np.abs(final - exact)) / np.max(exact))
+    else:
+        h, error = cfg.dt, ""
+    return {"kind": kind, "model": name, "level": level, "n": grid.n,
+            "dt": cfg.dt, "h": h, "error": error, "status": "ok"}
 
 
 @dataclass(frozen=True)
@@ -145,7 +134,7 @@ class ExactSuiteResult:
         return True
 
 
-def run_exact_solution_suite(config=None, out_dir=None, jobs: int = 1) -> ExactSuiteResult:
+def run_exact_solution_suite(config=None, out_dir=None) -> ExactSuiteResult:
     """Convergence study against the closed-form flows.
 
     Spatial orders come from errors versus the exact factor over three nested
@@ -165,7 +154,11 @@ def run_exact_solution_suite(config=None, out_dir=None, jobs: int = 1) -> ExactS
     for name in ("bigbang", "cusp"):
         for level in range(len(_TEMPORAL_DTS)):
             tasks.append(("temporal", name, level))
-    raw = _map_tasks(_exact_task, tasks, jobs)
+    runs = [_exact_run(kind, _MODELS[name](), level) for kind, name, level in tasks]
+    trajs = evolve_many(runs)
+    raw = [_exact_row(*task, run, traj) for task, run, traj in zip(tasks, runs, trajs)]
+    finals = {(r["model"], r["level"]): traj.states[-1].values for r, traj in zip(raw, trajs)
+              if r["kind"] == "temporal" and r["status"] == "ok"}
 
     rows, orders = [], {}
     flat_max = 0.0
@@ -178,10 +171,8 @@ def run_exact_solution_suite(config=None, out_dir=None, jobs: int = 1) -> ExactS
             if key == "temporal":
                 # diff of level j against level j+1, attached to the coarser dt
                 for j in range(len(ok) - 1):
-                    d = float(np.max(np.abs(ok[j + 1]["terminal"] - ok[j]["terminal"])))
-                    ok[j]["error"] = d
-                for r in levels:
-                    r.pop("terminal", None)
+                    d = finals[(name, ok[j + 1]["level"])] - finals[(name, ok[j]["level"])]
+                    ok[j]["error"] = float(np.max(np.abs(d)))
             errs = [r["error"] for r in ok if r["error"] != ""]
             hs = [r["h"] for r in ok if r["error"] != ""]
             for j, r in enumerate(levels):
@@ -254,7 +245,7 @@ class QSweepResult:
         return ok and self.all_bounded and self.monotone_in_R and self.split_consistent
 
 
-def run_q_sweep(config=None, out_dir=None, jobs: int = 1,
+def run_q_sweep(config=None, out_dir=None,
                 r0_values=None, gamma_values=None, n_R: int = 6) -> QSweepResult:
     """Q against its analytic bound over a (r0, R, gamma) grid.
 
@@ -277,7 +268,7 @@ def run_q_sweep(config=None, out_dir=None, jobs: int = 1,
         for gamma in gamma_values:
             for R in Rs:
                 points.append((float(r0), float(R), float(gamma)))
-    rows = _map_tasks(_q_task, points, jobs)
+    rows = [_q_task(p) for p in points]
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     all_bounded = all(r["ratio"] <= 1.0 for r in ok_rows)
@@ -307,17 +298,6 @@ def run_q_sweep(config=None, out_dir=None, jobs: int = 1,
 
 # -------------------------------------------------------------- uniqueness
 
-def _uniq_task(payload):
-    """One exhaustion member; returns its Trajectory, or the error text."""
-    s_lo, s_hi, n, ratio, k, T, dt, samples = payload
-    try:
-        st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, int(n), ratio), 0.0)
-        return evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=dt), T,
-                      sample_times=samples)
-    except (RunError, StepFailure, ValueError) as exc:
-        return str(exc)
-
-
 @dataclass(frozen=True)
 class UniquenessResult:
     rows: tuple
@@ -341,7 +321,7 @@ def _nonincreasing(vals, rel=1e-9, floor=1e-12) -> bool:
 
 
 def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
-                              jobs: int = 1, gauge: bool = True) -> UniquenessResult:
+                              gauge: bool = True) -> UniquenessResult:
     """Interior differences between exhaustion ramps, per truncation R.
 
     Each R gets its own run window (the default grid floor is S/4), all
@@ -358,21 +338,30 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
     samples = config.sample_times or tuple(
         (j + 1) * config.T / 5.0 for j in range(5))
 
-    payloads = []
+    # one evolve_many run per (R, ramp); a run that cannot even be built
+    # fails with the same text as one that fails while stepping
+    outcome, keys, members = {}, [], []
     for R in Rs:
         s_lo, s_hi = config.grid_bounds(R)
-        for k in config.ramps:
-            payloads.append((s_lo, s_hi, config.n, config.ratio,
-                             float(k), config.T, config.dt, samples))
-    raw = _map_tasks(_uniq_task, payloads, jobs)
-    keys = [(R, j) for R in Rs for j in range(len(config.ramps))]
+        for j, k in enumerate(config.ramps):
+            try:
+                grid = LogPolarGrid.graded(s_lo, s_hi, config.n, config.ratio)
+                st0 = model_state(FlatDisc(), grid, 0.0)
+                members.append((st0, BoundarySchedule.ramp(st0, float(k)),
+                                SolverConfig(dt=config.dt), config.T, samples))
+                keys.append((R, j))
+            except ValueError as exc:
+                outcome[(R, j)] = exc
+    outcome.update(zip(keys, evolve_many(members)))
     runs = {}
     failures = []
-    for (R, j), run in zip(keys, raw):
-        if isinstance(run, Trajectory):
-            runs[(R, j)] = run
-        else:
-            failures.append(f"R={R:g} k={float(config.ramps[j]):g}: {run}")
+    for R in Rs:
+        for j, k in enumerate(config.ramps):
+            run = outcome[(R, j)]
+            if isinstance(run, Trajectory):
+                runs[(R, j)] = run
+            else:
+                failures.append(f"R={R:g} k={float(k):g}: {run}")
 
     s0 = -math.log(config.r0)
     rows = []

@@ -81,9 +81,14 @@ def load_state(path) -> ConformalState:
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: expected {n} rows, file ended at {i}")
-            a, b = line.split(",")
-            s[i] = float(a)
-            u[i] = float(b)
+            try:
+                a, b = line.split(",")
+                s[i] = float(a)
+                u[i] = float(b)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{i + 2}: malformed row {line.rstrip()!r}, expected s,U"
+                ) from None
         if fh.readline().strip():
             raise ValueError(f"{path}: trailing data after {n} rows")
     return ConformalState(grid=LogPolarGrid(s), values=u, time=t)
@@ -108,20 +113,33 @@ def load_trajectory(manifest_path) -> Trajectory:
     The solver config is not stored on disk, so the loaded trajectory carries
     the default SolverConfig; estimates consume grids, times and values, and
     the default newton_tol for their tolerances. Every manifest entry must be
-    a bare file name in the manifest's own directory."""
+    a bare file name in the manifest's own directory, its index its position,
+    and its time exactly its snapshot's time (both are written with repr)."""
     base = os.path.dirname(manifest_path)
     states = []
     with open(manifest_path) as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or "file" not in reader.fieldnames:
+        if reader.fieldnames is None or not {"index", "time", "file"} <= set(reader.fieldnames):
             raise ValueError(f"{manifest_path}: not a trajectory manifest")
-        for row in reader:
+        for i, row in enumerate(reader):
             name = row["file"]
             if not name or name in (".", "..") or os.path.basename(name) != name:
                 raise ValueError(
                     f"{manifest_path}: entry {name!r} is not a file name in the manifest's directory"
                 )
-            states.append(load_state(os.path.join(base, name)))
+            if row["index"] != str(i):
+                raise ValueError(f"{manifest_path}: entry {i} has index {row['index']!r}")
+            state = load_state(os.path.join(base, name))
+            try:
+                listed = float(row["time"])
+            except (TypeError, ValueError):
+                listed = None
+            if listed != state.time:
+                raise ValueError(
+                    f"{manifest_path}: entry {i} lists time {row['time']!r} but {name} "
+                    f"holds t={state.time!r}"
+                )
+            states.append(state)
     if not states:
         raise ValueError(f"{manifest_path}: empty manifest")
     return Trajectory(states=tuple(states), config=SolverConfig())

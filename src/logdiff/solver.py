@@ -14,16 +14,21 @@ data growing like k*t the problem is stiff near s_min and unconditional
 stability matters more than temporal order, which the convergence tests
 recover by refinement.
 
-Each Newton iteration solves the tridiagonal Jacobian system with one direct
-call of LAPACK dgtsv (Gaussian elimination with partial pivoting).  A zero
-pivot fails the step like a stalled iteration does, so evolve halves dt and
-retries.
+Runs are solved in batches: evolve_many advances many runs in lockstep,
+and evolve and step are batches of one.  Each round stacks the live runs'
+nodes into one tridiagonal system whose blocks do not couple, and each
+Newton iteration solves it with one direct call of LAPACK dgtsv (Gaussian
+elimination with partial pivoting).  Line search, convergence and the step
+clock stay per run, so every run gives bitwise the results it gives alone.
+A zero pivot fails the step like a stalled iteration does, so the run halves
+dt and retries while the others go on.
 
 No randomness anywhere: identical inputs produce bitwise-identical runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,6 +48,7 @@ __all__ = [
     "OrderReport",
     "step",
     "evolve",
+    "evolve_many",
     "exhaust",
     "mms_residual",
     "check_order_preservation",
@@ -144,11 +150,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Snapshots of one run at strictly increasing sample times.
-
-    Plain data: a trajectory pickles, so process-pool workers return it
-    whole.
-    """
+    """Snapshots of one run at strictly increasing sample times; plain data
+    that pickles."""
 
     states: tuple
     config: SolverConfig
@@ -194,66 +197,161 @@ def _d2_coeffs(s: np.ndarray):
     return cl, cc, cr
 
 
-def _newton_solve(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
-    """Solve the backward-Euler system in w = log U; returns (w, iterations).
+class _Layout:
+    """Members stacked into one tridiagonal system.
 
-    Raises ValueError when the initial residual is not finite, and
-    StepFailure when the Jacobian is singular, the line search exhausts its
-    halvings, or the iteration budget runs out.
+    Member k owns nodes off[k]:off[k+1] of the stacked w, and the system's
+    rows are the stacked nodes 1..N-2, so a lone member's rows are exactly
+    its interior nodes.  A boundary node between two members is a row with
+    a zero stencil and no couplings: its residual and its Newton step are
+    exactly 0, and dgtsv never eliminates across it, so every member solves
+    bitwise as it would alone.  (That needs every member's Newton step to be
+    finite: an overflowing step would spread through the zero couplings as
+    0 * inf.)  Per-member norms reduce over row segments; a junction row
+    belongs to the member whose interior node it neighbours.
     """
-    cl, cc, cr = coeffs if coeffs is not None else _d2_coeffs(s)
-    # dgtsv overwrites its diagonals with the factorization, so these two are
-    # passed with overwrite off and serve every iteration of the solve
-    du = -dt * cr[:-1]
-    dl = -dt * cl[1:]
-    dt_cc = dt * cc
-    u_int = u_old[1:-1]
+
+    def __init__(self, grids):
+        coeffs = [_d2_coeffs(s) for s in grids]
+        off = np.cumsum([0] + [s.size for s in grids])
+        self.off = off.tolist()
+        self.ends = [(a, b - 1) for a, b in zip(self.off, self.off[1:])]
+        self.junctions = np.concatenate((off[1:-1], off[1:-1] - 1))
+
+        def rows(parts, tail):
+            # zero at every boundary node, cut to the system's rows (tail 1)
+            # or to its off-diagonals (tail 2)
+            padded = [np.concatenate(([0.0], p, np.zeros(tail))) for p in parts]
+            return np.concatenate(padded)[1:-tail]
+
+        self.cl, self.cc, self.cr = (rows([c[i] for c in coeffs], 1) for i in range(3))
+        # Jacobian couplings link two interior nodes of one member only
+        self.cl_sub = rows([c[0][1:] for c in coeffs], 2)
+        self.cr_sup = rows([c[2][:-1] for c in coeffs], 2)
+        self.starts = np.maximum(off[:-1] - 1, 0)
+        self.sizes = np.diff(np.append(self.starts, off[-1] - 2))
+        self.segments = [slice(a, a + n) for a, n in zip(self.starts.tolist(), self.sizes.tolist())]
+        self._dts = None
+
+    def jacobian(self, dts):
+        """(dt, dl, du, dt*cc) for the members' steps dts: dt is a float when
+        they share it and one value per row otherwise.  Cached while dts
+        repeats; dgtsv gets dl and du with overwrite off, so they serve every
+        iteration."""
+        if dts != self._dts:
+            if len(set(dts)) == 1:
+                dt = dt_sub = dt_sup = dts[0]
+            else:
+                dt = np.repeat(dts, self.sizes)
+                dt_sub, dt_sup = dt[1:], dt[:-1]
+            self._dts = dts
+            self._jac = (dt, -dt_sub * self.cl_sub, -dt_sup * self.cr_sup, dt * self.cc)
+        return self._jac
+
+    def seg_max(self, x):
+        """max |x| over each member's rows, as floats."""
+        return np.maximum.reduceat(np.abs(x), self.starts).tolist()
+
+
+def _newton_solve(lay, values, bounds, dts, cfgs):
+    """Backward-Euler systems in w = log U of every member of lay, solved by
+    damped Newton in lockstep; returns (w, iterations, errors).
+
+    Member k steps from values[k] to the boundary values bounds[k] =
+    (w_in, w_out) with step dts[k] and controls cfgs[k].  Junction entries
+    of the stacked u_old are set to exp(w), so their residual is exactly 0.
+    Each member has its own line search, acceptance test and
+    convergence test; a converged member rides along with a zero right-hand
+    side, so its step is exactly 0, until the rest converge.  errors maps a
+    member to the ValueError (non-finite initial residual) or StepFailure
+    (singular Jacobian, exhausted damping or iteration budget) that stopped
+    it.  A failure ends the solve at once, leaving the other members
+    unsolved.
+    """
+    u_old = np.concatenate(values)
     w = np.log(u_old)
-    w[0], w[-1] = w_in, w_out
+    for (first, last), (w_in, w_out) in zip(lay.ends, bounds):
+        w[first], w[last] = w_in, w_out
+    if lay.junctions.size:
+        u_old[lay.junctions] = np.exp(w[lay.junctions])
+    dt, dl, du, dt_cc = lay.jacobian(dts)
+    cl, cc, cr = lay.cl, lay.cc, lay.cr
+    u_int = u_old[1:-1]
     w_try = w.copy()
+    m = len(cfgs)
+    done = [None] * m  # iteration count of each converged member
+    budget = min(cfg.max_newton_iter for cfg in cfgs)
 
     def residual(wv):
-        # returns F(w) and e^w at the interior nodes; e^w is reused as the
+        # returns F(w) and e^w at the system's rows; e^w is reused as the
         # Jacobian diagonal of the next iteration
         ew = np.exp(wv[1:-1])
         d2 = cl * wv[:-2] + cc * wv[1:-1] + cr * wv[2:]
         return ew - u_int - dt * d2, ew
 
     f, ew = residual(w)
-    fnorm = float(np.abs(f).max())
-    if not math.isfinite(fnorm):
-        raise ValueError("Newton system has non-finite values (is U positive and finite?)")
-    for it in range(1, cfg.max_newton_iter + 1):
-        _, _, _, delta, info = dgtsv(dl, ew - dt_cc, du, -f, overwrite_d=1, overwrite_b=1)
+    fnorm = lay.seg_max(f)
+    bad = {k: ValueError("Newton system has non-finite values (is U positive and finite?)")
+           for k in range(m) if not math.isfinite(fnorm[k])}
+    if bad:
+        return w, done, bad
+    active = list(range(m))
+    for it in itertools.count(1):
+        rhs = -f
+        for k in range(m):
+            if done[k] is not None:
+                rhs[lay.segments[k]] = 0.0
+        _, _, _, delta, info = dgtsv(dl, ew - dt_cc, du, rhs, overwrite_d=1, overwrite_b=1)
         if info != 0:
-            raise StepFailure(f"singular Newton Jacobian (dgtsv info={info})", fnorm)
+            k = int(np.searchsorted(lay.starts, info - 1, side="right")) - 1
+            return w, done, {k: StepFailure(
+                f"singular Newton Jacobian (dgtsv info={info - lay.off[k]})", fnorm[k])}
 
-        # damped update: halve until the residual stops growing
-        scale = 1.0
+        # damped update: each member halves until its residual stops growing
+        scale = [1.0] * m
+        searching = active
         for _ in range(30):
-            dw = scale * delta
+            if scale.count(scale[0]) < m:
+                dw = np.array(scale).repeat(lay.sizes) * delta
+            else:
+                dw = delta if scale[0] == 1.0 else scale[0] * delta
             np.add(w[1:-1], dw, out=w_try[1:-1])
             f_try, ew_try = residual(w_try)
-            fnorm_try = float(np.abs(f_try).max())
-            if math.isfinite(fnorm_try) and fnorm_try <= fnorm * (1.0 + 1e-12) + 1e-300:
+            fnorm_try = lay.seg_max(f_try)
+            searching = [
+                k for k in searching
+                if not (math.isfinite(fnorm_try[k])
+                        and fnorm_try[k] <= fnorm[k] * (1.0 + 1e-12) + 1e-300)
+            ]
+            if not searching:
                 break
-            scale *= 0.5
+            for k in searching:
+                scale[k] *= 0.5
         else:
-            raise StepFailure("Newton damping exhausted", fnorm)
+            return w, done, {k: StepFailure("Newton damping exhausted", fnorm[k])
+                             for k in searching}
 
         w, w_try = w_try, w
         f, ew, fnorm = f_try, ew_try, fnorm_try
-        if float(np.abs(dw).max()) < cfg.newton_tol:
-            return w, it
-    raise StepFailure("Newton iteration budget exhausted", fnorm)
+        steps = lay.seg_max(dw)
+        for k in active:
+            if steps[k] < cfgs[k].newton_tol:
+                done[k] = it
+        active = [k for k in active if done[k] is None]
+        if not active:
+            return w, done, {}
+        if it >= budget:
+            over = {k: StepFailure("Newton iteration budget exhausted", fnorm[k])
+                    for k in active if it >= cfgs[k].max_newton_iter}
+            if over:
+                return w, done, over
 
 
-def _advance(s, u, t_new, dt, schedule, cfg, coeffs=None):
-    """Backward-Euler step from values u to time t_new; returns (w, iterations)."""
+def _log_bounds(schedule, t_new):
     m_in, m_out = float(schedule.inner(t_new)), float(schedule.outer(t_new))
     if m_in <= 0.0 or m_out <= 0.0:
         raise ValueError("schedule produced a nonpositive boundary value")
-    return _newton_solve(s, u, math.log(m_in), math.log(m_out), dt, cfg, coeffs)
+    return math.log(m_in), math.log(m_out)
 
 
 def step(
@@ -267,7 +365,10 @@ def step(
         raise ValueError("dt must be positive")
     cfg = config if config is not None else SolverConfig(dt=dt)
     t_new = state.time + dt
-    w, _ = _advance(state.grid.nodes, state.values, t_new, dt, schedule, cfg)
+    w, _, errors = _newton_solve(_Layout([state.grid.nodes]), [state.values],
+                                 [_log_bounds(schedule, t_new)], (dt,), [cfg])
+    if errors:
+        raise errors[0]
     return ConformalState(state.grid, np.exp(w), t_new)
 
 
@@ -285,19 +386,10 @@ def _check_schedule_consistency(initial: ConformalState, schedule: BoundarySched
             )
 
 
-def evolve(
-    initial: ConformalState,
-    schedule: BoundarySchedule,
-    config: SolverConfig,
-    T: float,
-    sample_times: Sequence[float] | None = None,
-) -> Trajectory:
-    """March from initial.time to T, snapshotting at the sample times.
-
-    Steps land exactly on every sample time.  On a failed step dt is halved
-    and the step retried (max_halvings times); sustained cheap steps let dt
-    grow back toward the cap.
-    """
+def _march(initial, schedule, config, T, sample_times=None):
+    """One run as a generator: yields each step attempt as
+    (u, (w_in, w_out), dt), is sent back (u_new, Newton iterations) or has
+    the step's StepFailure thrown in, and returns the Trajectory."""
     t0 = initial.time
     if T <= t0:
         raise ValueError("T must exceed the initial time")
@@ -315,11 +407,9 @@ def evolve(
         if not targets or abs(targets[-1] - T) > 1e-12 * max(1.0, T):
             targets.append(T)
 
-    s = initial.grid.nodes
-    coeffs = _d2_coeffs(s)
     cfg = config
     snapshots = [initial]
-    u = initial.values.copy()
+    u = initial.values
     t = t0
     dt_cur = cfg.dt
     streak = 0
@@ -333,7 +423,7 @@ def evolve(
             while True:
                 t_new = t + dt_try
                 try:
-                    w, iters = _advance(s, u, t_new, dt_try, schedule, cfg, coeffs)
+                    u, iters = yield u, _log_bounds(schedule, t_new), dt_try
                     break
                 except StepFailure as exc:
                     halvings += 1
@@ -351,7 +441,6 @@ def evolve(
                         ) from exc
                     dt_try *= 0.5
                     streak = 0
-            u = np.exp(w)
             t = t_new
             nsteps += 1
             newton_total += iters
@@ -373,6 +462,77 @@ def evolve(
         nsteps=nsteps,
         newton_iters=newton_total,
     )
+
+
+def evolve_many(runs) -> list:
+    """Advance many runs at once; each run is (initial, schedule, config, T)
+    or (initial, schedule, config, T, sample_times), as for evolve.
+
+    Runs step in lockstep: every round, each live run attempts its next step
+    and one Newton solve serves them all, with one dgtsv call per iteration.
+    Every run keeps its own clock, and its results are bitwise those of a
+    lone evolve.  Returns one entry per run: its Trajectory, or the
+    ValueError or RunError that ended it; one run's failure never stops the
+    others.
+    """
+    out = [None] * len(runs)
+    marches = [_march(*run) for run in runs]
+    asks = {}  # run index -> its pending step attempt
+
+    def resume(i, outcome):
+        # hands run i the outcome of its step; keeps its next attempt
+        try:
+            if isinstance(outcome, Exception):
+                asks[i] = marches[i].throw(outcome)
+            else:
+                asks[i] = marches[i].send(outcome)
+            return
+        except StopIteration as stop:
+            out[i] = stop.value
+        except (ValueError, RunError) as exc:
+            out[i] = exc
+        asks.pop(i, None)
+
+    for i in range(len(runs)):
+        resume(i, None)
+    lay_for = None
+    while asks:
+        group = list(asks)
+        if group != lay_for:
+            # rebuilt only when the set of live runs changes
+            lay, lay_for = _Layout([runs[i][0].grid.nodes for i in group]), group
+            cfgs = [runs[i][2] for i in group]
+        values, bounds, dts = zip(*[asks[i] for i in group])
+        w, iters, errors = _newton_solve(lay, values, bounds, dts, cfgs)
+        if errors:
+            # the others' solve was cut short; they retry the same step in
+            # the next round, with the same result
+            for k, exc in errors.items():
+                resume(group[k], exc)
+            continue
+        u = np.exp(w)
+        for k, i in enumerate(group):
+            resume(i, (u[lay.off[k]:lay.off[k + 1]], iters[k]))
+    return out
+
+
+def evolve(
+    initial: ConformalState,
+    schedule: BoundarySchedule,
+    config: SolverConfig,
+    T: float,
+    sample_times: Sequence[float] | None = None,
+) -> Trajectory:
+    """March from initial.time to T, snapshotting at the sample times.
+
+    Steps land exactly on every sample time.  On a failed step dt is halved
+    and the step retried (max_halvings times); sustained cheap steps let dt
+    grow back toward the cap.  This is evolve_many with one run.
+    """
+    (out,) = evolve_many([(initial, schedule, config, T, sample_times)])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 @dataclass(frozen=True)
@@ -406,10 +566,11 @@ def exhaust(
     # decrease breaks the exhaustion ordering
     if any(b < a for a, b in zip(ks, ks[1:])):
         raise ValueError("ramps must be nondecreasing")
-    trajectories = [
-        evolve(initial, BoundarySchedule.ramp(initial, k), config, T, sample_times)
-        for k in ks
-    ]
+    trajectories = evolve_many(
+        [(initial, BoundarySchedule.ramp(initial, k), config, T, sample_times) for k in ks])
+    for traj in trajectories:
+        if isinstance(traj, Exception):
+            raise traj
 
     tol = 10.0 * config.newton_tol
     worst = 0.0

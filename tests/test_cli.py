@@ -9,6 +9,7 @@ import pytest
 
 from logdiff.cli import main
 from logdiff.config import ExperimentConfig
+from logdiff.snapshots import load_trajectory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -42,9 +43,10 @@ def test_help_exits_zero(capsys):
 
 def test_usage_errors_exit_three():
     # 2 is reserved for certificate failures; bad command lines get 3
-    # --jobs exists only on the sweeps, so elsewhere it is a usage error
+    # no subcommand takes --jobs, so it is a usage error everywhere
     for argv in ([], ["wibble"], ["verify", "only_one.csv"], ["simulate", "--jobs", "2"],
-                 ["boundary-layer", "--jobs", "2"]):
+                 ["boundary-layer", "--jobs", "2"], ["exact-suite", "--jobs", "2"],
+                 ["uniqueness", "--jobs", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -159,6 +161,58 @@ def test_manifest_entry_outside_its_directory_exits_three(tmp_path, capsys, abso
     assert "not a file name" in capsys.readouterr().err
 
 
+def _verify_alone(tmp_path, manifest):
+    return main(["verify", str(manifest), str(manifest), "--out", str(tmp_path / "ver")])
+
+
+def test_one_snapshot_pair_exits_three(tmp_path, capsys):
+    # a pair holding only the initial state has nothing evolved to certify
+    lo, _ = _pair_configs(tmp_path, 2e3, 2e4)
+    assert main(["simulate", "--config", str(lo), "--out", str(tmp_path / "run")]) == 0
+    manifest = tmp_path / "run" / "first.csv"
+    manifest.write_text("# config-hash=abc\nindex,time,file\n0,0.0,snap_000.txt\n")
+    capsys.readouterr()
+    assert _verify_alone(tmp_path, manifest) == 3
+    err = capsys.readouterr().err
+    assert "fewer than two sample times" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "ver" / "verify_report.csv").exists()
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("time", "0.5", "lists time '0.5' but snap_001.txt holds t=0.02"),
+    ("index", "7", "entry 1 has index '7'"),
+])
+def test_manifest_row_disagreeing_with_its_snapshot_exits_three(tmp_path, capsys, column, value,
+                                                                message):
+    lo, _ = _pair_configs(tmp_path, 2e3, 2e4)
+    assert main(["simulate", "--config", str(lo), "--out", str(tmp_path / "run")]) == 0
+    manifest = tmp_path / "run" / "snap_manifest.csv"
+    lines = manifest.read_text().splitlines()
+    header = lines[1].split(",")
+    cells = lines[3].split(",")
+    assert cells[header.index("file")] == "snap_001.txt"
+    cells[header.index(column)] = value
+    lines[3] = ",".join(cells)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _verify_alone(tmp_path, manifest) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_malformed_snapshot_row_exits_three_naming_the_line(tmp_path, capsys):
+    lo, _ = _pair_configs(tmp_path, 2e3, 2e4)
+    assert main(["simulate", "--config", str(lo), "--out", str(tmp_path / "run")]) == 0
+    snap = tmp_path / "run" / "snap_003.txt"
+    lines = snap.read_text().splitlines()
+    lines[4] = "s,U,7"
+    snap.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert _verify_alone(tmp_path, tmp_path / "run" / "snap_manifest.csv") == 3
+    err = capsys.readouterr().err
+    assert f"{snap}:5: malformed row 's,U,7'" in err
+    assert "unpack" not in err
+
+
 def test_uniqueness_precondition_exits_three(tmp_path, capsys):
     cfg = ExperimentConfig(
         experiment="uniqueness",
@@ -200,6 +254,10 @@ def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
     ])
     assert rc == 0
     assert capsys.readouterr().err == ""
+    # the shipped manifests pass the index and time checks of load_trajectory
+    for run in ("lo", "hi"):
+        traj = load_trajectory(tmp_path / run / "snap_manifest.csv")
+        assert list(traj.times) == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
     assert main(["q-sweep", "--config", lo, "--out", str(tmp_path / "q")]) == 0
     assert "note: config says experiment=simulate, running q-sweep" in capsys.readouterr().err
 

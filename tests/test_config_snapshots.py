@@ -62,6 +62,12 @@ class TestParseConfig:
         assert "unknown keys in [grid]" in msg
         assert "wibble" in msg and "wobble" in msg
 
+    @pytest.mark.parametrize("key", ["seed", "out_dir"])
+    def test_dropped_keys_are_unknown(self, tmp_path, key):
+        bad = MINIMAL.replace("id = simulate\n", f"id = simulate\n{key} = 0\n")
+        with pytest.raises(ConfigError, match=rf"unknown keys in \[experiment\]: {key}"):
+            parse_config(write(tmp_path, bad))
+
     def test_unknown_section(self, tmp_path):
         bad = MINIMAL + "\n[plotting]\nstyle = dark\n"
         with pytest.raises(ConfigError, match=r"unknown section \[plotting\]"):
@@ -173,6 +179,18 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="trailing"):
             load_state(p)
 
+    def test_malformed_row_named_by_line(self, tmp_path):
+        st = self.bigbang_state()
+        p = tmp_path / "state.txt"
+        save_state(st, p)
+        lines = p.read_text().splitlines()
+        for bad in ("s,U,7", "0.5;1.0", "0.5,nan?"):
+            lines[2] = bad
+            p.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError) as exc:
+                load_state(p)
+            assert str(exc.value) == f"{p}:3: malformed row {bad!r}, expected s,U"
+
     def make_traj(self):
         grid = LogPolarGrid.uniform(0.1, 5.0, 61)
         states = tuple(model_state(BigBang(), grid, t) for t in (0.2, 0.4, 0.6))
@@ -185,6 +203,21 @@ class TestSnapshots:
         assert np.array_equal(back.times, traj.times)
         for a, b in zip(back.states, traj.states):
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("column, value, match", [
+        ("index", "2", "entry 1 has index '2'"),
+        ("index", "", "entry 1 has index ''"),
+        ("time", "0.5", "lists time '0.5'"),
+        ("time", "0.4000000000000001", "lists time"),
+        ("time", "soon", "lists time 'soon'"),
+    ])
+    def test_manifest_row_must_match_position_and_snapshot(self, tmp_path, column, value, match):
+        manifest = save_trajectory(self.make_traj(), tmp_path / "run", hash_payload="demo")
+        rows = read_rows_csv(manifest)
+        rows[1][column] = value
+        write_rows_csv(manifest, ["index", "time", "file"], rows, "demo")
+        with pytest.raises(ValueError, match=match):
+            load_trajectory(manifest)
 
     def test_manifest_has_hash_comment(self, tmp_path):
         traj = self.make_traj()

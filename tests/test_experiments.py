@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from logdiff import experiments
 from logdiff.config import ExperimentConfig
 from logdiff.experiments import (
     matched_truncation_gauge,
@@ -68,42 +67,6 @@ class TestExactSuite:
         rows = read_rows_csv(tmp_path / "a" / "exact_suite.csv")
         assert rows[0]["kind"] == "static"
 
-    def test_jobs_parallel_same_rows(self, exact_suite):
-        par = run_exact_solution_suite(jobs=2)
-        assert par.orders == exact_suite.orders
-
-
-@pytest.mark.parametrize("cpus, jobs, n_tasks, workers", [
-    (4, 240, 240, 4),   # capped by the core count
-    (4, 3, 240, 3),     # capped by --jobs
-    (4, 240, 2, 2),     # capped by the task count
-    (1, 8, 10, None),   # one core: no pool at all
-    (None, 8, 10, None),  # unknown core count counts as one
-])
-def test_map_tasks_worker_cap(monkeypatch, cpus, jobs, n_tasks, workers):
-    created = []
-
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    out = experiments._map_tasks(abs, list(range(-n_tasks, 0)), jobs)
-    assert out == list(range(n_tasks, 0, -1))
-    assert created == ([] if workers is None else [workers])
-
 
 class TestQSweep:
     def test_small_sweep_passes(self, q_small):
@@ -138,10 +101,6 @@ class TestQSweep:
         run_q_sweep(out_dir=tmp_path / "b", r0_values=(0.7,), gamma_values=(0.25,), n_R=4)
         assert (tmp_path / "a" / "q_sweep.csv").read_text() == \
                (tmp_path / "b" / "q_sweep.csv").read_text()
-
-    def test_jobs_parallel_same_rows(self):
-        kw = dict(r0_values=(0.6,), gamma_values=(0.25, 0.45), n_R=3)
-        assert run_q_sweep(jobs=2, **kw).rows == run_q_sweep(jobs=1, **kw).rows
 
     def test_config_driven(self, tmp_path):
         cfg = ExperimentConfig(r0=0.55, R_list=(0.9, 0.95, 0.99), gamma_list=(0.25,))
@@ -179,11 +138,6 @@ class TestUniqueness:
 
     def test_passed_without_gauge(self, uniq_result):
         assert uniq_result.passed
-
-    def test_jobs_parallel_same_rows(self, uniq_result):
-        par = run_uniqueness_experiment(small_uniqueness_config(), jobs=2, gauge=False)
-        assert par.rows == uniq_result.rows
-        assert par.failures == uniq_result.failures
 
     def test_identical_ramps_give_zero_diffs(self):
         cfg = ExperimentConfig(

@@ -80,6 +80,16 @@ def test_positivity_under_violent_ramp():
 # ------------------------------------------------------------ Newton kernel
 
 
+def _newton_one(s, u, w_in, w_out, dt, cfg):
+    """The batched Newton kernel on one member: (w, iterations), or raises
+    the member's error."""
+    lay = solver._Layout([s])
+    w, (iters,), errors = solver._newton_solve(lay, [u], [(w_in, w_out)], (dt,), [cfg])
+    if errors:
+        raise errors[0]
+    return w, iters
+
+
 def _kernel_case(name):
     """(nodes, u_old, w_in, w_out, dt) of one backward-Euler step."""
     if name == "flatdisc-static":
@@ -108,7 +118,7 @@ def test_newton_kernel_matches_solve_banded_reference(name):
     cfg = SolverConfig(dt=dt)
     coeffs = solver._d2_coeffs(s)
     u_before = u.copy()
-    w, iters = solver._newton_solve(s, u, w_in, w_out, dt, cfg, coeffs)
+    w, iters = _newton_one(s, u, w_in, w_out, dt, cfg)
     w_ref, iters_ref = newton_solve_reference(s, u, w_in, w_out, dt, cfg, coeffs)
     assert iters == iters_ref
     assert np.array_equal(w, w_ref)
@@ -149,7 +159,7 @@ def test_non_finite_input_raises_value_error():
             u_bad = u.copy()
             u_bad[len(u) // 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                solver._newton_solve(s, u_bad, w_in, w_out, dt, cfg)
+                _newton_one(s, u_bad, w_in, w_out, dt, cfg)
         with pytest.raises(ValueError, match="non-finite"):
             step(st0, 0.01, inf_inner)
 
@@ -309,7 +319,7 @@ def test_trajectory_lookup_and_validation():
 
 
 def test_evolve_trajectory_pickles():
-    # plain data, so pool workers can return a run whole
+    # plain data: a run can be stored or sent whole
     g, st0, _ = flat_setup()
     traj = evolve(st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=0.02), 0.1,
                   sample_times=[0.05, 0.1])
@@ -341,6 +351,102 @@ def test_schedule_constructors_validate():
     assert sched.inner(0.0) == 2.0  # ramp below initial data at t=0
     assert sched.inner(1.0) == 100.0
     assert sched.ramp_k == 100.0
+
+
+# ------------------------------------------------------------ batched runs
+
+
+def _mixed_runs():
+    """evolve_many runs that differ in n, dt, T, sample times, schedule and
+    controls; the last two halve dt on the way."""
+    runs = []
+    g = LogPolarGrid.graded(0.05, 8.0, 141, ratio=1.03)
+    st0 = model_state(FlatDisc, g, 0.0)
+    runs.append((st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=2e-3), 0.1, [0.05, 0.1]))
+    g = LogPolarGrid.graded(0.01, 8.0, 241, ratio=1.02)
+    st0 = model_state(FlatDisc, g, 0.0)
+    runs.append((st0, BoundarySchedule.ramp(st0, 1e4), SolverConfig(dt=1e-4), 0.01, None))
+    _, st0, sched = flat_setup()
+    runs.append((st0, sched, SolverConfig(dt=1e-3, dt_cap=8e-3), 0.1, [0.03, 0.07]))
+    g = LogPolarGrid.uniform(0.5, 3.0, 65)
+    runs.append((model_state(Cusp, g, 0.5), BoundarySchedule.from_model(Cusp, 0.5, 3.0),
+                 SolverConfig(dt=0.0125, newton_tol=1e-12), 1.0, [0.6, 0.75]))
+    g = LogPolarGrid.uniform(0.3, 4.0, 81)
+    runs.append((model_state(BigBang, g, 0.2), BoundarySchedule.from_model(BigBang, 0.3, 4.0),
+                 SolverConfig(dt=0.05, max_newton_iter=4), 0.5, [0.3, 0.45]))
+    g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
+    st0 = model_state(FlatDisc, g, 0.0)
+    runs.append((st0, BoundarySchedule.ramp(st0, 1e6),
+                 SolverConfig(dt=0.01, max_newton_iter=6, dt_cap=0.02), 0.05, None))
+    return runs
+
+
+def _assert_same_run(a, b):
+    assert (a.nsteps, a.newton_iters) == (b.nsteps, b.newton_iters)
+    assert [st.time for st in a.states] == [st.time for st in b.states]
+    for x, y in zip(a.states, b.states):
+        assert np.array_equal(x.values, y.values)
+
+
+def test_evolve_many_members_equal_their_solo_runs():
+    runs = _mixed_runs()
+    batch = solver.evolve_many(runs)
+    assert len(batch) == len(runs)
+    # the mix has halvings (more steps than T/dt) and lockstep riders
+    assert batch[4].nsteps > 6 and batch[5].nsteps > 5
+    for run, got in zip(runs, batch):
+        _assert_same_run(got, evolve(*run))
+
+
+def _singular_when_n(n_fail, calls):
+    """A dgtsv that reports a zero first pivot in the member with n_fail
+    nodes and solves every other system; members show up as runs of nonzero
+    super-diagonal entries, n - 3 long."""
+    real = solver.dgtsv
+
+    def dgtsv(dl, d, du, b, **kwargs):
+        calls.append(d.size)
+        edges = np.concatenate(([-1], np.flatnonzero(du == 0.0), [du.size]))
+        for lo, hi in zip(edges, edges[1:]):
+            if hi - lo - 1 == n_fail - 3:
+                return dl, d, du, np.zeros_like(b), int(lo) + 2
+        return real(dl, d, du, b, **kwargs)
+
+    return dgtsv
+
+
+def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
+    runs = _mixed_runs()[:4]
+    solo = [evolve(*run) for run in runs]
+    g = LogPolarGrid.uniform(0.1, 6.0, 77)
+    st0 = model_state(FlatDisc, g, 0.0)
+    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
+    singular = (st0, BoundarySchedule.static(u_in, u_out),
+                SolverConfig(dt=0.01, max_halvings=3), 0.05)
+    st1 = model_state(FlatDisc, LogPolarGrid.uniform(0.1, 6.0, 61), 0.0)
+    v_in, v_out = float(st1.values[0]), float(st1.values[-1])
+    dips = BoundarySchedule(inner=lambda t: v_in if t < 0.03 else -1.0, outer=lambda t: v_out)
+    nonpositive = (st1, dips, SolverConfig(dt=0.01), 0.05)
+    too_short = (st1, BoundarySchedule.static(v_in, v_out), SolverConfig(dt=0.01), 0.0)
+
+    calls = []
+    monkeypatch.setattr(solver, "dgtsv", _singular_when_n(77, calls))
+    batch = solver.evolve_many(runs[:2] + [singular, nonpositive] + runs[2:] + [too_short])
+    with pytest.raises(RunError) as alone:
+        evolve(*singular)
+    assert isinstance(batch[2], RunError)
+    assert str(batch[2]) == str(alone.value)
+    assert str(batch[2]).startswith("step at t=0 failed after 3 halvings")
+    assert str(batch[2].__cause__) == "singular Newton Jacobian (dgtsv info=1)"
+    assert batch[2].partial.nsteps == 0
+    assert isinstance(batch[3], ValueError)
+    assert str(batch[3]) == "schedule produced a nonpositive boundary value"
+    with pytest.raises(ValueError, match="nonpositive"):
+        evolve(*nonpositive)
+    assert isinstance(batch[6], ValueError) and "T must exceed" in str(batch[6])
+    for got, want in zip(batch[:2] + batch[4:6], solo):
+        _assert_same_run(got, want)
+    assert calls  # the stub was in the loop
 
 
 # -------------------------------------------------------------- exhaustion

@@ -6,86 +6,11 @@ metrics U (ds^2 + dth^2) on the punctured unit disc.  The package provides
 
   geometry   - grids, model solutions, curvature, area functionals
   cutoff     - flux function, C1 cut-off, Q integrals and tracked constants
-  solver     - implicit backward-Euler stepping and exhaustion families
+  solver     - implicit backward-Euler stepping, one run or a batch
   estimates  - weighted-area functionals and inequality certificates
   config     - experiment configuration files
   snapshots  - state and trajectory persistence
   experiments- the headline experiment runners behind the CLI
 """
-
-from logdiff.geometry import (
-    LogPolarGrid,
-    ConformalState,
-    BigBang,
-    Cusp,
-    FlatDisc,
-    Poincare,
-    s_from_r,
-    r_from_s,
-    hyperbolic_factor,
-    model_factor,
-    model_state,
-    gauss_curvature,
-    annulus_area,
-    disc_area,
-    weighted_area,
-)
-from logdiff.cutoff import (
-    CutoffSpec,
-    QReport,
-    flux_value,
-    flux_deriv,
-    flux_second_deriv,
-    compute_Q,
-    q_analytic_bound,
-    q_bound_constant,
-    elementary_inequalities,
-    INV_SQUARE_CONSTANT,
-)
-from logdiff.solver import (
-    BoundarySchedule,
-    SolverConfig,
-    Trajectory,
-    StepFailure,
-    RunError,
-    step,
-    evolve,
-    exhaust,
-    mms_residual,
-    check_order_preservation,
-)
-from logdiff.estimates import (
-    EstimateReport,
-    compute_J,
-    djdt_identity_check,
-    lower_barrier_check,
-    pointwise_u_inverse_bound,
-    main_odi_check,
-    interior_area_verify,
-    volume_excess_verify,
-    curvature_monotonicity_check,
-    full_report,
-    c_star_int,
-    lemma_constant,
-    constants_table,
-    write_constants_csv,
-)
-
-from logdiff.config import ConfigError, ExperimentConfig, parse_config
-from logdiff.snapshots import (
-    save_state,
-    load_state,
-    save_trajectory,
-    load_trajectory,
-    write_rows_csv,
-    read_rows_csv,
-)
-from logdiff.experiments import (
-    run_exact_solution_suite,
-    run_q_sweep,
-    run_uniqueness_experiment,
-    matched_truncation_gauge,
-    run_boundary_layer_experiment,
-)
 
 __version__ = "0.1.0"

@@ -88,10 +88,9 @@ def _cmd_uniqueness(args) -> int:
     print(f"  {len(result.rows)} certificate rows, failures={len(result.failures)}")
     print(f"  certified={result.all_certified} area_monotone={result.area_monotone_in_R} "
           f"sup_monotone={result.sup_monotone_in_R}")
-    if result.gauge is not None:
-        g = result.gauge
-        print(f"  gauge: pair_diff={g['pair_diff']:.3e} threshold={g['threshold']:.3e} "
-              f"passed={g['passed']}")
+    g = result.gauge
+    print(f"  gauge: pair_diff={g['pair_diff']:.3e} threshold={g['threshold']:.3e} "
+          f"passed={g['passed']}")
     print("uniqueness:", "PASS" if result.passed else "FAIL")
     return EXIT_PASS if result.passed else EXIT_CERT_FAIL
 

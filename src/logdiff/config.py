@@ -98,6 +98,12 @@ class ExperimentConfig:
 
 def validate(cfg: ExperimentConfig) -> list:
     errors = []
+    # NaN passes every comparison below, and inf most of them
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            errors.append(f"{f.name} must be finite")
     if cfg.experiment not in _EXPERIMENTS:
         errors.append(f"experiment id {cfg.experiment!r} not one of {_EXPERIMENTS}")
     if cfg.n < 16:
@@ -142,8 +148,13 @@ def _floats(raw: str) -> tuple:
 
 
 def parse_config(path) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    # values are literal: no key refers to another, so '%' is just a bad value
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        # configparser messages span lines; the CLI reports one
+        raise ConfigError([f"malformed file: {' '.join(str(exc).split())}"]) from exc
     if not read:
         raise ConfigError([f"config file {path} not found or unreadable"])
     errors = []

@@ -41,7 +41,6 @@ __all__ = [
     "c_star_diff",
     "c_star_int",
     "compute_J",
-    "constants_table",
     "curvature_monotonicity_check",
     "djdt_identity_check",
     "full_report",
@@ -52,7 +51,6 @@ __all__ = [
     "main_odi_check",
     "pointwise_u_inverse_bound",
     "volume_excess_verify",
-    "write_constants_csv",
 ]
 
 
@@ -75,29 +73,6 @@ def lemma_constant(gamma: float) -> float:
     """C_L = C* C_Q^{1/(1+gamma)}: area-difference bound with Q replaced by its
     analytic envelope C_Q/(s0 (log s0 - log S)^gamma)."""
     return c_star_int(gamma) * q_bound_constant(gamma) ** (1.0 / (1.0 + gamma))
-
-
-def constants_table(gammas) -> list:
-    """One dict per gamma with every tracked constant, for CSV export."""
-    rows = []
-    for g in gammas:
-        rows.append(
-            {
-                "gamma": float(g),
-                "inv_square_C": INV_SQUARE_CONSTANT,
-                "C_Q": q_bound_constant(float(g)),
-                "c_star_diff": c_star_diff(float(g)),
-                "c_star_int": c_star_int(float(g)),
-                "C_L": lemma_constant(float(g)),
-            }
-        )
-    return rows
-
-
-def write_constants_csv(path, gammas) -> None:
-    rows = constants_table(gammas)
-    write_rows_csv(path, list(rows[0].keys()), rows,
-                   "constants:" + ",".join(f"{g:.12g}" for g in gammas))
 
 
 # -------------------------------------------------------------- report types
@@ -175,20 +150,11 @@ def _endpoint_slope(s: np.ndarray, w: np.ndarray, last: bool) -> float:
 # ------------------------------------------------------------------- J(t)
 
 
-def compute_J(traj_g, traj_G, cutoff: CutoffSpec, t: float, variant: str = "ordered") -> float:
-    """J(t) = 2 pi int_S^{s_max} (V - U) phi ds, signed or positive-part.
-
-    The ordered variant keeps the sign of V - U; positive_part clips at zero
-    so the value is defined for crossing pairs too.
-    """
+def compute_J(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> float:
+    """J(t) = 2 pi int_S^{s_max} (V - U) phi ds, keeping the sign of V - U."""
     s, U, V = _pair_arrays(traj_g, traj_G, t)
-    diff = V - U
-    if variant == "positive_part":
-        diff = np.maximum(diff, 0.0)
-    elif variant != "ordered":
-        raise ValueError("variant must be 'ordered' or 'positive_part'")
     s_lo = max(float(cutoff.S), float(s[0]))
-    return 2.0 * math.pi * _trapezoid_between(s, diff * cutoff.value(s), s_lo, float(s[-1]))
+    return 2.0 * math.pi * _trapezoid_between(s, (V - U) * cutoff.value(s), s_lo, float(s[-1]))
 
 
 @dataclass(frozen=True)
@@ -549,18 +515,18 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     gamma = cutoff.gamma
     rows = []
     times = [float(t) for t in traj_g.times]
+    Jt = {t: compute_J(traj_g, traj_G, cutoff, t) for t in times}
 
     if order.ordered:
         s0_disc = -math.log(cutoff.r0)
         s_hi = traj_g.grid.s_max
         for t in times:
-            J = compute_J(traj_g, traj_G, cutoff, t)
-            rows.append(InequalityRow(t, "J-nonnegative", 0.0, J))
+            rows.append(InequalityRow(t, "J-nonnegative", 0.0, Jt[t]))
             # truncated disc areas: tails cancel identically from both sides
             diff = annulus_area(traj_G.state_at(t), s0_disc, s_hi) - annulus_area(
                 traj_g.state_at(t), s0_disc, s_hi
             )
-            rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
+            rows.append(InequalityRow(t, "area-diff-below-J", diff, Jt[t]))
         odi = main_odi_check(traj_g, traj_G, cutoff)
         rows.extend(odi.rows)
         rows.extend(interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R).rows)
@@ -579,7 +545,6 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
                 if rep.precondition_ok:
                     rows.append(InequalityRow(t, "u-inverse-bound", -rep.margin, 0.0))
 
-    Jt = {t: compute_J(traj_g, traj_G, cutoff, t) for t in times}
     for k in range(1, len(times) - 1):
         t = times[k]
         rep = djdt_identity_check(traj_g, traj_G, cutoff, t)

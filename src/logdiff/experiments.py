@@ -11,9 +11,9 @@ Four runners, each emitting one deterministic CSV artifact:
 
 Runners return result objects holding the rows they wrote so callers can
 assert on values without re-reading files.  Everything runs in one process:
-the exact-solution suite and the uniqueness ensemble hand all their runs to
-solver.evolve_many, which advances them together in one batched Newton
-solve per step, and the Q sweep evaluates its points in turn.
+the exact-solution suite, the uniqueness ensemble and its gauge hand their
+runs to solver.evolve_many, which advances them together in one batched
+Newton solve per step, and the Q sweep evaluates its points in turn.
 """
 
 import math
@@ -207,6 +207,7 @@ def run_exact_solution_suite(config=None, out_dir=None) -> ExactSuiteResult:
 
 _Q_R0S = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
 _Q_GAMMAS = (0.05, 0.15, 0.25, 0.35, 0.45)
+_Q_N_R = 6
 
 
 def _q_task(point):
@@ -245,26 +246,23 @@ class QSweepResult:
         return ok and self.all_bounded and self.monotone_in_R and self.split_consistent
 
 
-def run_q_sweep(config=None, out_dir=None,
-                r0_values=None, gamma_values=None, n_R: int = 6) -> QSweepResult:
+def run_q_sweep(config=None, out_dir=None) -> QSweepResult:
     """Q against its analytic bound over a (r0, R, gamma) grid.
 
-    The default mesh has 8 x 5 x 6 = 240 points.  R values are generated per
-    r0 by halving S from just under its ceiling s0/3, so each (r0, gamma)
-    group sweeps R toward 1 and deep-truncation rows exercise the split
-    regime e^2 a < 1.
+    A config sweeps its own r0, R list and gamma list.  The default mesh has
+    8 x 5 x 6 = 240 points: R values are generated per r0 by halving S from
+    just under its ceiling s0/3, so each (r0, gamma) group sweeps R toward 1
+    and deep-truncation rows exercise the split regime e^2 a < 1.
     """
-    if r0_values is None:
-        r0_values = (config.r0,) if config is not None else _Q_R0S
-    if gamma_values is None:
-        gamma_values = config.gamma_list if config is not None else _Q_GAMMAS
+    r0_values = (config.r0,) if config is not None else _Q_R0S
+    gamma_values = config.gamma_list if config is not None else _Q_GAMMAS
     points = []
     for r0 in r0_values:
         s0 = -math.log(r0)
-        if config is not None and config.R_list and r0_values == (config.r0,):
+        if config is not None:
             Rs = sorted(config.R_list)
         else:
-            Rs = [math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j) for j in range(n_R)]
+            Rs = [math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j) for j in range(_Q_N_R)]
         for gamma in gamma_values:
             for R in Rs:
                 points.append((float(r0), float(R), float(gamma)))
@@ -287,7 +285,7 @@ def run_q_sweep(config=None, out_dir=None,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         payload = (config.config_hash if config is not None
-                   else f"q-sweep|{tuple(r0_values)}|{tuple(gamma_values)}|{n_R}")
+                   else f"q-sweep|{_Q_R0S}|{_Q_GAMMAS}|{_Q_N_R}")
         write_rows_csv(os.path.join(out_dir, "q_sweep.csv"),
                        ["r0", "R", "gamma", "a", "S", "s0", "Q", "Q1", "Q2",
                         "bound", "ratio", "quad_error", "split", "split_gap",
@@ -301,7 +299,7 @@ def run_q_sweep(config=None, out_dir=None,
 @dataclass(frozen=True)
 class UniquenessResult:
     rows: tuple
-    gauge: dict | None
+    gauge: dict
     area_monotone_in_R: bool
     sup_monotone_in_R: bool
     all_certified: bool
@@ -309,19 +307,15 @@ class UniquenessResult:
 
     @property
     def passed(self) -> bool:
-        ok = (self.all_certified and self.area_monotone_in_R
-              and self.sup_monotone_in_R and not self.failures)
-        if self.gauge is not None:
-            ok = ok and self.gauge["passed"]
-        return ok
+        return (self.all_certified and self.area_monotone_in_R
+                and self.sup_monotone_in_R and not self.failures and self.gauge["passed"])
 
 
 def _nonincreasing(vals, rel=1e-9, floor=1e-12) -> bool:
     return all(b <= a * (1.0 + rel) + floor for a, b in zip(vals, vals[1:]))
 
 
-def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
-                              gauge: bool = True) -> UniquenessResult:
+def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> UniquenessResult:
     """Interior differences between exhaustion ramps, per truncation R.
 
     Each R gets its own run window (the default grid floor is S/4), all
@@ -409,7 +403,7 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
     sup_monotone = all(
         _nonincreasing([d for _, _, d in sorted(v)]) for v in finals.values())
 
-    gauge_row = matched_truncation_gauge() if gauge else None
+    gauge_row = matched_truncation_gauge()
     result = UniquenessResult(rows=tuple(rows), gauge=gauge_row,
                               area_monotone_in_R=area_monotone,
                               sup_monotone_in_R=sup_monotone,
@@ -422,18 +416,23 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None,
                         "sup_diff", "area_diff", "envelope", "margin",
                         "cert_pass", "status"],
                        rows, config.config_hash)
-        if gauge_row is not None:
-            write_rows_csv(os.path.join(out_dir, "uniqueness_gauge.csv"),
-                           list(gauge_row.keys()),
-                           [dict(gauge_row, passed=int(gauge_row["passed"]))],
-                           config.config_hash)
+        write_rows_csv(os.path.join(out_dir, "uniqueness_gauge.csv"),
+                       list(gauge_row.keys()),
+                       [dict(gauge_row, passed=int(gauge_row["passed"]))],
+                       config.config_hash)
     return result
 
 
-def matched_truncation_gauge(k_lo: float = 1e3, k_hi: float = 1e4,
-                             r0: float = 0.75, A: float = 1.0,
-                             T: float = 0.1, n: int = 241, ratio: float = 1.02,
-                             dt: float = 1e-3) -> dict:
+# ramps, interior radius, matching factor A, horizon, grid (n, ratio), step
+_GAUGE_K = (1e3, 1e4)
+_GAUGE_R0 = 0.75
+_GAUGE_A = 1.0
+_GAUGE_T = 0.1
+_GAUGE_GRID = (241, 1.02)
+_GAUGE_DT = 1e-3
+
+
+def matched_truncation_gauge() -> dict:
     """Is the ramp choice visible above discretization error?
 
     Each ramp runs at its own matched truncation depth, the s where the ramp
@@ -448,23 +447,27 @@ def matched_truncation_gauge(k_lo: float = 1e3, k_hi: float = 1e4,
     The yardstick is the self-refinement error of the larger ramp: the same
     run on the midpoint-refined grid at half the step, restricted back to
     the coarse nodes.  The gauge passes when the terminal sup-difference on
-    D_{r0} is below 10x that error.
+    D_{r0} is below 10x that error.  The three runs go through one
+    evolve_many batch; the first failed run's error is raised.
     """
+    (k_lo, k_hi), r0, A, T, dt = _GAUGE_K, _GAUGE_R0, _GAUGE_A, _GAUGE_T, _GAUGE_DT
     depth_lo = math.asinh(math.sqrt(2.0 * A / k_lo))
     depth_hi = math.asinh(math.sqrt(2.0 * A / k_hi))
-    base = LogPolarGrid.graded(depth_hi, 8.0, n, ratio).nodes
+    base = LogPolarGrid.graded(depth_hi, 8.0, *_GAUGE_GRID).nodes
     # the shallower depth becomes an exact node so the two windows share nodes
     master = LogPolarGrid(np.sort(np.unique(np.concatenate([base, [depth_lo]]))))
     sub = master.restrict(depth_lo)
     # all three windows end at the same outer node, so they share the
     # pinned outer value
-    st_hi = model_state(FlatDisc(), master, 0.0)
-    st_lo = model_state(FlatDisc(), sub, 0.0)
-    hi = evolve(st_hi, BoundarySchedule.ramp(st_hi, k_hi), SolverConfig(dt=dt), T)
-    lo = evolve(st_lo, BoundarySchedule.ramp(st_lo, k_lo), SolverConfig(dt=dt), T)
     fine = master.refine()
-    st_f = model_state(FlatDisc(), fine, 0.0)
-    hif = evolve(st_f, BoundarySchedule.ramp(st_f, k_hi), SolverConfig(dt=0.5 * dt), T)
+    runs = []
+    for grid, k, step in ((master, k_hi, dt), (sub, k_lo, dt), (fine, k_hi, 0.5 * dt)):
+        st0 = model_state(FlatDisc(), grid, 0.0)
+        runs.append((st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=step), T))
+    hi, lo, hif = evolve_many(runs)
+    for run in (hi, lo, hif):
+        if isinstance(run, Exception):
+            raise run
     s0 = -math.log(r0)
     on_sub = master.index_of(sub)
     m_sub = sub.nodes >= s0
@@ -496,8 +499,10 @@ class BoundaryLayerResult:
         return 0.35 <= self.exponent <= 0.65
 
 
-def run_boundary_layer_experiment(config=None, out_dir=None, k: float | None = None,
-                                  n_samples: int = 9) -> BoundaryLayerResult:
+_LAYER_SAMPLES = 9
+
+
+def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerResult:
     """Width of the pumped-up region versus time for a large ramp.
 
     Width is measured as w(t) = s*(t) - s_min with s*(t) the largest node at
@@ -505,14 +510,13 @@ def run_boundary_layer_experiment(config=None, out_dir=None, k: float | None = N
     convention is a measurement choice, not a theorem.  The fitted exponent
     of w ~ c t^p over t in [1e-3, 1e-1] is the headline number.
     """
-    if k is None:
-        k = 3e5
-        if config is not None and config.ramps and config.ramps[-1] >= 1e4:
-            k = float(config.ramps[-1])
+    k = 3e5
+    if config is not None and config.ramps and config.ramps[-1] >= 1e4:
+        k = float(config.ramps[-1])
     s_min = 0.005 if config is None or config.s_min is None else config.s_min
     grid = LogPolarGrid.graded(s_min, 4.0, 301, 1.02)
     st0 = model_state(FlatDisc(), grid, 0.0)
-    samples = np.logspace(-3.0, -1.0, n_samples)
+    samples = np.logspace(-3.0, -1.0, _LAYER_SAMPLES)
     traj = evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=1e-4, dt_cap=2e-3), 0.1,
                   sample_times=samples)
     flat = np.exp(-2.0 * grid.nodes)
@@ -538,7 +542,7 @@ def run_boundary_layer_experiment(config=None, out_dir=None, k: float | None = N
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         payload = (config.config_hash if config is not None
-                   else f"boundary-layer|k={k:g}|s_min={s_min:g}|{n_samples}")
+                   else f"boundary-layer|k={k:g}|s_min={s_min:g}|{_LAYER_SAMPLES}")
         write_rows_csv(os.path.join(out_dir, "boundary_layer.csv"),
                        ["t", "s_star", "width"], rows, payload)
     return result

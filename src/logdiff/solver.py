@@ -44,12 +44,10 @@ __all__ = [
     "Trajectory",
     "StepFailure",
     "RunError",
-    "ExhaustDiagnostics",
     "OrderReport",
     "step",
     "evolve",
     "evolve_many",
-    "exhaust",
     "mms_residual",
     "check_order_preservation",
 ]
@@ -95,8 +93,8 @@ class BoundarySchedule:
     def ramp(cls, initial: ConformalState, k: float) -> "BoundarySchedule":
         """Standard exhaustion member started from initial: inner
         max(U0(s_min), k*t), outer pinned at U0(s_max)."""
-        if k <= 0.0:
-            raise ValueError("ramp slope k must be positive")
+        if not (math.isfinite(k) and k > 0.0):
+            raise ValueError("ramp slope k must be positive and finite")
         u0_in, u_out = float(initial.values[0]), float(initial.values[-1])
         return cls(
             inner=lambda t: max(u0_in, k * t),
@@ -533,68 +531,6 @@ def evolve(
     if isinstance(out, Exception):
         raise out
     return out
-
-
-@dataclass(frozen=True)
-class ExhaustDiagnostics:
-    """Comparison-principle bookkeeping for one exhaustion family."""
-
-    r0: float
-    max_order_violation: float  # max over nodes/times of U_k - U_{k'}, k < k'
-    monotone: bool
-    sup_diffs: tuple  # sup over D_{r0} of |U_{k_{j+1}} - U_{k_j}| at final time
-    sup_diffs_decreasing: bool
-
-
-def exhaust(
-    initial: ConformalState,
-    ramps: Sequence[float],
-    config: SolverConfig,
-    T: float,
-    r0: float = 0.75,
-    sample_times: Sequence[float] | None = None,
-):
-    """Run the standard ramp family for each k and check the exhaustion order.
-
-    All runs share the grid, the initial data, and T.  Diagnostics record the
-    worst violation of pointwise monotonicity in k (the discrete comparison
-    principle makes larger ramps give larger solutions) and the successive
-    sup-differences on the interior region D_{r0} at the final time.
-    """
-    ks = [float(k) for k in ramps]
-    # equal neighbors are tolerated (useful as a determinism check); only a
-    # decrease breaks the exhaustion ordering
-    if any(b < a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ramps must be nondecreasing")
-    trajectories = evolve_many(
-        [(initial, BoundarySchedule.ramp(initial, k), config, T, sample_times) for k in ks])
-    for traj in trajectories:
-        if isinstance(traj, Exception):
-            raise traj
-
-    tol = 10.0 * config.newton_tol
-    worst = 0.0
-    for lo, hi in zip(trajectories, trajectories[1:]):
-        for st_lo, st_hi in zip(lo.states, hi.states):
-            worst = max(worst, float(np.max(st_lo.values - st_hi.values)))
-    scale = max(float(np.max(traj.states[-1].values)) for traj in trajectories)
-    monotone = worst <= tol * max(1.0, scale)
-
-    mask = initial.grid.nodes >= -math.log(r0)
-    finals = [traj.states[-1].values[mask] for traj in trajectories]
-    sup_diffs = tuple(
-        float(np.max(np.abs(b - a))) for a, b in zip(finals, finals[1:])
-    )
-    decreasing = all(b <= a for a, b in zip(sup_diffs, sup_diffs[1:]))
-
-    diag = ExhaustDiagnostics(
-        r0=r0,
-        max_order_violation=worst,
-        monotone=monotone,
-        sup_diffs=sup_diffs,
-        sup_diffs_decreasing=decreasing,
-    )
-    return trajectories, diag
 
 
 def mms_residual(

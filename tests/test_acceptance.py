@@ -132,7 +132,7 @@ def test_criterion_05_interior_area_estimate():
             ratio=1.04,
             sample_times=(0.05, 0.1),
         )
-        res = run_uniqueness_experiment(cfg, gauge=False)
+        res = run_uniqueness_experiment(cfg)
         total += len(res.rows)
         ok &= (res.all_certified and res.area_monotone_in_R
                and res.sup_monotone_in_R and not res.failures)

@@ -141,6 +141,61 @@ def test_bad_config_exits_three(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "ramps = 100\n",                                # no section header
+    "[grid]\nn = 41\nn = 42\n",                    # duplicate key
+    "[grid]\nn = 41\n[grid]\nratio = 1.02\n",      # duplicate section
+    "[grid]\nn = 41\n[flow\nramps = 100\n",        # broken section line
+    "[flow]\nramps = 100%\n",                       # '%' is a value, not a reference
+], ids=["no-header", "duplicate-key", "duplicate-section", "broken-section", "percent"])
+def test_malformed_ini_exits_three_on_one_line(tmp_path, capsys, text):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
+_FULL_SIMULATE_INI = {
+    "grid": {"s_min": "0.045", "s_max": "8.0", "n": "41", "ratio": "1.02"},
+    "cutoff": {"r0": "0.55", "r": "0.835270211411272", "gamma": "0.25"},
+    "flow": {"ramps": "1973.98", "t": "0.1", "dt": "0.001", "sample_times": "0.05, 0.1"},
+}
+_FIELD_OF_KEY = {"r": "R_list", "gamma": "gamma_list", "t": "T"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("section, key", [
+    (section, key) for section, keys in _FULL_SIMULATE_INI.items() for key in keys if key != "n"])
+def test_non_finite_float_exits_three(tmp_path, capsys, section, key, value):
+    sections = {name: dict(keys) for name, keys in _FULL_SIMULATE_INI.items()}
+    sections[section][key] = value
+    path = tmp_path / "nonfinite.ini"
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                            for name, keys in sections.items()))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert f"{_FIELD_OF_KEY.get(key, key)} must be finite" in capsys.readouterr().err
+
+
+def test_infinite_ramp_in_uniqueness_exits_three(tmp_path, capsys):
+    path = tmp_path / "u.ini"
+    path.write_text("[experiment]\nid = uniqueness\n[flow]\nramps = 100, inf\n")
+    rc = main(["uniqueness", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "config error: ramps must be finite" in capsys.readouterr().err
+
+
+def test_bare_import_loads_no_runner_and_no_scipy():
+    code = ("import sys, logdiff; "
+            "print(sorted(m for m in ('logdiff.experiments', 'scipy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_manifest_exits_three(tmp_path):
     rc = main(["verify", "nope.csv", "also_nope.csv", "--out", str(tmp_path)])
     assert rc == 3

@@ -119,18 +119,6 @@ def test_lemma_constant_matches_frozen_values():
         assert est.lemma_constant(gamma) == pytest.approx(ref, rel=1e-12)
 
 
-def test_constants_table_csv(tmp_path):
-    path = tmp_path / "constants.csv"
-    est.write_constants_csv(path, [0.1, 0.25, 0.4])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# config-hash=")
-    reader = csv.DictReader(lines[1:])
-    rows = list(reader)
-    assert len(rows) == 3
-    assert float(rows[1]["C_L"]) == pytest.approx(C_LEMMA[0.25], rel=1e-12)
-    assert float(rows[0]["inv_square_C"]) == pytest.approx(INV_SQUARE_CONSTANT, rel=1e-15)
-
-
 # ---------------------------------------------------------------------- J(t)
 
 
@@ -138,7 +126,6 @@ def test_J_identical_pair_is_zero(model_pair):
     tg, _ = model_pair
     spec = case_a_spec()
     assert est.compute_J(tg, tg, spec, 0.4) == 0.0
-    assert est.compute_J(tg, tg, spec, 0.4, variant="positive_part") == 0.0
 
 
 def test_J_linear_in_t_on_model_pair(model_pair):
@@ -150,21 +137,10 @@ def test_J_linear_in_t_on_model_pair(model_pair):
         assert J / t == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
 
 
-def test_J_positive_part_matches_ordered_when_ordered(model_pair):
+def test_J_refuses_interpolation(model_pair):
     tg, tG = model_pair
-    spec = case_a_spec()
-    a = est.compute_J(tg, tG, spec, 0.4)
-    b = est.compute_J(tg, tG, spec, 0.4, variant="positive_part")
-    assert a == b  # sinh s >= s, so V >= U everywhere
-
-
-def test_J_refuses_interpolation_and_bad_variant(model_pair):
-    tg, tG = model_pair
-    spec = case_a_spec()
     with pytest.raises(ValueError, match="not a sample time"):
-        est.compute_J(tg, tG, spec, 0.25)
-    with pytest.raises(ValueError, match="variant"):
-        est.compute_J(tg, tG, spec, 0.4, variant="signed")
+        est.compute_J(tg, tG, case_a_spec(), 0.25)
 
 
 def test_J_refuses_incompatible_grids(model_pair):

@@ -19,13 +19,18 @@ def exact_suite():
 
 
 @pytest.fixture(scope="module")
-def q_small():
-    return run_q_sweep(r0_values=(0.6, 0.75), gamma_values=(0.15, 0.35), n_R=5)
+def q_default():
+    return run_q_sweep()
 
 
 @pytest.fixture(scope="module")
 def uniq_result():
-    return run_uniqueness_experiment(small_uniqueness_config(), gauge=False)
+    return run_uniqueness_experiment(small_uniqueness_config())
+
+
+@pytest.fixture(scope="module")
+def gauge():
+    return matched_truncation_gauge()
 
 
 @pytest.fixture(scope="module")
@@ -69,36 +74,37 @@ class TestExactSuite:
 
 
 class TestQSweep:
-    def test_small_sweep_passes(self, q_small):
-        assert len(q_small.rows) == 20
-        assert q_small.passed
+    def test_small_sweep_passes(self, q_default):
+        assert len(q_default.rows) == 240
+        assert q_default.passed
 
-    def test_ratios_bounded(self, q_small):
-        assert all(r["ratio"] <= 1.0 for r in q_small.rows)
+    def test_ratios_bounded(self, q_default):
+        assert all(r["ratio"] <= 1.0 for r in q_default.rows)
 
-    def test_split_rows_have_dual_route_check(self, q_small):
-        splits = [r for r in q_small.rows if r["split"] == 1]
+    def test_split_rows_have_dual_route_check(self, q_default):
+        splits = [r for r in q_default.rows if r["split"] == 1]
         assert splits, "deep rows should hit the e^2 a < 1 regime"
         for r in splits:
             assert r["split_gap"] <= r["split_budget"]
             assert r["Q1"] > 0.0 and r["Q2"] > 0.0
 
-    def test_q_decreases_toward_boundary(self, q_small):
-        for r0 in (0.6, 0.75):
-            for gamma in (0.15, 0.35):
-                qs = [r["Q"] for r in q_small.rows
+    def test_q_decreases_toward_boundary(self, q_default):
+        from logdiff.experiments import _Q_GAMMAS, _Q_R0S
+        for r0 in _Q_R0S:
+            for gamma in _Q_GAMMAS:
+                qs = [r["Q"] for r in q_default.rows
                       if r["r0"] == r0 and r["gamma"] == gamma]
-                assert len(qs) == 5
+                assert len(qs) == 6
                 assert all(b < a for a, b in zip(qs, qs[1:]))
 
     def test_default_mesh_is_at_least_200_rows(self):
         # count only: the full sweep runs in the acceptance suite
-        from logdiff.experiments import _Q_GAMMAS, _Q_R0S
-        assert len(_Q_R0S) * len(_Q_GAMMAS) * 6 >= 200
+        from logdiff.experiments import _Q_GAMMAS, _Q_N_R, _Q_R0S
+        assert len(_Q_R0S) * len(_Q_GAMMAS) * _Q_N_R >= 200
 
     def test_csv_deterministic(self, tmp_path):
-        run_q_sweep(out_dir=tmp_path / "a", r0_values=(0.7,), gamma_values=(0.25,), n_R=4)
-        run_q_sweep(out_dir=tmp_path / "b", r0_values=(0.7,), gamma_values=(0.25,), n_R=4)
+        run_q_sweep(out_dir=tmp_path / "a")
+        run_q_sweep(out_dir=tmp_path / "b")
         assert (tmp_path / "a" / "q_sweep.csv").read_text() == \
                (tmp_path / "b" / "q_sweep.csv").read_text()
 
@@ -122,6 +128,7 @@ class TestUniqueness:
     def test_certified_everywhere(self, uniq_result):
         assert uniq_result.all_certified
         assert all(r["cert_pass"] == 1 for r in uniq_result.rows)
+        assert uniq_result.passed  # the gauge is part of the verdict
 
     def test_diffs_decay_as_R_increases(self, uniq_result):
         assert uniq_result.area_monotone_in_R
@@ -136,9 +143,6 @@ class TestUniqueness:
         assert len(uniq_result.rows) == 12
         assert not uniq_result.failures
 
-    def test_passed_without_gauge(self, uniq_result):
-        assert uniq_result.passed
-
     def test_identical_ramps_give_zero_diffs(self):
         cfg = ExperimentConfig(
             experiment="uniqueness", r0=0.75,
@@ -146,7 +150,7 @@ class TestUniqueness:
             gamma_list=(0.25,), ramps=(1e3, 1e3), T=0.05, dt=1e-3,
             n=101, ratio=1.05, sample_times=(0.05,),
         )
-        res = run_uniqueness_experiment(cfg, gauge=False)
+        res = run_uniqueness_experiment(cfg)
         assert all(r["sup_diff"] == 0.0 for r in res.rows)
         assert all(r["area_diff"] == 0.0 for r in res.rows)
 
@@ -162,26 +166,25 @@ class TestUniqueness:
 
     def test_csv_outputs(self, tmp_path):
         cfg = small_uniqueness_config()
-        run_uniqueness_experiment(cfg, out_dir=tmp_path, gauge=False)
+        run_uniqueness_experiment(cfg, out_dir=tmp_path)
         rows = read_rows_csv(tmp_path / "uniqueness.csv")
         assert len(rows) == 12
         assert {"R", "sup_diff", "area_diff", "envelope", "cert_pass"} <= set(rows[0])
 
 
 class TestGauge:
-    def test_matched_depths_make_ramps_indistinguishable(self):
-        g = matched_truncation_gauge(n=201, ratio=1.03)
+    def test_matched_depths_make_ramps_indistinguishable(self, gauge):
+        g = gauge
         assert g["passed"]
         assert 0.0 < g["pair_diff"] <= g["threshold"]
         # depths follow k = 2A H(depth)
         assert g["depth_lo"] == pytest.approx(math.asinh(math.sqrt(2e-3)))
         assert g["depth_hi"] == pytest.approx(math.asinh(math.sqrt(2e-4)))
 
-    def test_shared_window_would_fail_by_far(self):
+    def test_shared_window_would_fail_by_far(self, gauge):
         # on one shared window the two ramps converge to different truncated
         # flows; the matched-depth gap must sit far below that plateau
-        g = matched_truncation_gauge(n=201, ratio=1.03)
-        assert g["pair_diff"] < 0.1
+        assert gauge["pair_diff"] < 0.1
 
 
 class TestBoundaryLayer:

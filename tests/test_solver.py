@@ -24,7 +24,6 @@ from logdiff.solver import (
     Trajectory,
     check_order_preservation,
     evolve,
-    exhaust,
     mms_residual,
     step,
 )
@@ -345,8 +344,9 @@ def test_schedule_constructors_validate():
     with pytest.raises(ValueError):
         BoundarySchedule.static(0.0, 1.0)
     st0 = ConformalState(LogPolarGrid.uniform(0.1, 1.0, 5), np.linspace(2.0, 1.0, 5), 0.0)
-    with pytest.raises(ValueError):
-        BoundarySchedule.ramp(st0, -5.0)
+    for k in (-5.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BoundarySchedule.ramp(st0, k)
     sched = BoundarySchedule.ramp(st0, 100.0)
     assert sched.inner(0.0) == 2.0  # ramp below initial data at t=0
     assert sched.inner(1.0) == 100.0
@@ -452,17 +452,24 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
 # -------------------------------------------------------------- exhaustion
 
 
+def _ramp_family(st0, ks, cfg, T, sample_times=None):
+    # the standard exhaustion family: one ramp per k from shared data, one batch
+    trajs = solver.evolve_many([(st0, BoundarySchedule.ramp(st0, k), cfg, T, sample_times) for k in ks])
+    assert all(isinstance(traj, Trajectory) for traj in trajs)
+    return trajs
+
+
 def test_exhaust_spec_family_is_monotone():
     # discrete comparison principle: larger ramp, larger solution, every node
     g = LogPolarGrid.graded(0.05, 8.0, 201, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    trajs, diag = exhaust(
-        st0, [10.0, 1e2, 1e3, 1e4], SolverConfig(dt=2e-3), T=0.1, r0=0.75,
-        sample_times=[0.05, 0.1],
-    )
+    trajs = _ramp_family(st0, [10.0, 1e2, 1e3, 1e4], SolverConfig(dt=2e-3), 0.1,
+                         sample_times=[0.05, 0.1])
     assert len(trajs) == 4
-    assert diag.monotone
-    assert diag.max_order_violation < 1e-8
+    for lo, hi in zip(trajs, trajs[1:]):
+        rep = check_order_preservation(lo, hi)
+        assert rep.ordered
+        assert rep.max_violation < 1e-8
 
 
 def test_exhaust_supdiffs_decay_for_deep_ramps():
@@ -470,25 +477,20 @@ def test_exhaust_supdiffs_decay_for_deep_ramps():
     # the difference: sup-differences on D_{r0} shrink as k grows
     g = LogPolarGrid.graded(0.05, 8.0, 201, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    _, diag = exhaust(st0, [1e2, 1e3, 1e4, 1e5], SolverConfig(dt=2e-3), T=0.1, r0=0.75)
-    assert diag.sup_diffs_decreasing
-    assert diag.sup_diffs[0] > diag.sup_diffs[-1] > 0.0
+    trajs = _ramp_family(st0, [1e2, 1e3, 1e4, 1e5], SolverConfig(dt=2e-3), 0.1)
+    mask = g.nodes >= -math.log(0.75)
+    finals = [traj.states[-1].values[mask] for traj in trajs]
+    sup_diffs = [float(np.max(np.abs(b - a))) for a, b in zip(finals, finals[1:])]
+    assert all(b <= a for a, b in zip(sup_diffs, sup_diffs[1:]))
+    assert sup_diffs[0] > sup_diffs[-1] > 0.0
 
 
 def test_exhaust_equal_ramps_identical():
     g = LogPolarGrid.uniform(0.1, 6.0, 81)
     st0 = model_state(FlatDisc, g, 0.0)
-    trajs, diag = exhaust(st0, [50.0, 50.0], SolverConfig(dt=5e-3), T=0.05)
-    assert diag.max_order_violation == 0.0
-    assert diag.sup_diffs == (0.0,)
-    a, b = trajs
+    a, b = _ramp_family(st0, [50.0, 50.0], SolverConfig(dt=5e-3), 0.05)
+    assert check_order_preservation(a, b).max_violation == 0.0
     assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
-
-
-def test_exhaust_rejects_decreasing_ramps():
-    g, st0, _ = flat_setup()
-    with pytest.raises(ValueError, match="nondecreasing"):
-        exhaust(st0, [100.0, 10.0], SolverConfig(dt=5e-3), T=0.05)
 
 
 # ---------------------------------------------------------- order preservation

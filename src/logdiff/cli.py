@@ -134,9 +134,13 @@ def _cmd_verify(args) -> int:
     path = os.path.join(args.out, "verify_report.csv")
     report.write_csv(path)
     worst = report.worst
-    if worst is not None:
+    skipped = sum(r.vacuous for r in report.rows)
+    if worst is None:
+        print(f"  {len(report.rows)} inequality rows, all with lhs = rhs = 0")
+    else:
         print(f"  {len(report.rows)} inequality rows, worst margin {worst.margin:.3e} "
-              f"({worst.inequality} at t={worst.time:g})")
+              f"({worst.inequality} at t={worst.time:g}); "
+              f"{skipped} rows with lhs = rhs = 0 skipped")
     print(f"  report: {path}")
     print("verify:", "PASS" if report.passed else "FAIL")
     return EXIT_PASS if report.passed else EXIT_CERT_FAIL

@@ -118,6 +118,8 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append("flow horizon T must be positive")
     if cfg.dt <= 0.0 or cfg.dt > cfg.T:
         errors.append("flow dt must lie in (0, T]")
+    if not cfg.ramps:
+        errors.append("ramps must not be empty")
     if any(k <= 0.0 for k in cfg.ramps):
         errors.append("ramps must be positive")
     if list(cfg.ramps) != sorted(cfg.ramps):
@@ -155,6 +157,8 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         # configparser messages span lines; the CLI reports one
         raise ConfigError([f"malformed file: {' '.join(str(exc).split())}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"malformed file: {path}: {exc}"]) from None
     if not read:
         raise ConfigError([f"config file {path} not found or unreadable"])
     errors = []

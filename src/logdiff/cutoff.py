@@ -78,20 +78,6 @@ def log_excess(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _excess_scalar(x: float) -> float:
-    """log_excess for one Python float, without entering numpy."""
-    if abs(x) < _SERIES_CUT:
-        return x * x * _excess_ratio_series(x)
-    return (1.0 + x) * math.log1p(x) - x
-
-
-def _excess_ratio_scalar(x: float) -> float:
-    """log_excess(x)/x^2 for one Python float; tends to 1/2 as x -> 0."""
-    if abs(x) < _SERIES_CUT:
-        return _excess_ratio_series(x)
-    return ((1.0 + x) * math.log1p(x) - x) / (x * x)
-
-
 def _f1(a: float) -> float:
     # f(1) = 1 - (1-a)/(-log a), the height the closed form reaches at sigma=1
     return 1.0 - (1.0 - a) / (-math.log(a))
@@ -276,13 +262,28 @@ class QReport:
 
 def _q_smooth(beta: float, gamma: float) -> float:
     """beta^{gamma-1} ((beta log beta - beta + 1)/(beta-1)^2)^{-gamma}: the
-    integrand with its (beta-1)^{-2 gamma} endpoint factor divided out."""
-    return beta ** (gamma - 1.0) * _excess_ratio_scalar(beta - 1.0) ** (-gamma)
+    integrand with its (beta-1)^{-2 gamma} endpoint factor divided out.
+
+    The ratio log_excess(x)/x^2, x = beta - 1, is computed inline (it tends
+    to 1/2 as x -> 0), so a sample off the series range is one Python frame.
+    """
+    x = beta - 1.0
+    if abs(x) < _SERIES_CUT:
+        ratio = _excess_ratio_series(x)
+    else:
+        ratio = ((1.0 + x) * math.log1p(x) - x) / (x * x)
+    return beta ** (gamma - 1.0) * ratio ** (-gamma)
 
 
 def _q_direct(beta: float, gamma: float) -> float:
-    """beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}, the full integrand."""
-    return beta ** (gamma - 1.0) * _excess_scalar(beta - 1.0) ** (-gamma)
+    """beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}, the full integrand,
+    with log_excess(beta - 1) computed inline like the ratio in _q_smooth."""
+    x = beta - 1.0
+    if abs(x) < _SERIES_CUT:
+        excess = x * x * _excess_ratio_series(x)
+    else:
+        excess = (1.0 + x) * math.log1p(x) - x
+    return beta ** (gamma - 1.0) * excess ** (-gamma)
 
 
 def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12) -> tuple:
@@ -293,7 +294,9 @@ def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12)
     an algebraic weight and only the bounded remainder _q_smooth is sampled.
     QUADPACK calls the integrands with one Python float at a time, so both
     are scalar code (math.log1p and the shared series below |x| = 1e-4)
-    rather than the vectorized log_excess.
+    rather than the vectorized log_excess, and each callback is a single
+    Python frame except on the series range.  Every call integrates afresh;
+    compute_Q reuses the gamma-only near part through _q_near.
     """
     if b_hi <= b_lo:
         return 0.0, 0.0
@@ -304,6 +307,16 @@ def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12)
                           epsabs=tol, epsrel=tol, limit=200)
 
 
+@lru_cache(maxsize=None)
+def _q_near(gamma: float, tol: float) -> tuple:
+    """(value, error) of the near part int_1^{e^2} of the beta integral.
+
+    It depends on gamma and tol alone, so a sweep over R integrates it once
+    per gamma per process.
+    """
+    return _q_integral_beta(gamma, 1.0, math.exp(2.0), tol)
+
+
 def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:
     """Adaptive quadrature of Q with the substitution beta = sigma/a.
 
@@ -312,7 +325,11 @@ def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:
     from the integrand.  When e^2 a < 1 the integral is split at beta = e^2
     into the near part Q2 (sigma of order a) and the far part Q1, mirroring
     the two-regime estimate; otherwise the single-range value is reported
-    with Q1 = 0.
+    with Q1 = 0.  The near part does not involve a, so it comes from the
+    per-process cache _q_near: integrated once per (gamma, tol).  Only the
+    far part and the single-range integral are computed per call; the
+    q-sweep cross-check of the split is a separate whole-range quadrature
+    that never goes through the cache.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -321,7 +338,7 @@ def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:
     b_max = 1.0 / a
     split = math.exp(2.0) * a < 1.0
     if split:
-        near, err_near = _q_integral_beta(gamma, 1.0, math.exp(2.0), tol)
+        near, err_near = _q_near(gamma, tol)
         far, err_far = _q_integral_beta(gamma, math.exp(2.0), b_max, tol)
         q2 = prefactor * near
         q1 = prefactor * far

@@ -37,6 +37,7 @@ __all__ = [
     "EstimateReport",
     "InequalityRow",
     "InverseBoundReport",
+    "J_samples",
     "OdiReport",
     "c_star_diff",
     "c_star_int",
@@ -92,6 +93,11 @@ class InequalityRow:
     def margin(self) -> float:
         return self.rhs - self.lhs
 
+    @property
+    def vacuous(self) -> bool:
+        """0 <= 0: holds by construction (e.g. at t = 0), so certifies nothing."""
+        return self.lhs == 0.0 and self.rhs == 0.0
+
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -107,7 +113,9 @@ class EstimateReport:
 
     @property
     def worst(self):
-        return min(self.rows, key=lambda r: r.margin) if self.rows else None
+        """Smallest-margin row among the rows that are not vacuous."""
+        live = [r for r in self.rows if not r.vacuous]
+        return min(live, key=lambda r: r.margin) if live else None
 
     def write_csv(self, path) -> None:
         """One row per (sample time, inequality id); leading config-hash comment."""
@@ -157,6 +165,17 @@ def compute_J(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> float:
     return 2.0 * math.pi * _trapezoid_between(s, (V - U) * cutoff.value(s), s_lo, float(s[-1]))
 
 
+def J_samples(traj_g, traj_G, cutoff: CutoffSpec) -> tuple:
+    """J at every sample time of the pair, in time order: the one table the
+    ODI and the dJ/dt check share."""
+    return tuple(compute_J(traj_g, traj_G, cutoff, float(t)) for t in traj_g.times)
+
+
+def _check_J_table(traj_g, Js) -> None:
+    if len(Js) != len(traj_g.states):
+        raise ValueError(f"need one J value per sample time, got {len(Js)} for {len(traj_g.states)}")
+
+
 @dataclass(frozen=True)
 class DjdtReport:
     """Finite-difference dJ/dt against the integrated-by-parts identity.
@@ -181,23 +200,23 @@ class DjdtReport:
         return abs(self.fd_djdt - self.identity_rhs)
 
 
-def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> DjdtReport:
+def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float, Js) -> DjdtReport:
+    """dJ/dt at sample time t, differenced from Js (J_samples of the pair),
+    against the integrated-by-parts identity evaluated on the state at t."""
     _check_pair(traj_g, traj_G)
     times = traj_g.times
     if times.size < 2:
         raise ValueError("need at least two sample times to difference J")
+    _check_J_table(traj_g, Js)
     traj_g.state_at(t)  # validates t is sampled
     i = int(np.argmin(np.abs(times - t)))
 
-    def J(idx):
-        return compute_J(traj_g, traj_G, cutoff, float(times[idx]))
-
     if 0 < i < times.size - 1:
-        fd = (J(i + 1) - J(i - 1)) / (times[i + 1] - times[i - 1])
+        fd = (Js[i + 1] - Js[i - 1]) / (times[i + 1] - times[i - 1])
     elif i == 0:
-        fd = (J(1) - J(0)) / (times[1] - times[0])
+        fd = (Js[1] - Js[0]) / (times[1] - times[0])
     else:
-        fd = (J(i) - J(i - 1)) / (times[i] - times[i - 1])
+        fd = (Js[i] - Js[i - 1]) / (times[i] - times[i - 1])
 
     s, U, V = _pair_arrays(traj_g, traj_G, t)
     dw = np.log(V) - np.log(U)
@@ -308,31 +327,29 @@ def pointwise_u_inverse_bound(
 class OdiReport:
     rows: tuple
     gamma: float
-    Q: float
     c_star: float
-    J_values: tuple
 
     @property
     def passed(self) -> bool:
         return all(r.margin >= 0.0 for r in self.rows)
 
 
-def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec) -> OdiReport:
+def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float) -> OdiReport:
     """Integrated flux inequality between consecutive sample times:
 
-        J^p(t2) - J^p(t1) <= C* (t2^p - t1^p) Q^p,   p = 1/(1+gamma).
+        J^p(t2) - J^p(t1) <= C* (t2^p - t1^p) Q^p,   p = 1/(1+gamma),
 
-    Refuses unordered pairs; those belong to volume_excess_verify.
+    with Js the pair's J_samples and Q = compute_Q(cutoff).Q.  Refuses
+    unordered pairs; those belong to volume_excess_verify.
     """
     order = check_order_preservation(traj_g, traj_G)
     if not order.ordered:
         raise ValueError("pair is not ordered; use volume_excess_verify")
+    _check_J_table(traj_g, Js)
     gamma = cutoff.gamma
     p = 1.0 / (1.0 + gamma)
-    Q = compute_Q(cutoff).Q
     cs = c_star_int(gamma)
     times = traj_g.times
-    Js = tuple(compute_J(traj_g, traj_G, cutoff, float(t)) for t in times)
     tag = f"gamma={gamma:g} C*={cs:.8g} Q={Q:.8g}"
     rows = []
     for k in range(times.size - 1):
@@ -341,7 +358,7 @@ def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec) -> OdiReport:
         lhs = max(Js[k + 1], 0.0) ** p - max(Js[k], 0.0) ** p
         rhs = cs * (t2**p - t1**p) * Q**p
         rows.append(InequalityRow(time=t2, inequality="main-odi", lhs=lhs, rhs=rhs, constants=tag))
-    return OdiReport(rows=tuple(rows), gamma=gamma, Q=Q, c_star=cs, J_values=Js)
+    return OdiReport(rows=tuple(rows), gamma=gamma, c_star=cs)
 
 
 def holder_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> InequalityRow:
@@ -502,7 +519,8 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     pair it would drop the ordered certificates and pass on a volume excess
     that is zero by construction.  Curvature monotonicity is included only
     when its precondition holds.  A pair with fewer than two sample times
-    raises ValueError: it holds no evolved state to certify.
+    raises ValueError: it holds no evolved state to certify.  J is computed
+    once per sample time and Q once per report; the checks share them.
     """
     if min(len(traj_g.states), len(traj_G.states)) < 2:
         raise ValueError("pair has fewer than two sample times: no evolved state to certify")
@@ -515,20 +533,20 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     gamma = cutoff.gamma
     rows = []
     times = [float(t) for t in traj_g.times]
-    Jt = {t: compute_J(traj_g, traj_G, cutoff, t) for t in times}
+    Js = J_samples(traj_g, traj_G, cutoff)
+    Q = compute_Q(cutoff)
 
     if order.ordered:
         s0_disc = -math.log(cutoff.r0)
         s_hi = traj_g.grid.s_max
-        for t in times:
-            rows.append(InequalityRow(t, "J-nonnegative", 0.0, Jt[t]))
+        for t, J in zip(times, Js):
+            rows.append(InequalityRow(t, "J-nonnegative", 0.0, J))
             # truncated disc areas: tails cancel identically from both sides
             diff = annulus_area(traj_G.state_at(t), s0_disc, s_hi) - annulus_area(
                 traj_g.state_at(t), s0_disc, s_hi
             )
-            rows.append(InequalityRow(t, "area-diff-below-J", diff, Jt[t]))
-        odi = main_odi_check(traj_g, traj_G, cutoff)
-        rows.extend(odi.rows)
+            rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
+        rows.extend(main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q).rows)
         rows.extend(interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R).rows)
     rows.extend(volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R).rows)
 
@@ -547,12 +565,12 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
 
     for k in range(1, len(times) - 1):
         t = times[k]
-        rep = djdt_identity_check(traj_g, traj_G, cutoff, t)
+        rep = djdt_identity_check(traj_g, traj_G, cutoff, t, Js)
         scale = abs(rep.fd_djdt) + abs(rep.phi2_integral) + abs(rep.boundary_term)
         # forward/backward slope disagreement measures the time-differencing
         # error that centered FD leaves in; quadrature gets the 5% of scale
-        fwd = (Jt[times[k + 1]] - Jt[t]) / (times[k + 1] - t)
-        bwd = (Jt[t] - Jt[times[k - 1]]) / (t - times[k - 1])
+        fwd = (Js[k + 1] - Js[k]) / (times[k + 1] - t)
+        bwd = (Js[k] - Js[k - 1]) / (t - times[k - 1])
         budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
         rows.append(InequalityRow(t, "djdt-identity", rep.discrepancy, budget))
 
@@ -563,7 +581,6 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
                 InequalityRow(times[-1], f"damped-monotone-{name}", rep.max_increase, rep.tolerance)
             )
 
-    Q = compute_Q(cutoff)
     meta = {
         "r0": cutoff.r0,
         "R": cutoff.R,

@@ -68,30 +68,34 @@ def save_state(state: ConformalState, path) -> None:
 
 
 def load_state(path) -> ConformalState:
-    with open(path) as fh:
+    """Reads one snapshot; every ValueError it raises starts with the path."""
+    # undecodable bytes become U+FFFD and fail as a bad header or row below
+    with open(path, errors="replace") as fh:
         first = fh.readline().rstrip("\n")
         m = _HEADER.match(first)
         if m is None:
             raise ValueError(f"{path}: not a logdiff-state file (header {first!r})")
-        t = float(m.group("t"))
         n = int(m.group("n"))
-        s = np.empty(n)
-        u = np.empty(n)
+        s, u = [], []
         for i in range(n):
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: expected {n} rows, file ended at {i}")
             try:
                 a, b = line.split(",")
-                s[i] = float(a)
-                u[i] = float(b)
+                s.append(float(a))
+                u.append(float(b))
             except ValueError:
                 raise ValueError(
                     f"{path}:{i + 2}: malformed row {line.rstrip()!r}, expected s,U"
                 ) from None
         if fh.readline().strip():
             raise ValueError(f"{path}: trailing data after {n} rows")
-    return ConformalState(grid=LogPolarGrid(s), values=u, time=t)
+    try:
+        return ConformalState(grid=LogPolarGrid(np.array(s)), values=np.array(u),
+                              time=float(m.group("t")))
+    except ValueError as exc:  # grid, value and time checks name no file
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_trajectory(traj: Trajectory, out_dir, stem: str = "snap", hash_payload: str = "") -> str:
@@ -114,35 +118,43 @@ def load_trajectory(manifest_path) -> Trajectory:
     the default SolverConfig; estimates consume grids, times and values, and
     the default newton_tol for their tolerances. Every manifest entry must be
     a bare file name in the manifest's own directory, its index its position,
-    and its time exactly its snapshot's time (both are written with repr)."""
+    and its time exactly its snapshot's time (both are written with repr).
+    Every ValueError it raises names the manifest or the snapshot at fault."""
     base = os.path.dirname(manifest_path)
-    states = []
-    with open(manifest_path) as fh:
+    with open(manifest_path, errors="replace") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None or not {"index", "time", "file"} <= set(reader.fieldnames):
-            raise ValueError(f"{manifest_path}: not a trajectory manifest")
-        for i, row in enumerate(reader):
-            name = row["file"]
-            if not name or name in (".", "..") or os.path.basename(name) != name:
-                raise ValueError(
-                    f"{manifest_path}: entry {name!r} is not a file name in the manifest's directory"
-                )
-            if row["index"] != str(i):
-                raise ValueError(f"{manifest_path}: entry {i} has index {row['index']!r}")
-            state = load_state(os.path.join(base, name))
-            try:
-                listed = float(row["time"])
-            except (TypeError, ValueError):
-                listed = None
-            if listed != state.time:
-                raise ValueError(
-                    f"{manifest_path}: entry {i} lists time {row['time']!r} but {name} "
-                    f"holds t={state.time!r}"
-                )
-            states.append(state)
+        try:
+            entries = list(reader)
+        except csv.Error as exc:  # e.g. an over-long field; not a ValueError
+            raise ValueError(f"{manifest_path}: malformed CSV: {exc}") from None
+    if reader.fieldnames is None or not {"index", "time", "file"} <= set(reader.fieldnames):
+        raise ValueError(f"{manifest_path}: not a trajectory manifest")
+    states = []
+    for i, row in enumerate(entries):
+        name = row["file"]
+        if not name or name in (".", "..") or os.path.basename(name) != name or "\0" in name:
+            raise ValueError(
+                f"{manifest_path}: entry {name!r} is not a file name in the manifest's directory"
+            )
+        if row["index"] != str(i):
+            raise ValueError(f"{manifest_path}: entry {i} has index {row['index']!r}")
+        state = load_state(os.path.join(base, name))
+        try:
+            listed = float(row["time"])
+        except (TypeError, ValueError):
+            listed = None
+        if listed != state.time:
+            raise ValueError(
+                f"{manifest_path}: entry {i} lists time {row['time']!r} but {name} "
+                f"holds t={state.time!r}"
+            )
+        states.append(state)
     if not states:
         raise ValueError(f"{manifest_path}: empty manifest")
-    return Trajectory(states=tuple(states), config=SolverConfig())
+    try:
+        return Trajectory(states=tuple(states), config=SolverConfig())
+    except ValueError as exc:  # times out of order, or snapshots on different grids
+        raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:

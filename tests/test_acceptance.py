@@ -152,7 +152,7 @@ def test_criterion_06_ramp_indistinguishable_from_discretization():
 def test_criterion_07_djdt_identity():
     spec = CutoffSpec(math.exp(-0.5), math.exp(-0.1), 0.25)
     tg, tG = _exact_pair(LogPolarGrid.graded(0.025, 8.0, 801, ratio=1.01), (0.2, 0.3, 0.4, 0.5, 0.6))
-    rep = est.djdt_identity_check(tg, tG, spec, 0.4)
+    rep = est.djdt_identity_check(tg, tG, spec, 0.4, est.J_samples(tg, tG, spec))
     rel = rep.discrepancy / abs(rep.identity_rhs)
     ok = rel <= 0.01
     assert _verdict(7, f"dJ/dt identity, relative residual {rel:.1e}", ok)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from logdiff import estimates
 from logdiff.cli import main
 from logdiff.config import ExperimentConfig
-from logdiff.snapshots import load_trajectory
+from logdiff.snapshots import load_trajectory, read_rows_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -315,6 +316,57 @@ def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
         assert list(traj.times) == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
     assert main(["q-sweep", "--config", lo, "--out", str(tmp_path / "q")]) == 0
     assert "note: config says experiment=simulate, running q-sweep" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def shipped_pair(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shipped")
+    for run in ("lo", "hi"):
+        config = str(CONFIGS / f"exhaustion_{run}.ini")
+        assert main(["simulate", "--config", config, "--out", str(out / run)]) == 0
+    return out
+
+
+def _verify_shipped(pair, out):
+    return main(["verify", str(pair / "lo" / "snap_manifest.csv"),
+                 str(pair / "hi" / "snap_manifest.csv"),
+                 "--config", str(CONFIGS / "exhaustion_lo.ini"), "--out", str(out)])
+
+
+def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_path, monkeypatch):
+    calls = {"compute_J": 0, "compute_Q": 0}
+
+    def count(name):
+        fn = getattr(estimates, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(estimates, name, counted)
+
+    count("compute_J")
+    count("compute_Q")
+    assert _verify_shipped(shipped_pair, tmp_path / "ver") == 0
+    assert calls == {"compute_J": 6, "compute_Q": 1}  # 6 sample times, one report
+
+
+def test_verify_headline_skips_rows_that_read_zero_le_zero(shipped_pair, tmp_path, capsys):
+    capsys.readouterr()
+    assert _verify_shipped(shipped_pair, tmp_path / "ver") == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = read_rows_csv(tmp_path / "ver" / "verify_report.csv")
+    vacuous = [r for r in rows if float(r["lhs"]) == 0.0 and float(r["rhs"]) == 0.0]
+    # the t = 0 rows of the J, area and envelope checks hold by construction
+    assert {(r["inequality"], r["time"]) for r in vacuous} == {
+        ("J-nonnegative", "0.0"), ("area-diff-below-J", "0.0"),
+        ("interior-area", "0.0"), ("volume-excess", "0.0")}
+    worst = min((r for r in rows if r not in vacuous), key=lambda r: float(r["margin"]))
+    assert float(worst["margin"]) > 0.0
+    assert out[0] == (f"  {len(rows)} inequality rows, worst margin {float(worst['margin']):.3e} "
+                      f"({worst['inequality']} at t={float(worst['time']):g}); "
+                      f"4 rows with lhs = rhs = 0 skipped")
+    assert out[-1] == "verify: PASS"
 
 
 def test_console_script_wired():

@@ -19,7 +19,8 @@ from logdiff.cutoff import (
     q_bound_constant,
 )
 from logdiff.cutoff import _f1, _i2  # branch internals are part of the contract here
-from logdiff.cutoff import _excess_ratio_scalar, _excess_scalar, _q_direct, _q_smooth
+from logdiff import cutoff
+from logdiff.cutoff import _q_direct, _q_near, _q_smooth
 
 # [frozen] mpmath dps=40 values, computed before the implementation existed.
 Q_CASE_A = 10.18574547976275190944  # r0=e^{-1/2}, R=e^{-1/10}, gamma=1/4 (single range)
@@ -82,15 +83,22 @@ KERNEL_XS = [-0.5, -0.1, -1.0001e-4, -1e-4, -9.999e-5, -1e-8, -1e-12,
 
 @pytest.mark.parametrize("x", KERNEL_XS)
 def test_scalar_excess_kernels_match_vectorized(x):
-    # the QUADPACK callbacks use these scalar kernels; log_excess is the reference
-    ref = float(log_excess(np.array([x]))[0])
-    assert _excess_scalar(x) == pytest.approx(ref, rel=1e-15, abs=0.0)
-    assert _excess_ratio_scalar(x) == pytest.approx(ref / (x * x), rel=1e-15, abs=0.0)
+    # the QUADPACK callbacks compute log_excess inline; the vectorized
+    # log_excess is the reference, at the x = beta - 1 they actually see
+    gamma = 0.3
+    beta = 1.0 + x
+    xb = beta - 1.0
+    ref = float(log_excess(np.array([xb]))[0])
+    lead = beta ** (gamma - 1.0)
+    assert _q_direct(beta, gamma) == pytest.approx(lead * ref ** (-gamma), rel=1e-15, abs=0.0)
+    assert _q_smooth(beta, gamma) == pytest.approx(lead * (ref / (xb * xb)) ** (-gamma),
+                                                   rel=1e-15, abs=0.0)
 
 
 def test_scalar_excess_ratio_limit_at_zero():
-    assert _excess_ratio_scalar(0.0) == 0.5
-    assert _excess_scalar(0.0) == 0.0
+    # log_excess(x)/x^2 -> 1/2, so the smooth integrand is 2^gamma at beta = 1
+    for gamma in (0.05, 0.25, 0.45):
+        assert _q_smooth(1.0, gamma) == 0.5 ** -gamma
 
 
 @pytest.mark.parametrize("beta", [1.0 + 1e-12, 1.0 + 5e-5, 1.5, math.exp(2.0), 40.0])
@@ -338,6 +346,65 @@ def test_q_stable_under_tolerance_halving():
         loose = compute_Q(spec, tol=1e-8)
         tight = compute_Q(spec, tol=5e-9)
         assert abs(tight.Q - loose.Q) <= loose.quadrature_error + 1e-15
+
+
+class _CountingIntegrate:
+    """Stands in for scipy.integrate inside logdiff.cutoff and records the
+    integrand and range of every quad call."""
+
+    def __init__(self, module):
+        self.module = module
+        self.calls = []
+
+    def quad(self, func, a, b, *args, **kwargs):
+        self.calls.append((func, a, b))
+        return self.module.quad(func, a, b, *args, **kwargs)
+
+
+def _split_specs(r0=0.55, gamma=0.3):
+    # S halved from just under s0/3: the deep rows of the q-sweep mesh
+    s0 = -math.log(r0)
+    specs = [CutoffSpec(r0, math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j), gamma) for j in range(4, 10)]
+    assert all(math.exp(2.0) * spec.a < 1.0 for spec in specs)
+    return specs
+
+
+def test_q_near_part_integrated_once_per_gamma(monkeypatch):
+    _q_near.cache_clear()
+    counter = _CountingIntegrate(cutoff.integrate)
+    monkeypatch.setattr(cutoff, "integrate", counter)
+    reports = [compute_Q(spec) for spec in _split_specs()]
+    assert all(rep.split_applied for rep in reports)
+    # the bound constant's I2(gamma) shares the near range, not the integrand
+    assert [c for c in counter.calls if c[0] is _q_smooth] == [(_q_smooth, 1.0, math.exp(2.0))]
+    assert sum(c[0] is _q_direct for c in counter.calls) == 6  # one far part per point
+
+
+def test_q_cold_and_warm_cache_agree_bitwise():
+    spec = _split_specs()[0]
+    _q_near.cache_clear()
+    cold = compute_Q(spec)
+    assert _q_near.cache_info().currsize == 1
+    warm = compute_Q(spec)
+    assert _q_near.cache_info().hits >= 1
+    for name in ("Q", "Q1", "Q2", "quadrature_error"):
+        assert getattr(warm, name) == getattr(cold, name)
+
+
+def test_q_sweep_rows_do_not_depend_on_the_near_cache(monkeypatch):
+    from logdiff.config import ExperimentConfig
+    from logdiff.experiments import run_q_sweep
+
+    s0 = -math.log(0.55)
+    cfg = ExperimentConfig(experiment="q-sweep", r0=0.55, gamma_list=(0.1, 0.3),
+                           R_list=tuple(math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j) for j in range(6)))
+    _q_near.cache_clear()
+    cached = run_q_sweep(cfg).rows
+    # a cache that always misses: every point integrates its own near part
+    monkeypatch.setattr(cutoff, "_q_near", _q_near.__wrapped__)
+    uncached = run_q_sweep(cfg).rows
+    assert any(row["split"] == 1 for row in cached)
+    assert uncached == cached
 
 
 @given(

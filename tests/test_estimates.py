@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from logdiff.cutoff import CutoffSpec, INV_SQUARE_CONSTANT
+from logdiff.cutoff import CutoffSpec, INV_SQUARE_CONSTANT, compute_Q
 from logdiff.geometry import (
     BigBang,
     ConformalState,
@@ -156,7 +156,8 @@ def test_J_refuses_incompatible_grids(model_pair):
 
 def test_djdt_identity_on_model_pair(model_pair):
     tg, tG = model_pair
-    rep = est.djdt_identity_check(tg, tG, case_a_spec(), 0.4)
+    spec = case_a_spec()
+    rep = est.djdt_identity_check(tg, tG, spec, 0.4, est.J_samples(tg, tG, spec))
     # J is exactly linear in t, so centered differencing is exact and both
     # routes must land on the frozen rate
     assert rep.fd_djdt == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
@@ -169,14 +170,16 @@ def test_djdt_identity_on_model_pair(model_pair):
 
 def test_djdt_identity_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
-    rep = est.djdt_identity_check(tg, tg, case_a_spec(), 0.4)
+    spec = case_a_spec()
+    rep = est.djdt_identity_check(tg, tg, spec, 0.4, est.J_samples(tg, tg, spec))
     assert rep.fd_djdt == 0.0 and rep.phi2_integral == 0.0 and rep.boundary_term == 0.0
     assert rep.discrepancy == 0.0
 
 
 def test_djdt_endpoint_uses_one_sided_difference(model_pair):
     tg, tG = model_pair
-    rep = est.djdt_identity_check(tg, tG, case_a_spec(), 0.2)
+    spec = case_a_spec()
+    rep = est.djdt_identity_check(tg, tG, spec, 0.2, est.J_samples(tg, tG, spec))
     assert rep.fd_djdt == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
 
 
@@ -185,7 +188,7 @@ def test_djdt_rejects_mismatched_times(model_pair):
     grid = tg.grid
     other, _ = exact_pair(grid, (0.2, 0.4))
     with pytest.raises(ValueError, match="mismatched"):
-        est.djdt_identity_check(tg, other, case_a_spec(), 0.2)
+        est.djdt_identity_check(tg, other, case_a_spec(), 0.2, (0.0, 0.0))
 
 
 # -------------------------------------------------------------- lower barrier
@@ -261,37 +264,43 @@ def test_inverse_bound_validation(model_pair):
 
 def test_odi_on_model_pair(model_pair):
     tg, tG = model_pair
-    rep = est.main_odi_check(tg, tG, case_a_spec())
-    assert rep.Q == pytest.approx(Q_CASE_A, rel=1e-12)
+    spec = case_a_spec()
+    Js = est.J_samples(tg, tG, spec)
+    Q = compute_Q(spec).Q
+    assert Q == pytest.approx(Q_CASE_A, rel=1e-12)
+    rep = est.main_odi_check(tg, tG, spec, Js, Q)
     assert rep.c_star == pytest.approx(C_STAR_INT[0.25], rel=1e-12)
     assert rep.passed
     assert all(r.margin > 1.0 for r in rep.rows)  # holds with slack here
     # lhs consistency: J = rate * t exactly, p = 0.8
-    rate = rep.J_values[0] / 0.2
+    rate = Js[0] / 0.2
     lhs = (rate * 0.3) ** 0.8 - (rate * 0.2) ** 0.8
     assert rep.rows[0].lhs == pytest.approx(lhs, rel=1e-9)
 
 
 def test_odi_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
-    rep = est.main_odi_check(tg, tg, case_a_spec())
+    spec = case_a_spec()
+    rep = est.main_odi_check(tg, tg, spec, est.J_samples(tg, tg, spec), compute_Q(spec).Q)
     assert rep.passed
     assert all(r.lhs == 0.0 for r in rep.rows)
 
 
 def test_odi_on_exhaustion_pair(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
-    rep = est.main_odi_check(lo, hi, exhaust_spec)
+    Js = est.J_samples(lo, hi, exhaust_spec)
+    rep = est.main_odi_check(lo, hi, exhaust_spec, Js, compute_Q(exhaust_spec).Q)
     assert rep.passed
-    assert rep.J_values[0] == 0.0  # equal initial data
-    assert all(j >= 0.0 for j in rep.J_values)
+    assert Js[0] == 0.0  # equal initial data
+    assert all(j >= 0.0 for j in Js)
     assert min(r.margin for r in rep.rows) > 1.0
 
 
 def test_odi_refuses_unordered_pair(crossing_pair, exhaust_spec):
     a, b = crossing_pair
     with pytest.raises(ValueError, match="not ordered"):
-        est.main_odi_check(a, b, exhaust_spec)
+        est.main_odi_check(a, b, exhaust_spec, est.J_samples(a, b, exhaust_spec),
+                           compute_Q(exhaust_spec).Q)
 
 
 def test_holder_step_discrete(model_pair, exhaust_pair, exhaust_spec):
@@ -413,6 +422,24 @@ def test_curvature_gate_blocks_early_bigbang():
 def test_inequality_row_margin():
     row = est.InequalityRow(0.1, "demo", 1.0, 3.0)
     assert row.margin == 2.0
+    assert not row.vacuous and est.InequalityRow(0.0, "demo", 0.0, -0.0).vacuous
+
+
+def test_worst_row_skips_vacuous_rows():
+    rows = (est.InequalityRow(0.0, "a", 0.0, 0.0), est.InequalityRow(0.1, "b", 1.0, 1.5),
+            est.InequalityRow(0.2, "c", 0.0, 2.0))
+    assert est.EstimateReport(rows=rows).worst is rows[1]
+    assert est.EstimateReport(rows=rows[:1]).worst is None
+
+
+def test_J_table_must_cover_every_sample_time(model_pair):
+    tg, tG = model_pair
+    spec = case_a_spec()
+    short = est.J_samples(tg, tG, spec)[:-1]
+    with pytest.raises(ValueError, match="one J value per sample time"):
+        est.djdt_identity_check(tg, tG, spec, 0.4, short)
+    with pytest.raises(ValueError, match="one J value per sample time"):
+        est.main_odi_check(tg, tG, spec, short, compute_Q(spec).Q)
 
 
 def test_full_report_on_exhaustion_pair(exhaust_pair, exhaust_spec, tmp_path):

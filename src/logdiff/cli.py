@@ -19,14 +19,14 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .cutoff import CutoffSpec
 from .estimates import full_report
 from .experiments import (
+    exhaustion_member,
     run_boundary_layer_experiment,
     run_exact_solution_suite,
     run_q_sweep,
     run_uniqueness_experiment,
 )
-from .geometry import FlatDisc, LogPolarGrid, model_state
 from .snapshots import load_trajectory, save_trajectory
-from .solver import BoundarySchedule, RunError, SolverConfig, evolve
+from .solver import RunError, evolve
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 2
@@ -108,13 +108,10 @@ def _cmd_boundary_layer(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, "simulate") or ExperimentConfig()
-    R = cfg.R_list[0]
-    k = cfg.ramps[0]
+    R, k = cfg.R_list[0], cfg.ramps[0]
+    st0, schedule, solver_config, T, samples = exhaustion_member(cfg, R, k)
+    traj = evolve(st0, schedule, solver_config, T, sample_times=samples)
     s_lo, s_hi = cfg.grid_bounds(R)
-    st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, cfg.n, cfg.ratio), 0.0)
-    samples = cfg.sample_times or tuple(cfg.T * (j + 1) / 5 for j in range(5))
-    traj = evolve(st0, BoundarySchedule.ramp(st0, k),
-                  SolverConfig(dt=cfg.dt), cfg.T, sample_times=samples)
     os.makedirs(args.out, exist_ok=True)
     manifest = save_trajectory(traj, args.out, stem="snap", hash_payload=cfg.config_hash)
     print(f"  {len(traj.states)} snapshots (k={k:g}, window [{s_lo:.4g}, {s_hi:.4g}])")

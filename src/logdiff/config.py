@@ -127,6 +127,8 @@ def validate(cfg: ExperimentConfig) -> list:
     for t in cfg.sample_times:
         if not 0.0 < t <= cfg.T:
             errors.append(f"sample time {t:g} outside (0, T]")
+    if any(b <= a for a, b in zip(cfg.sample_times, cfg.sample_times[1:])):
+        errors.append("sample times must be strictly increasing")
     if not cfg.R_list:
         errors.append("cutoff R list must not be empty")
     if not cfg.gamma_list:

@@ -1,8 +1,11 @@
 """Certified inequality checks on pairs of conformal-factor trajectories.
 
-Everything here consumes immutable trajectories and returns report objects
-whose rows carry both sides of each inequality plus the margin rhs - lhs.
-Sample times are processed independently, so reports merge trivially.
+Everything here consumes immutable trajectories. Each certificate returns a
+tuple of InequalityRow labelled as in verify_report.csv, each row carrying
+both sides of its inequality and the margin rhs - lhs; a certificate whose
+precondition fails returns none. full_report concatenates them.
+djdt_identity_check alone returns the identity's three terms (DjdtReport),
+which full_report turns into a djdt-identity row with its error budget.
 
 The tracked constants are assembled once per gamma:
 
@@ -30,15 +33,10 @@ from .snapshots import write_rows_csv
 from .solver import Trajectory, _check_pair, check_order_preservation
 
 __all__ = [
-    "AreaCertificate",
-    "BarrierReport",
-    "CurvatureReport",
     "DjdtReport",
     "EstimateReport",
     "InequalityRow",
-    "InverseBoundReport",
     "J_samples",
-    "OdiReport",
     "c_star_diff",
     "c_star_int",
     "compute_J",
@@ -248,24 +246,16 @@ def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float, Js) -> Djd
 # ------------------------------------------------------------ barrier bounds
 
 
-@dataclass(frozen=True)
-class BarrierReport:
-    times: tuple
-    margins: tuple
-
-    @property
-    def min_margin(self) -> float:
-        return min(self.margins)
-
-
 def lower_barrier_check(
     traj: Trajectory, s_from: float | None = None, s_to: float | None = None
-) -> BarrierReport:
-    """Per-time margin min over nodes of U - 2 t H(s), H = 1/sinh^2.
+) -> tuple:
+    """lower-barrier rows, one per sample time: lhs = max over nodes of
+    2 t H(s) - U, H = 1/sinh^2, against rhs = 0.
 
     s_from/s_to restrict the node range: finite-ramp exhaustion flows lose the
     barrier near the inner boundary when the ramp does not dominate 2 t H,
     while the certificate chain only consumes it on the cut-off support.
+    The constants column names s_from.
     """
     s = traj.grid.nodes
     mask = np.ones(s.size, dtype=bool)
@@ -276,74 +266,56 @@ def lower_barrier_check(
     if not np.any(mask):
         raise ValueError("node restriction leaves no grid nodes")
     H = hyperbolic_factor(s[mask])
-    times, margins = [], []
-    for st in traj.states:
-        times.append(st.time)
-        margins.append(float(np.min(st.values[mask] - 2.0 * st.time * H)))
-    return BarrierReport(times=tuple(times), margins=tuple(margins))
-
-
-@dataclass(frozen=True)
-class InverseBoundReport:
-    time: float
-    s0: float
-    precondition_ok: bool
-    barrier_min: float
-    margin: float | None
+    tag = f"s>={s_from:g}" if s_from is not None else ""
+    return tuple(
+        InequalityRow(float(st.time), "lower-barrier",
+                      -float(np.min(st.values[mask] - 2.0 * st.time * H)), 0.0, constants=tag)
+        for st in traj.states
+    )
 
 
 def pointwise_u_inverse_bound(
-    traj: Trajectory, t: float, s0: float = math.log(2.0), barrier_tol: float = 1e-9
-) -> InverseBoundReport:
-    """Margin of 1/U <= C s^2/t on nodes in (0, s0), C = 9/(32 log^2 2).
+    traj: Trajectory, s0: float = math.log(2.0), barrier_tol: float = 1e-9
+) -> tuple:
+    """u-inverse-bound rows, one per sample time t > 0: lhs = max over nodes
+    in (0, s0) of 1/U - C s^2/t, C = 9/(32 log^2 2), against rhs = 0.
 
-    Requires the lower barrier to hold (up to barrier_tol, scaled) on the
-    whole trajectory; otherwise the bound is not asserted and margin is None.
+    Requires the lower barrier to hold (up to barrier_tol, scaled) on (0, s0)
+    over the whole trajectory; otherwise the bound is not asserted and no
+    rows are returned.
     """
     if s0 > math.log(2.0) + 1e-12:
         raise ValueError("s0 must not exceed log 2")
-    if t <= 0.0:
-        raise ValueError("bound is vacuous at t <= 0")
-    # the bound is claimed on (0, s0), so that is where the barrier must hold
-    barrier = lower_barrier_check(traj, s_to=s0)
-    scale = max(1.0, float(np.max(traj.states[0].values)))
-    bm = barrier.min_margin
-    if bm < -barrier_tol * scale:
-        return InverseBoundReport(float(t), s0, False, bm, None)
-    st = traj.state_at(t)
     s = traj.grid.nodes
     mask = (s > 0.0) & (s < s0)
     if not np.any(mask):
         raise ValueError("no grid nodes below s0")
-    rhs = INV_SQUARE_CONSTANT * s[mask] ** 2 / t
-    margin = float(np.min(rhs - 1.0 / st.values[mask]))
-    return InverseBoundReport(float(t), s0, True, bm, margin)
+    # the bound is claimed on (0, s0), so that is where the barrier must hold
+    worst = max(r.lhs for r in lower_barrier_check(traj, s_to=s0))
+    scale = max(1.0, float(np.max(traj.states[0].values)))
+    if worst > barrier_tol * scale:
+        return ()
+    c_s2 = INV_SQUARE_CONSTANT * s[mask] ** 2
+    return tuple(
+        InequalityRow(float(st.time), "u-inverse-bound",
+                      -float(np.min(c_s2 / st.time - 1.0 / st.values[mask])), 0.0)
+        for st in traj.states if st.time > 0.0
+    )
 
 
 # ------------------------------------------------------------------ main ODI
 
 
-@dataclass(frozen=True)
-class OdiReport:
-    rows: tuple
-    gamma: float
-    c_star: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.margin >= 0.0 for r in self.rows)
-
-
-def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float) -> OdiReport:
-    """Integrated flux inequality between consecutive sample times:
+def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float) -> tuple:
+    """main-odi rows: the integrated flux inequality between consecutive
+    sample times, one row at each later time t2,
 
         J^p(t2) - J^p(t1) <= C* (t2^p - t1^p) Q^p,   p = 1/(1+gamma),
 
     with Js the pair's J_samples and Q = compute_Q(cutoff).Q.  Refuses
     unordered pairs; those belong to volume_excess_verify.
     """
-    order = check_order_preservation(traj_g, traj_G)
-    if not order.ordered:
+    if not check_order_preservation(traj_g, traj_G).ordered:
         raise ValueError("pair is not ordered; use volume_excess_verify")
     _check_J_table(traj_g, Js)
     gamma = cutoff.gamma
@@ -358,7 +330,7 @@ def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float) -> OdiRepor
         lhs = max(Js[k + 1], 0.0) ** p - max(Js[k], 0.0) ** p
         rhs = cs * (t2**p - t1**p) * Q**p
         rows.append(InequalityRow(time=t2, inequality="main-odi", lhs=lhs, rhs=rhs, constants=tag))
-    return OdiReport(rows=tuple(rows), gamma=gamma, c_star=cs)
+    return tuple(rows)
 
 
 def holder_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> InequalityRow:
@@ -392,11 +364,6 @@ def holder_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> InequalityRow:
 # ------------------------------------------------------- area certificates
 
 
-def _default_R(grid) -> float:
-    # inverts the default truncation rule s_min = S/4
-    return math.exp(-4.0 * grid.s_min)
-
-
 def _positive_part_area(s, U, V, s_lo: float) -> float:
     # 2 pi int (V-U)_+ over {s >= s_lo} with the same tail convention as disc_area
     d = np.maximum(V - U, 0.0)
@@ -406,24 +373,8 @@ def _positive_part_area(s, U, V, s_lo: float) -> float:
     return 2.0 * math.pi * _trapezoid_between(s, d, lo, float(s[-1])) + math.pi * float(d[-1])
 
 
-@dataclass(frozen=True)
-class AreaCertificate:
-    rows: tuple
-    r0: float
-    R: float
-    gamma: float
-    constant: float
-    initial_term: float
-
-    @property
-    def passed(self) -> bool:
-        return all(r.margin >= 0.0 for r in self.rows)
-
-
-def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: str) -> AreaCertificate:
+def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: str) -> tuple:
     _check_pair(traj_g, traj_G)
-    if R is None:
-        R = _default_R(traj_g.grid)
     spec = CutoffSpec(r0, R, gamma)  # validates every parameter range
     p = 1.0 / (1.0 + gamma)
     cl = lemma_constant(gamma)
@@ -446,54 +397,44 @@ def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: 
         lhs = vol**p
         rhs = init_term + cl * (t / denom) ** p
         rows.append(InequalityRow(time=float(t), inequality=label, lhs=lhs, rhs=rhs, constants=tag))
-    return AreaCertificate(
-        rows=tuple(rows), r0=float(r0), R=float(R), gamma=float(gamma), constant=cl, initial_term=init_term
-    )
+    return tuple(rows)
 
 
-def interior_area_verify(traj_g, traj_G, r0: float, gamma: float, R: float | None = None) -> AreaCertificate:
-    """Area-difference certificate over the disc D_{r0}:
+def interior_area_verify(traj_g, traj_G, r0: float, gamma: float, R: float) -> tuple:
+    """interior-area rows, one per sample time: the area-difference
+    certificate over the disc D_{r0},
 
         [Vol_G D_{r0} - Vol_g D_{r0}]^p <= [Vol_G(0) D_R - Vol_g(0) D_R]^p
                                            + C_L [t/(s0 (log s0 - log S)^gamma)]^p
 
-    with p = 1/(1+gamma).  Requires an ordered pair; R defaults to the value
-    implied by the grid's truncation depth via s_min = S/4.
+    with p = 1/(1+gamma), S = -log R, s0 = -log r0.  Requires an ordered pair.
     """
-    order = check_order_preservation(traj_g, traj_G)
-    if not order.ordered:
+    if not check_order_preservation(traj_g, traj_G).ordered:
         raise ValueError("pair is not ordered; use volume_excess_verify")
     return _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part=False, label="interior-area")
 
 
-def volume_excess_verify(traj_g, traj_G, r0: float, gamma: float, R: float | None = None) -> AreaCertificate:
-    """Positive-part variant of interior_area_verify: the volume excess
-    2 pi int (V-U)_+ over D_{r0} obeys the same bound without any ordering
-    hypothesis.  For ordered pairs it reduces to interior_area_verify."""
+def volume_excess_verify(traj_g, traj_G, r0: float, gamma: float, R: float) -> tuple:
+    """volume-excess rows: the positive-part variant of interior_area_verify.
+    The volume excess 2 pi int (V-U)_+ over D_{r0} obeys the same bound
+    without any ordering hypothesis.  For ordered pairs it reduces to
+    interior_area_verify."""
     return _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part=True, label="volume-excess")
 
 
 # ------------------------------------------------- damped-factor monotonicity
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
-    min_curvature: float
-    precondition_ok: bool
-    monotone: bool | None
-    max_increase: float | None
-    tolerance: float
-
-
 def curvature_monotonicity_check(
-    traj: Trajectory, curvature_tol: float = 1e-6, monotone_tol: float | None = None
-) -> CurvatureReport:
-    """If K >= -1 at every sampled state, verify e^{-2t} U is nonincreasing in
-    t at every node.  A curvature dip below -1 - curvature_tol gates the check
-    off (reported, not asserted)."""
+    traj: Trajectory, label: str, curvature_tol: float = 1e-6, monotone_tol: float | None = None
+) -> tuple:
+    """If K >= -1 at every sampled state, one row named label at the last
+    sample time: lhs = the largest increase of e^{-2t} U between consecutive
+    sample times over all nodes, rhs = monotone_tol.  A curvature dip below
+    -1 - curvature_tol gates the check off: no rows."""
     kmin = min(float(np.min(gauss_curvature(st))) for st in traj.states)
     if kmin < -1.0 - curvature_tol:
-        return CurvatureReport(kmin, False, None, None, curvature_tol)
+        return ()
     if monotone_tol is None:
         scale = max(1.0, float(np.max(traj.states[0].values)))
         monotone_tol = 10.0 * traj.config.newton_tol * scale
@@ -504,23 +445,24 @@ def curvature_monotonicity_check(
         if prev is not None:
             worst = max(worst, float(np.max(damped - prev)))
         prev = damped
-    return CurvatureReport(kmin, True, worst <= monotone_tol, worst, monotone_tol)
+    return (InequalityRow(float(traj.states[-1].time), label, worst, monotone_tol),)
 
 
 # ------------------------------------------------------------- full report
 
 
 def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
-    """Run every certificate that applies to the pair and pack the rows.
+    """Run every certificate that applies to the pair and concatenate the rows.
 
     Ordered pairs get the J invariants, the ODI, and the interior-area
     certificate; crossing pairs fall back to the positive-part variants.
     A pair given larger flow first raises ValueError: read as a crossing
     pair it would drop the ordered certificates and pass on a volume excess
-    that is zero by construction.  Curvature monotonicity is included only
-    when its precondition holds.  A pair with fewer than two sample times
-    raises ValueError: it holds no evolved state to certify.  J is computed
-    once per sample time and Q once per report; the checks share them.
+    that is zero by construction.  The 1/U bound and curvature monotonicity
+    add rows only when their preconditions hold.  A pair with fewer than two
+    sample times raises ValueError: it holds no evolved state to certify.
+    J is computed once per sample time and Q once per report; the checks
+    share them.
     """
     if min(len(traj_g.states), len(traj_G.states)) < 2:
         raise ValueError("pair has fewer than two sample times: no evolved state to certify")
@@ -546,22 +488,14 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
                 traj_g.state_at(t), s0_disc, s_hi
             )
             rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
-        rows.extend(main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q).rows)
-        rows.extend(interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R).rows)
-    rows.extend(volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R).rows)
-
+        rows += main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q)
+        rows += interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
+    rows += volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
     # the chain only consumes the barrier on the cut-off support [S, s_max]
-    barrier = lower_barrier_check(traj_g, s_from=cutoff.S)
-    for t, m in zip(barrier.times, barrier.margins):
-        rows.append(InequalityRow(float(t), "lower-barrier", -m, 0.0, constants=f"s>={cutoff.S:g}"))
-
+    rows += lower_barrier_check(traj_g, s_from=cutoff.S)
     s = traj_g.grid.nodes
     if np.any((s > 0.0) & (s < math.log(2.0))):
-        for t in times:
-            if t > 0.0:
-                rep = pointwise_u_inverse_bound(traj_g, t)
-                if rep.precondition_ok:
-                    rows.append(InequalityRow(t, "u-inverse-bound", -rep.margin, 0.0))
+        rows += pointwise_u_inverse_bound(traj_g)
 
     for k in range(1, len(times) - 1):
         t = times[k]
@@ -574,12 +508,8 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
         budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
         rows.append(InequalityRow(t, "djdt-identity", rep.discrepancy, budget))
 
-    for name, traj in (("g", traj_g), ("G", traj_G)):
-        rep = curvature_monotonicity_check(traj)
-        if rep.precondition_ok:
-            rows.append(
-                InequalityRow(times[-1], f"damped-monotone-{name}", rep.max_increase, rep.tolerance)
-            )
+    rows += curvature_monotonicity_check(traj_g, "damped-monotone-g")
+    rows += curvature_monotonicity_check(traj_G, "damped-monotone-G")
 
     meta = {
         "r0": cutoff.r0,

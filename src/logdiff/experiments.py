@@ -26,14 +26,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .cutoff import CutoffSpec, _q_integral_beta, compute_Q
 from .estimates import interior_area_verify
-from .geometry import (
-    BigBang,
-    Cusp,
-    FlatDisc,
-    LogPolarGrid,
-    model_factor,
-    model_state,
-)
+from .geometry import MODEL_KINDS, FlatDisc, LogPolarGrid, model_factor, model_state
 from .snapshots import write_rows_csv
 from .solver import (
     BoundarySchedule,
@@ -44,6 +37,7 @@ from .solver import (
 )
 
 __all__ = [
+    "exhaustion_member",
     "ExactSuiteResult",
     "run_exact_solution_suite",
     "QSweepResult",
@@ -56,6 +50,20 @@ __all__ = [
 ]
 
 
+# ------------------------------------------------------- exhaustion members
+
+
+def exhaustion_member(config: ExperimentConfig, R: float, k: float) -> tuple:
+    """The evolve / evolve_many run of one exhaustion member: flat initial
+    data on the graded window of cut-off radius R, inner boundary ramped at
+    slope k, sampled at config.sample_times or, when none are given, at five
+    equal steps up to T."""
+    s_lo, s_hi = config.grid_bounds(R)
+    st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, config.n, config.ratio), 0.0)
+    samples = config.sample_times or tuple((j + 1) * config.T / 5.0 for j in range(5))
+    return st0, BoundarySchedule.ramp(st0, float(k)), SolverConfig(dt=config.dt), config.T, samples
+
+
 # ---------------------------------------------------------- exact solutions
 
 _SPATIAL_BASE = (0.1, 6.0, 151, 1.02)  # refined by midpoint insertion per level
@@ -65,8 +73,6 @@ _TEMPORAL_GRID = (0.5, 3.0, 201)
 _TEMPORAL_DTS = (0.05, 0.025, 0.0125, 0.00625)
 _TEMPORAL_SPAN = (0.5, 1.0)
 _STATIC_NS = (101, 201, 401)
-
-_MODELS = {"bigbang": BigBang, "cusp": Cusp, "flatdisc": FlatDisc}
 
 
 def _exact_run(kind, model, level):
@@ -106,7 +112,7 @@ def _exact_row(kind, name, level, run, traj):
     if kind == "static":
         error = float(np.max(np.abs(final - st0.values)))
     elif kind == "spatial":
-        exact = model_factor(_MODELS[name](), grid.nodes, T)
+        exact = model_factor(MODEL_KINDS[name], grid.nodes, T)
         error = float(np.max(np.abs(final - exact)) / np.max(exact))
     else:
         h, error = cfg.dt, ""
@@ -154,7 +160,7 @@ def run_exact_solution_suite(config=None, out_dir=None) -> ExactSuiteResult:
     for name in ("bigbang", "cusp"):
         for level in range(len(_TEMPORAL_DTS)):
             tasks.append(("temporal", name, level))
-    runs = [_exact_run(kind, _MODELS[name](), level) for kind, name, level in tasks]
+    runs = [_exact_run(kind, MODEL_KINDS[name], level) for kind, name, level in tasks]
     trajs = evolve_many(runs)
     raw = [_exact_row(*task, run, traj) for task, run, traj in zip(tasks, runs, trajs)]
     finals = {(r["model"], r["level"]): traj.states[-1].values for r, traj in zip(raw, trajs)
@@ -329,20 +335,14 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
     if len(config.R_list) < 3:
         raise ValueError("uniqueness experiment needs at least 3 R values")
     Rs = sorted(config.R_list)
-    samples = config.sample_times or tuple(
-        (j + 1) * config.T / 5.0 for j in range(5))
 
     # one evolve_many run per (R, ramp); a run that cannot even be built
     # fails with the same text as one that fails while stepping
     outcome, keys, members = {}, [], []
     for R in Rs:
-        s_lo, s_hi = config.grid_bounds(R)
         for j, k in enumerate(config.ramps):
             try:
-                grid = LogPolarGrid.graded(s_lo, s_hi, config.n, config.ratio)
-                st0 = model_state(FlatDisc(), grid, 0.0)
-                members.append((st0, BoundarySchedule.ramp(st0, float(k)),
-                                SolverConfig(dt=config.dt), config.T, samples))
+                members.append(exhaustion_member(config, R, k))
                 keys.append((R, j))
             except ValueError as exc:
                 outcome[(R, j)] = exc
@@ -372,14 +372,13 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
             mask = lo.grid.nodes >= s0
             for gamma in config.gamma_list:
                 try:
-                    cert = interior_area_verify(lo, hi, config.r0, gamma, R=R)
+                    cert = interior_area_verify(lo, hi, config.r0, gamma, R)
                 except ValueError as exc:
                     failures.append(f"R={R:g} pair={pair_idx} gamma={gamma:g}: {exc}")
                     all_certified = False
                     continue
-                by_time = {r.time: r for r in cert.rows}
-                for t in samples:
-                    crow = by_time[float(t)]
+                for crow in cert[1:]:  # every sample time after the initial data
+                    t = crow.time
                     sup_diff = float(np.max(np.abs(
                         hi.values_at(t)[mask] - lo.values_at(t)[mask])))
                     area_diff = crow.lhs ** (1.0 + gamma)
@@ -389,12 +388,12 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
                     rows.append({
                         "R": R, "S": S, "s_min": s_lo, "r0": config.r0,
                         "gamma": gamma, "k_lo": config.ramps[pair_idx],
-                        "k_hi": config.ramps[pair_idx + 1], "t": float(t),
+                        "k_hi": config.ramps[pair_idx + 1], "t": t,
                         "sup_diff": sup_diff, "area_diff": area_diff,
                         "envelope": envelope, "margin": crow.margin,
                         "cert_pass": int(passed), "status": "ok",
                     })
-                    if abs(t - samples[-1]) < 1e-12:
+                    if crow is cert[-1]:
                         finals.setdefault((pair_idx, gamma), []).append(
                             (R, area_diff, sup_diff))
 

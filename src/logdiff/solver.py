@@ -80,14 +80,12 @@ class BoundarySchedule:
 
     inner: Callable[[float], float]
     outer: Callable[[float], float]
-    label: str = "custom"
-    ramp_k: float | None = None
 
     @classmethod
     def static(cls, u_in: float, u_out: float) -> "BoundarySchedule":
         if u_in <= 0.0 or u_out <= 0.0:
             raise ValueError("boundary values must be positive")
-        return cls(inner=lambda t: u_in, outer=lambda t: u_out, label="static")
+        return cls(inner=lambda t: u_in, outer=lambda t: u_out)
 
     @classmethod
     def ramp(cls, initial: ConformalState, k: float) -> "BoundarySchedule":
@@ -96,12 +94,7 @@ class BoundarySchedule:
         if not (math.isfinite(k) and k > 0.0):
             raise ValueError("ramp slope k must be positive and finite")
         u0_in, u_out = float(initial.values[0]), float(initial.values[-1])
-        return cls(
-            inner=lambda t: max(u0_in, k * t),
-            outer=lambda t: u_out,
-            label=f"ramp-k={k:g}",
-            ramp_k=k,
-        )
+        return cls(inner=lambda t: max(u0_in, k * t), outer=lambda t: u_out)
 
     @classmethod
     def from_model(cls, model, s_min: float, s_max: float) -> "BoundarySchedule":
@@ -109,7 +102,6 @@ class BoundarySchedule:
         return cls(
             inner=lambda t: float(model_factor(model, s_min, t)),
             outer=lambda t: float(model_factor(model, s_max, t)),
-            label="model",
         )
 
 

@@ -189,6 +189,18 @@ def test_infinite_ramp_in_uniqueness_exits_three(tmp_path, capsys):
     assert "config error: ramps must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "uniqueness"])
+@pytest.mark.parametrize("times", ["0.1, 0.05", "0.05, 0.05, 0.1"], ids=["decreasing", "repeated"])
+def test_sample_times_not_increasing_exit_three(tmp_path, capsys, command, times):
+    # rows are written in the listed order and the last listed time is read
+    # as the final one, so an unsorted list would misreport the run
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[flow]\nramps = 100, 1000\nsample_times = {times}\n")
+    rc = main([command, "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "config error: sample times must be strictly increasing\n"
+
+
 def test_bare_import_loads_no_runner_and_no_scipy():
     code = ("import sys, logdiff; "
             "print(sorted(m for m in ('logdiff.experiments', 'scipy') if m in sys.modules))")
@@ -334,7 +346,7 @@ def _verify_shipped(pair, out):
 
 
 def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_path, monkeypatch):
-    calls = {"compute_J": 0, "compute_Q": 0}
+    calls = {"compute_J": 0, "compute_Q": 0, "lower_barrier_check": 0}
 
     def count(name):
         fn = getattr(estimates, name)
@@ -347,8 +359,11 @@ def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_pat
 
     count("compute_J")
     count("compute_Q")
+    count("lower_barrier_check")
     assert _verify_shipped(shipped_pair, tmp_path / "ver") == 0
-    assert calls == {"compute_J": 6, "compute_Q": 1}  # 6 sample times, one report
+    # 6 sample times, one report; the barrier runs once for its rows and
+    # once as the gate of the 1/U bound
+    assert calls == {"compute_J": 6, "compute_Q": 1, "lower_barrier_check": 2}
 
 
 def test_verify_headline_skips_rows_that_read_zero_le_zero(shipped_pair, tmp_path, capsys):

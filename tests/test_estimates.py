@@ -11,6 +11,7 @@ from logdiff.geometry import (
     Cusp,
     FlatDisc,
     LogPolarGrid,
+    gauss_curvature,
     model_state,
 )
 from logdiff.solver import (
@@ -86,7 +87,7 @@ def crossing_pair(exhaust_spec):
         def inner(t):
             return max(u_in, (ka if t < T / 2 else kb) * t)
 
-        return BoundarySchedule(inner=inner, outer=lambda t: u_out, label="swap")
+        return BoundarySchedule(inner=inner, outer=lambda t: u_out)
 
     cfg = SolverConfig(dt=1e-3)
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
@@ -196,14 +197,16 @@ def test_djdt_rejects_mismatched_times(model_pair):
 
 def test_barrier_is_exact_equality_for_bigbang(model_pair):
     tg, _ = model_pair
-    rep = est.lower_barrier_check(tg)
-    assert rep.margins == (0.0,) * len(rep.margins)
+    rows = est.lower_barrier_check(tg)
+    assert [r.time for r in rows] == list(tg.times)
+    assert all(r.inequality == "lower-barrier" and r.constants == "" for r in rows)
+    assert [r.margin for r in rows] == [0.0] * len(tg.states)
 
 
 def test_barrier_for_cusp_is_positive(model_pair):
     _, tG = model_pair
-    rep = est.lower_barrier_check(tG)
-    assert rep.min_margin > 0.0  # sinh s > s for s > 0
+    rows = est.lower_barrier_check(tG)
+    assert min(r.margin for r in rows) > 0.0  # sinh s > s for s > 0
 
 
 def test_barrier_flags_violator():
@@ -212,11 +215,12 @@ def test_barrier_flags_violator():
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
     viol = Trajectory(states=states, config=SolverConfig())
-    rep = est.lower_barrier_check(viol)
-    assert rep.min_margin < -1.0
+    worst = min(r.margin for r in est.lower_barrier_check(viol))
+    assert worst < -1.0
     # node restriction matters: the worst violation sits at small s
     deep = est.lower_barrier_check(viol, s_from=2.0)
-    assert deep.min_margin > rep.min_margin
+    assert min(r.margin for r in deep) > worst
+    assert {r.constants for r in deep} == {"s>=2"}
     with pytest.raises(ValueError, match="no grid nodes"):
         est.lower_barrier_check(viol, s_from=100.0)
 
@@ -226,13 +230,14 @@ def test_barrier_flags_violator():
 
 def test_inverse_bound_on_bigbang_is_tight_at_log2():
     g = LogPolarGrid.uniform(0.05, 4.0, 2001)
-    tb, _ = exact_pair(g, (0.4,))
-    rep = est.pointwise_u_inverse_bound(tb, 0.4)
-    assert rep.precondition_ok
+    tb, _ = exact_pair(g, (0.2, 0.4))
+    rows = est.pointwise_u_inverse_bound(tb)  # barrier holds, so the bound is asserted
+    assert [(r.time, r.inequality) for r in rows] == [(0.2, "u-inverse-bound"), (0.4, "u-inverse-bound")]
+    row = rows[1]
     scale = INV_SQUARE_CONSTANT * math.log(2.0) ** 2 / 0.4
     # sinh(log 2) = 3/4 makes the bound an equality at s = log 2, so the
     # margin at the nearest node is positive but a small fraction of scale
-    assert 0.0 < rep.margin < 1e-3 * scale
+    assert 0.0 < row.margin < 1e-3 * scale
 
 
 def test_inverse_bound_not_asserted_without_barrier():
@@ -241,22 +246,19 @@ def test_inverse_bound_not_asserted_without_barrier():
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
     viol = Trajectory(states=states, config=SolverConfig())
-    rep = est.pointwise_u_inverse_bound(viol, 0.4)
-    assert not rep.precondition_ok
-    assert rep.margin is None
-    assert rep.barrier_min < 0.0
+    assert est.pointwise_u_inverse_bound(viol) == ()
+    # the gate read the barrier on (0, log 2)
+    assert min(r.margin for r in est.lower_barrier_check(viol, s_to=math.log(2.0))) < 0.0
 
 
 def test_inverse_bound_validation(model_pair):
     tg, _ = model_pair
     with pytest.raises(ValueError, match="log 2"):
-        est.pointwise_u_inverse_bound(tg, 0.4, s0=0.8)
-    with pytest.raises(ValueError, match="t <= 0"):
-        est.pointwise_u_inverse_bound(tg, 0.0)
+        est.pointwise_u_inverse_bound(tg, s0=0.8)
     deep = LogPolarGrid.uniform(1.0, 6.0, 101)
     tdeep, _ = exact_pair(deep, (0.4,))
     with pytest.raises(ValueError, match="no grid nodes"):
-        est.pointwise_u_inverse_bound(tdeep, 0.4)
+        est.pointwise_u_inverse_bound(tdeep)
 
 
 # ------------------------------------------------------------------ main ODI
@@ -268,32 +270,32 @@ def test_odi_on_model_pair(model_pair):
     Js = est.J_samples(tg, tG, spec)
     Q = compute_Q(spec).Q
     assert Q == pytest.approx(Q_CASE_A, rel=1e-12)
-    rep = est.main_odi_check(tg, tG, spec, Js, Q)
-    assert rep.c_star == pytest.approx(C_STAR_INT[0.25], rel=1e-12)
-    assert rep.passed
-    assert all(r.margin > 1.0 for r in rep.rows)  # holds with slack here
+    rows = est.main_odi_check(tg, tG, spec, Js, Q)
+    assert [r.time for r in rows] == [0.3, 0.4, 0.5, 0.6]
+    # the rows state the C* they used: the frozen integrated-ODI constant
+    assert est.c_star_int(0.25) == pytest.approx(C_STAR_INT[0.25], rel=1e-12)
+    assert {r.constants for r in rows} == {f"gamma=0.25 C*={est.c_star_int(0.25):.8g} Q={Q:.8g}"}
+    assert all(r.margin > 1.0 for r in rows)  # holds with slack here
     # lhs consistency: J = rate * t exactly, p = 0.8
     rate = Js[0] / 0.2
     lhs = (rate * 0.3) ** 0.8 - (rate * 0.2) ** 0.8
-    assert rep.rows[0].lhs == pytest.approx(lhs, rel=1e-9)
+    assert rows[0].lhs == pytest.approx(lhs, rel=1e-9)
 
 
 def test_odi_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
     spec = case_a_spec()
-    rep = est.main_odi_check(tg, tg, spec, est.J_samples(tg, tg, spec), compute_Q(spec).Q)
-    assert rep.passed
-    assert all(r.lhs == 0.0 for r in rep.rows)
+    rows = est.main_odi_check(tg, tg, spec, est.J_samples(tg, tg, spec), compute_Q(spec).Q)
+    assert all(r.lhs == 0.0 and r.margin >= 0.0 for r in rows)
 
 
 def test_odi_on_exhaustion_pair(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
     Js = est.J_samples(lo, hi, exhaust_spec)
-    rep = est.main_odi_check(lo, hi, exhaust_spec, Js, compute_Q(exhaust_spec).Q)
-    assert rep.passed
+    rows = est.main_odi_check(lo, hi, exhaust_spec, Js, compute_Q(exhaust_spec).Q)
     assert Js[0] == 0.0  # equal initial data
     assert all(j >= 0.0 for j in Js)
-    assert min(r.margin for r in rep.rows) > 1.0
+    assert min(r.margin for r in rows) > 1.0
 
 
 def test_odi_refuses_unordered_pair(crossing_pair, exhaust_spec):
@@ -317,71 +319,81 @@ def test_holder_step_discrete(model_pair, exhaust_pair, exhaust_spec):
 # ------------------------------------------------------------ area estimates
 
 
-def test_interior_area_on_exhaustion_pair(exhaust_pair):
+def _lemma_term(spec, t):
+    # C_L [t/(s0 (log s0 - log S)^gamma)]^p: the envelope without its initial term
+    p = 1.0 / (1.0 + spec.gamma)
+    denom = spec.s0 * (math.log(spec.s0) - math.log(spec.S)) ** spec.gamma
+    return est.lemma_constant(spec.gamma) * (t / denom) ** p
+
+
+def test_interior_area_on_exhaustion_pair(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
-    cert = est.interior_area_verify(lo, hi, 0.55, 0.25)
-    assert cert.passed
-    # default R inverts the s_min = S/4 truncation rule
-    assert cert.R == pytest.approx(math.exp(-4.0 * lo.grid.s_min), rel=1e-12)
-    assert cert.initial_term == 0.0  # equal initial data
-    assert cert.rows[0].lhs == 0.0 and cert.rows[0].rhs == 0.0
-    assert all(r.margin > 1.0 for r in cert.rows[1:])
-    assert cert.constant == pytest.approx(C_LEMMA[0.25], rel=1e-12)
+    rows = est.interior_area_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
+    assert [r.time for r in rows] == list(lo.times)
+    assert rows[0].lhs == 0.0 and rows[0].rhs == 0.0
+    assert all(r.margin > 1.0 for r in rows[1:])
+    # equal initial data, so the initial term is 0 and the envelope is the
+    # lemma term alone, with the frozen C_L
+    assert est.lemma_constant(0.25) == pytest.approx(C_LEMMA[0.25], rel=1e-12)
+    for r in rows:
+        assert r.rhs == pytest.approx(_lemma_term(exhaust_spec, r.time), rel=1e-12)
 
 
 def test_interior_area_on_model_pair(model_pair):
     tg, tG = model_pair
-    cert = est.interior_area_verify(tg, tG, 0.55, 0.25, R=math.exp(-0.18))
-    assert cert.passed
-    assert cert.initial_term > 0.0  # different data already at the first sample
+    spec = CutoffSpec(0.55, math.exp(-0.18), 0.25)
+    rows = est.interior_area_verify(tg, tG, 0.55, 0.25, spec.R)
+    assert all(r.margin >= 0.0 for r in rows)
+    # different data already at the first sample: a positive initial term
+    assert rows[0].rhs - _lemma_term(spec, rows[0].time) > 0.0
 
 
-def test_interior_area_trivial_identical(exhaust_pair):
+def test_interior_area_trivial_identical(exhaust_pair, exhaust_spec):
     lo, _ = exhaust_pair
-    cert = est.interior_area_verify(lo, lo, 0.55, 0.25)
-    assert cert.passed
-    assert all(r.lhs == 0.0 for r in cert.rows)
+    rows = est.interior_area_verify(lo, lo, 0.55, 0.25, exhaust_spec.R)
+    assert all(r.lhs == 0.0 and r.margin >= 0.0 for r in rows)
 
 
-def test_interior_area_domain_errors(exhaust_pair):
+def test_interior_area_domain_errors(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
     with pytest.raises(ValueError, match="R must"):
         # r0 = 0.75 needs R > 0.75^(1/3) ~ 0.908, above the grid-implied R
-        est.interior_area_verify(lo, hi, 0.75, 0.25)
+        est.interior_area_verify(lo, hi, 0.75, 0.25, exhaust_spec.R)
     with pytest.raises(ValueError, match="gamma"):
-        est.interior_area_verify(lo, hi, 0.55, 0.75)
+        est.interior_area_verify(lo, hi, 0.55, 0.75, exhaust_spec.R)
 
 
-def test_interior_area_refuses_unordered(crossing_pair):
+def test_interior_area_refuses_unordered(crossing_pair, exhaust_spec):
     a, b = crossing_pair
     with pytest.raises(ValueError, match="not ordered"):
-        est.interior_area_verify(a, b, 0.55, 0.25)
+        est.interior_area_verify(a, b, 0.55, 0.25, exhaust_spec.R)
 
 
-def test_volume_excess_reduces_to_interior_area_when_ordered(exhaust_pair):
+def test_volume_excess_reduces_to_interior_area_when_ordered(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
-    cert = est.interior_area_verify(lo, hi, 0.55, 0.25)
-    vex = est.volume_excess_verify(lo, hi, 0.55, 0.25)
-    for a, b in zip(cert.rows, vex.rows):
+    cert = est.interior_area_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
+    vex = est.volume_excess_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
+    assert [r.inequality for r in vex] == ["volume-excess"] * len(cert)
+    for a, b in zip(cert, vex):
         assert b.lhs == pytest.approx(a.lhs, rel=1e-10, abs=1e-13)
         assert b.rhs == pytest.approx(a.rhs, rel=1e-12)
 
 
-def test_volume_excess_identical_is_zero(exhaust_pair):
+def test_volume_excess_identical_is_zero(exhaust_pair, exhaust_spec):
     lo, _ = exhaust_pair
-    vex = est.volume_excess_verify(lo, lo, 0.55, 0.25)
-    assert all(r.lhs == 0.0 for r in vex.rows)
+    vex = est.volume_excess_verify(lo, lo, 0.55, 0.25, exhaust_spec.R)
+    assert all(r.lhs == 0.0 for r in vex)
 
 
-def test_volume_excess_on_crossing_pair(crossing_pair):
+def test_volume_excess_on_crossing_pair(crossing_pair, exhaust_spec):
     # genuine crossing: neither ordering holds, yet the positive-part
     # certificate goes through
     a, b = crossing_pair
     assert not check_order_preservation(a, b).ordered
     assert not check_order_preservation(b, a).ordered
-    vex = est.volume_excess_verify(a, b, 0.55, 0.25)
-    assert vex.passed
-    assert any(r.lhs > 0.0 for r in vex.rows)
+    vex = est.volume_excess_verify(a, b, 0.55, 0.25, exhaust_spec.R)
+    assert all(r.margin >= 0.0 for r in vex)
+    assert any(r.lhs > 0.0 for r in vex)
 
 
 # ------------------------------------------------- curvature monotonicity
@@ -392,28 +404,25 @@ def test_curvature_check_flat_static():
     st0 = model_state(FlatDisc, g)
     sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
     traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
-    rep = est.curvature_monotonicity_check(traj)
-    assert rep.precondition_ok
-    assert rep.monotone
-    assert rep.max_increase < 0.0  # e^{-2t} U strictly decreasing
+    (row,) = est.curvature_monotonicity_check(traj, "damped-monotone-g")  # gate passed
+    assert (row.time, row.inequality) == (0.3, "damped-monotone-g")
+    assert row.margin >= 0.0
+    assert row.lhs < 0.0  # e^{-2t} U strictly decreasing
 
 
 def test_curvature_check_bigbang_late_times():
     g = LogPolarGrid.uniform(0.5, 3.0, 4001)
     tb, _ = exact_pair(g, (0.5, 0.75, 1.0))
-    rep = est.curvature_monotonicity_check(tb)
-    assert rep.precondition_ok  # K = -1/(2t) >= -1 for t >= 1/2
-    assert rep.monotone
-    assert rep.max_increase <= 0.0
+    (row,) = est.curvature_monotonicity_check(tb, "damped-monotone-g")  # K = -1/(2t) >= -1 for t >= 1/2
+    assert row.margin >= 0.0
+    assert row.lhs <= 0.0
 
 
 def test_curvature_gate_blocks_early_bigbang():
     g = LogPolarGrid.uniform(0.5, 3.0, 401)
     tb, _ = exact_pair(g, (0.2, 0.3))
-    rep = est.curvature_monotonicity_check(tb)
-    assert not rep.precondition_ok
-    assert rep.min_curvature < -2.0
-    assert rep.monotone is None and rep.max_increase is None
+    assert est.curvature_monotonicity_check(tb, "damped-monotone-g") == ()
+    assert min(float(np.min(gauss_curvature(st))) for st in tb.states) < -2.0
 
 
 # ----------------------------------------------------------------- reporting
@@ -489,7 +498,9 @@ def test_full_report_dominating_ramps_all_pass(exhaust_spec):
     hi = evolve(st0, BoundarySchedule.ramp(st0, 10.0 * two_H), cfg, 0.1, sample_times=ts)
     rep = est.full_report(lo, hi, exhaust_spec)
     assert rep.passed
-    assert rep.rows_for("u-inverse-bound")  # barrier holds, so bound asserted
+    # barrier holds, so the bound is asserted at every sample time but t = 0,
+    # where it is vacuous
+    assert [r.time for r in rep.rows_for("u-inverse-bound")] == ts
 
 
 def test_full_report_crossing_pair_falls_back(crossing_pair, exhaust_spec):

@@ -1,0 +1,77 @@
+"""Golden digests of every artifact the shipped commands write.
+
+The nine commands below are the shipped configs of each subcommand. Their
+23 artifacts are byte-identical across refactors, so each file's SHA-256 is
+compared with the digest recorded when the tree was last allowed to move
+output bytes. Floats depend on the numpy and scipy builds, so the test skips,
+naming both versions, on any other pair than the one the digests were
+recorded with.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy
+import pytest
+import scipy
+
+from logdiff.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
+
+GOLDEN = {
+    "lo/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
+    "lo/snap_001.txt": "3789c496f58e94126012f89ad60b26974d4e193a2fd022ffd618805e6311c10d",
+    "lo/snap_002.txt": "de0850c900221cdb1ed07664d744d6f16e2d628eff229114f1490d8284ed279d",
+    "lo/snap_003.txt": "72ccd5467cdde136a32a107394eef7ae007e08b330f086907b2de8f49c7ec715",
+    "lo/snap_004.txt": "0c84cd6f94324b935c8c0c72c859788bff2361848791c50921c77d4809129104",
+    "lo/snap_005.txt": "5c6d6aea1846808cb980e6e7c6a94aa76f1c3a2ff9f45b43d22d7afd1203c8c0",
+    "lo/snap_manifest.csv": "f36867ca2755b6483afbea91521aaf564142fe8f5b2779f9f977fc88d9530762",
+    "hi/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
+    "hi/snap_001.txt": "5f3a14ecd0ef2ddb1dfb0c1bbdbffe42eb442230c6740aa0b023638480a90909",
+    "hi/snap_002.txt": "ffcaa8094523e57f68abf8ff34bde31ae85da0e96fc484852db9913dcdbd38fb",
+    "hi/snap_003.txt": "00b63764ebb4d5a5d97a2b99931af2f70ce7b202d5427229969d3e6d38254f66",
+    "hi/snap_004.txt": "9080c2965f94521701564225d2ff7acdd4b6cbec90c47d9ffb1ff75cf2224334",
+    "hi/snap_005.txt": "077ef0ce254d8ceaa87337d55b413ca78dc86904fb50d98deacc7e6236a4dd21",
+    "hi/snap_manifest.csv": "e8476656da33eaf950546213a06b1264519a4baee8dc09373ca528a7ecc5ee28",
+    "verify/verify_report.csv": "0a565bdb52ad953d0a4aea55036eb3bdceb3e830da74c177bfc42aa696ff809f",
+    "exact/exact_suite.csv": "2317d9d100eed57dea7c7beb0946a33357ce4ccaab5ca7a0ceba01cf202810ed",
+    "q/q_sweep.csv": "45a8e36f8f1d8b5d7655080eeeea71134a9ed4e9a07d1a88381d246d15684aed",
+    "qc/q_sweep.csv": "c0d5614b13012a4fd873694d15cd2e7047daf2a7460ead422db12e01989496ba",
+    "u/uniqueness.csv": "6d644cccda0000295dc7dd60d905565e251996b4d909823e9f8f7aaa295d9932",
+    "u/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
+    "us/uniqueness.csv": "6d644cccda0000295dc7dd60d905565e251996b4d909823e9f8f7aaa295d9932",
+    "us/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
+    "bl/boundary_layer.csv": "dcd9a227c9b595422fe2a18a45541f0cadc57b108e66e3ac48a8da73bfc6ab3b",
+}
+
+
+def _commands(out):
+    lo, hi = str(CONFIGS / "exhaustion_lo.ini"), str(CONFIGS / "exhaustion_hi.ini")
+    return (
+        ["simulate", "--config", lo, "--out", f"{out}/lo"],
+        ["simulate", "--config", hi, "--out", f"{out}/hi"],
+        ["verify", f"{out}/lo/snap_manifest.csv", f"{out}/hi/snap_manifest.csv",
+         "--config", lo, "--out", f"{out}/verify"],
+        ["exact-suite", "--out", f"{out}/exact"],
+        ["q-sweep", "--out", f"{out}/q"],
+        ["q-sweep", "--config", str(CONFIGS / "q_sweep_custom.ini"), "--out", f"{out}/qc"],
+        ["uniqueness", "--out", f"{out}/u"],
+        ["uniqueness", "--config", str(CONFIGS / "uniqueness_small.ini"), "--out", f"{out}/us"],
+        ["boundary-layer", "--out", f"{out}/bl"],
+    )
+
+
+def test_shipped_artifacts_match_recorded_digests(tmp_path):
+    versions = (numpy.__version__, scipy.__version__)
+    if versions != RECORDED_WITH:
+        pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
+                    f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
+    for argv in _commands(tmp_path):
+        assert main(argv) == 0, argv
+    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == set(GOLDEN)
+    moved = sorted(name for name, digest in GOLDEN.items()
+                   if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest)
+    assert moved == []

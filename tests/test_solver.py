@@ -350,7 +350,7 @@ def test_schedule_constructors_validate():
     sched = BoundarySchedule.ramp(st0, 100.0)
     assert sched.inner(0.0) == 2.0  # ramp below initial data at t=0
     assert sched.inner(1.0) == 100.0
-    assert sched.ramp_k == 100.0
+    assert sched.inner(2.0) == 200.0  # slope k
 
 
 # ------------------------------------------------------------ batched runs

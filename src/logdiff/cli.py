@@ -15,6 +15,9 @@ import math
 import os
 import sys
 
+# set before numpy loads: numpy's and scipy's OpenBLAS thread pools slow start-up, get no work
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import ConfigError, ExperimentConfig, parse_config
 from .cutoff import CutoffSpec
 from .estimates import full_report
@@ -130,6 +133,8 @@ def _cmd_verify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify_report.csv")
     report.write_csv(path)
+    for family, why in report.gated.items():
+        print(f"note: {family} gated off, no rows: {why}", file=sys.stderr)
     worst = report.worst
     skipped = sum(r.vacuous for r in report.rows)
     if worst is None:

@@ -101,6 +101,8 @@ class InequalityRow:
 class EstimateReport:
     rows: tuple
     meta: dict = field(default_factory=dict)
+    # family -> why its precondition failed and it wrote no rows; not in the CSV
+    gated: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -284,6 +286,11 @@ def pointwise_u_inverse_bound(
     over the whole trajectory; otherwise the bound is not asserted and no
     rows are returned.
     """
+    return _u_inverse_rows(traj, s0, barrier_tol)[0]
+
+
+def _u_inverse_rows(traj: Trajectory, s0: float = math.log(2.0), barrier_tol: float = 1e-9):
+    # (rows, None), or ((), why the barrier gate is shut)
     if s0 > math.log(2.0) + 1e-12:
         raise ValueError("s0 must not exceed log 2")
     s = traj.grid.nodes
@@ -292,31 +299,40 @@ def pointwise_u_inverse_bound(
         raise ValueError("no grid nodes below s0")
     # the bound is claimed on (0, s0), so that is where the barrier must hold
     worst = max(r.lhs for r in lower_barrier_check(traj, s_to=s0))
-    scale = max(1.0, float(np.max(traj.states[0].values)))
-    if worst > barrier_tol * scale:
-        return ()
+    tol = barrier_tol * max(1.0, float(np.max(traj.states[0].values)))
+    if worst > tol:
+        return (), (f"lower barrier on (0, {s0:.4g}) fails by {worst:.3e} "
+                    f"(tolerance {tol:.3e})")
     c_s2 = INV_SQUARE_CONSTANT * s[mask] ** 2
     return tuple(
         InequalityRow(float(st.time), "u-inverse-bound",
                       -float(np.min(c_s2 / st.time - 1.0 / st.values[mask])), 0.0)
         for st in traj.states if st.time > 0.0
-    )
+    ), None
 
 
 # ------------------------------------------------------------------ main ODI
 
 
-def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float) -> tuple:
+def _require_ordered(traj_g, traj_G, order) -> None:
+    if order is None:
+        order = check_order_preservation(traj_g, traj_G)
+    if not order.ordered:
+        raise ValueError("pair is not ordered; use volume_excess_verify")
+
+
+def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float, order=None) -> tuple:
     """main-odi rows: the integrated flux inequality between consecutive
     sample times, one row at each later time t2,
 
         J^p(t2) - J^p(t1) <= C* (t2^p - t1^p) Q^p,   p = 1/(1+gamma),
 
     with Js the pair's J_samples and Q = compute_Q(cutoff).Q.  Refuses
-    unordered pairs; those belong to volume_excess_verify.
+    unordered pairs; those belong to volume_excess_verify.  order, the
+    pair's check_order_preservation report if the caller has one, saves
+    checking the order again.
     """
-    if not check_order_preservation(traj_g, traj_G).ordered:
-        raise ValueError("pair is not ordered; use volume_excess_verify")
+    _require_ordered(traj_g, traj_G, order)
     _check_J_table(traj_g, Js)
     gamma = cutoff.gamma
     p = 1.0 / (1.0 + gamma)
@@ -400,17 +416,17 @@ def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: 
     return tuple(rows)
 
 
-def interior_area_verify(traj_g, traj_G, r0: float, gamma: float, R: float) -> tuple:
+def interior_area_verify(traj_g, traj_G, r0: float, gamma: float, R: float, order=None) -> tuple:
     """interior-area rows, one per sample time: the area-difference
     certificate over the disc D_{r0},
 
         [Vol_G D_{r0} - Vol_g D_{r0}]^p <= [Vol_G(0) D_R - Vol_g(0) D_R]^p
                                            + C_L [t/(s0 (log s0 - log S)^gamma)]^p
 
-    with p = 1/(1+gamma), S = -log R, s0 = -log r0.  Requires an ordered pair.
+    with p = 1/(1+gamma), S = -log R, s0 = -log r0.  Requires an ordered
+    pair; order is as in main_odi_check.
     """
-    if not check_order_preservation(traj_g, traj_G).ordered:
-        raise ValueError("pair is not ordered; use volume_excess_verify")
+    _require_ordered(traj_g, traj_G, order)
     return _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part=False, label="interior-area")
 
 
@@ -432,9 +448,14 @@ def curvature_monotonicity_check(
     sample time: lhs = the largest increase of e^{-2t} U between consecutive
     sample times over all nodes, rhs = monotone_tol.  A curvature dip below
     -1 - curvature_tol gates the check off: no rows."""
-    kmin = min(float(np.min(gauss_curvature(st))) for st in traj.states)
+    return _curvature_rows(traj, label, curvature_tol, monotone_tol)[0]
+
+
+def _curvature_rows(traj: Trajectory, label: str, curvature_tol: float = 1e-6, monotone_tol=None):
+    # (rows, None), or ((), why the curvature gate is shut)
+    kmin, t_min = min((float(np.min(gauss_curvature(st))), st.time) for st in traj.states)
     if kmin < -1.0 - curvature_tol:
-        return ()
+        return (), f"K_min = {kmin:.4g} < -1 at t={t_min:g}"
     if monotone_tol is None:
         scale = max(1.0, float(np.max(traj.states[0].values)))
         monotone_tol = 10.0 * traj.config.newton_tol * scale
@@ -445,7 +466,7 @@ def curvature_monotonicity_check(
         if prev is not None:
             worst = max(worst, float(np.max(damped - prev)))
         prev = damped
-    return (InequalityRow(float(traj.states[-1].time), label, worst, monotone_tol),)
+    return (InequalityRow(float(traj.states[-1].time), label, worst, monotone_tol),), None
 
 
 # ------------------------------------------------------------- full report
@@ -459,7 +480,8 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     A pair given larger flow first raises ValueError: read as a crossing
     pair it would drop the ordered certificates and pass on a volume excess
     that is zero by construction.  The 1/U bound and curvature monotonicity
-    add rows only when their preconditions hold.  A pair with fewer than two
+    add rows only when their preconditions hold; report.gated names each
+    family that wrote no rows and why.  A pair with fewer than two
     sample times raises ValueError: it holds no evolved state to certify.
     J is computed once per sample time and Q once per report; the checks
     share them.
@@ -474,6 +496,7 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
         )
     gamma = cutoff.gamma
     rows = []
+    gated = {}
     times = [float(t) for t in traj_g.times]
     Js = J_samples(traj_g, traj_G, cutoff)
     Q = compute_Q(cutoff)
@@ -488,14 +511,24 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
                 traj_g.state_at(t), s0_disc, s_hi
             )
             rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
-        rows += main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q)
-        rows += interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
+        rows += main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q, order=order)
+        rows += interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R, order=order)
+    else:
+        why = (f"pair not ordered: g exceeds G by up to {order.max_violation:.3e} "
+               f"at t={order.worst_time:g}")
+        gated.update(dict.fromkeys(
+            ("J-nonnegative", "area-diff-below-J", "main-odi", "interior-area"), why))
     rows += volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
     # the chain only consumes the barrier on the cut-off support [S, s_max]
     rows += lower_barrier_check(traj_g, s_from=cutoff.S)
     s = traj_g.grid.nodes
     if np.any((s > 0.0) & (s < math.log(2.0))):
-        rows += pointwise_u_inverse_bound(traj_g)
+        gate_rows, why = _u_inverse_rows(traj_g)
+    else:
+        gate_rows, why = (), "no grid nodes in (0, log 2)"
+    rows += gate_rows
+    if why:
+        gated["u-inverse-bound"] = why
 
     for k in range(1, len(times) - 1):
         t = times[k]
@@ -508,8 +541,11 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
         budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
         rows.append(InequalityRow(t, "djdt-identity", rep.discrepancy, budget))
 
-    rows += curvature_monotonicity_check(traj_g, "damped-monotone-g")
-    rows += curvature_monotonicity_check(traj_G, "damped-monotone-G")
+    for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
+        gate_rows, why = _curvature_rows(traj, label)
+        rows += gate_rows
+        if why:
+            gated[label] = why
 
     meta = {
         "r0": cutoff.r0,
@@ -520,4 +556,4 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
         "C_L": lemma_constant(gamma),
         "ordered": order.ordered,
     }
-    return EstimateReport(rows=tuple(rows), meta=meta)
+    return EstimateReport(rows=tuple(rows), meta=meta, gated=gated)

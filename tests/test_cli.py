@@ -1,6 +1,7 @@
 """Exit-code semantics and artifact round trips for the command line."""
 
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -209,6 +210,33 @@ def test_bare_import_loads_no_runner_and_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _fresh_interpreter(module, **env):
+    # imports module in a new process with OPENBLAS_NUM_THREADS unset unless
+    # given; prints the variable and the thread count (None without /proc)
+    code = (f"import os, {module}; task = '/proc/self/task'; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "len(os.listdir(task)) if os.path.isdir(task) else None)")
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**child_env, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_cli_import_starts_no_openblas_worker_threads():
+    variable, threads = _fresh_interpreter("logdiff.cli")
+    assert variable == "1"
+    assert threads in ("1", "None")
+
+
+def test_cli_import_keeps_a_callers_openblas_setting():
+    assert _fresh_interpreter("logdiff.cli", OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_bare_import_leaves_openblas_setting_alone():
+    assert _fresh_interpreter("logdiff")[0] == "None"
+
+
 def test_missing_manifest_exits_three(tmp_path):
     rc = main(["verify", "nope.csv", "also_nope.csv", "--out", str(tmp_path)])
     assert rc == 3
@@ -321,7 +349,12 @@ def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
         "--out", str(tmp_path / "ver"),
     ])
     assert rc == 0
-    assert capsys.readouterr().err == ""
+    # no config note; the only notes name the families the pair gates off,
+    # because the ramps pull K below -1 first at t = 0.02
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": K_min = ")[0] for line in err] == [
+        "note: damped-monotone-g gated off, no rows", "note: damped-monotone-G gated off, no rows"]
+    assert all(line.endswith(" < -1 at t=0.02") for line in err)
     # the shipped manifests pass the index and time checks of load_trajectory
     for run in ("lo", "hi"):
         traj = load_trajectory(tmp_path / run / "snap_manifest.csv")
@@ -346,7 +379,8 @@ def _verify_shipped(pair, out):
 
 
 def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_path, monkeypatch):
-    calls = {"compute_J": 0, "compute_Q": 0, "lower_barrier_check": 0}
+    calls = {"compute_J": 0, "compute_Q": 0, "lower_barrier_check": 0,
+             "check_order_preservation": 0}
 
     def count(name):
         fn = getattr(estimates, name)
@@ -360,10 +394,13 @@ def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_pat
     count("compute_J")
     count("compute_Q")
     count("lower_barrier_check")
+    count("check_order_preservation")
     assert _verify_shipped(shipped_pair, tmp_path / "ver") == 0
     # 6 sample times, one report; the barrier runs once for its rows and
-    # once as the gate of the 1/U bound
-    assert calls == {"compute_J": 6, "compute_Q": 1, "lower_barrier_check": 2}
+    # once as the gate of the 1/U bound; the ordered certificates reuse the
+    # report's one order check
+    assert calls == {"compute_J": 6, "compute_Q": 1, "lower_barrier_check": 2,
+                     "check_order_preservation": 1}
 
 
 def test_verify_headline_skips_rows_that_read_zero_le_zero(shipped_pair, tmp_path, capsys):

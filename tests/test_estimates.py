@@ -463,6 +463,9 @@ def test_full_report_on_exhaustion_pair(exhaust_pair, exhaust_spec, tmp_path):
     assert any(r.margin < 0.0 for r in rep.rows_for("lower-barrier"))
     assert not rep.passed
     assert rep.worst.inequality == "lower-barrier"
+    # the broken barrier also shuts the gate of the 1/U bound, and says so
+    assert rep.rows_for("u-inverse-bound") == ()
+    assert rep.gated["u-inverse-bound"].startswith("lower barrier on (0, 0.6931) fails by ")
 
     path = tmp_path / "report.csv"
     rep.write_csv(path)
@@ -501,6 +504,7 @@ def test_full_report_dominating_ramps_all_pass(exhaust_spec):
     # barrier holds, so the bound is asserted at every sample time but t = 0,
     # where it is vacuous
     assert [r.time for r in rep.rows_for("u-inverse-bound")] == ts
+    assert "u-inverse-bound" not in rep.gated
 
 
 def test_full_report_crossing_pair_falls_back(crossing_pair, exhaust_spec):
@@ -510,5 +514,7 @@ def test_full_report_crossing_pair_falls_back(crossing_pair, exhaust_spec):
         assert not rep.meta["ordered"]
         assert rep.rows_for("main-odi") == ()
         assert rep.rows_for("interior-area") == ()
+        for name in ("J-nonnegative", "area-diff-below-J", "main-odi", "interior-area"):
+            assert rep.gated[name].startswith("pair not ordered: g exceeds G by up to ")
         rows = rep.rows_for("volume-excess")
         assert rows and all(r.margin >= 0.0 for r in rows)

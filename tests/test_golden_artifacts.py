@@ -6,16 +6,22 @@ compared with the digest recorded when the tree was last allowed to move
 output bytes. Floats depend on the numpy and scipy builds, so the test skips,
 naming both versions, on any other pair than the one the digests were
 recorded with.
+
+The commands run in one fresh interpreter that imports `logdiff.cli` before
+numpy, as the console script does, so they run with the CLI's start-up
+settings (single-threaded OpenBLAS), as users do.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy
 import pytest
 import scipy
-
-from logdiff.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
@@ -47,6 +53,11 @@ GOLDEN = {
 }
 
 
+# main's exit codes, one per command, as the last stdout line
+_RUN_ALL = ("import json, sys; from logdiff.cli import main; "
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+
+
 def _commands(out):
     lo, hi = str(CONFIGS / "exhaustion_lo.ini"), str(CONFIGS / "exhaustion_hi.ini")
     return (
@@ -68,8 +79,12 @@ def test_shipped_artifacts_match_recorded_digests(tmp_path):
     if versions != RECORDED_WITH:
         pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
                     f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
-    for argv in _commands(tmp_path):
-        assert main(argv) == 0, argv
+    commands = _commands(tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
     assert written == set(GOLDEN)
     moved = sorted(name for name, digest in GOLDEN.items()

@@ -116,7 +116,7 @@ def _cmd_simulate(args) -> int:
     traj = evolve(st0, schedule, solver_config, T, sample_times=samples)
     s_lo, s_hi = cfg.grid_bounds(R)
     os.makedirs(args.out, exist_ok=True)
-    manifest = save_trajectory(traj, args.out, stem="snap", hash_payload=cfg.config_hash)
+    manifest = save_trajectory(traj, args.out, cfg.config_hash)
     print(f"  {len(traj.states)} snapshots (k={k:g}, window [{s_lo:.4g}, {s_hi:.4g}])")
     print(f"  manifest: {manifest}")
     print("simulate: DONE")

@@ -129,10 +129,12 @@ def validate(cfg: ExperimentConfig) -> list:
             errors.append(f"sample time {t:g} outside (0, T]")
     if any(b <= a for a, b in zip(cfg.sample_times, cfg.sample_times[1:])):
         errors.append("sample times must be strictly increasing")
-    if not cfg.R_list:
-        errors.append("cutoff R list must not be empty")
-    if not cfg.gamma_list:
-        errors.append("cutoff gamma list must not be empty")
+    # a repeated R or gamma would run the same members twice and write twin rows
+    for name, values in (("R", cfg.R_list), ("gamma", cfg.gamma_list)):
+        if not values:
+            errors.append(f"cutoff {name} list must not be empty")
+        elif len(set(values)) < len(values):
+            errors.append(f"cutoff {name} values must be distinct")
     # range checks via CutoffSpec so messages cite the library invariant
     seen = set()
     for R in cfg.R_list:

@@ -308,17 +308,18 @@ def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12)
 
 
 @lru_cache(maxsize=None)
-def _q_near(gamma: float, tol: float) -> tuple:
+def _q_near(gamma: float) -> tuple:
     """(value, error) of the near part int_1^{e^2} of the beta integral.
 
-    It depends on gamma and tol alone, so a sweep over R integrates it once
-    per gamma per process.
+    It depends on gamma alone, so a sweep over R integrates it once per
+    gamma per process.
     """
-    return _q_integral_beta(gamma, 1.0, math.exp(2.0), tol)
+    return _q_integral_beta(gamma, 1.0, math.exp(2.0))
 
 
-def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:
-    """Adaptive quadrature of Q with the substitution beta = sigma/a.
+def compute_Q(spec: CutoffSpec) -> QReport:
+    """Adaptive quadrature of Q with the substitution beta = sigma/a, to
+    absolute and relative tolerance 1e-12.
 
     In beta coordinates Q = (2/s0) (-log a)^{-1} int_1^{1/a} beta^{gamma-1}
     (beta log beta - beta + 1)^{-gamma} dbeta, which removes every power of a
@@ -326,26 +327,24 @@ def compute_Q(spec: CutoffSpec, tol: float = 1e-12) -> QReport:
     into the near part Q2 (sigma of order a) and the far part Q1, mirroring
     the two-regime estimate; otherwise the single-range value is reported
     with Q1 = 0.  The near part does not involve a, so it comes from the
-    per-process cache _q_near: integrated once per (gamma, tol).  Only the
+    per-process cache _q_near: integrated once per gamma.  Only the
     far part and the single-range integral are computed per call; the
     q-sweep cross-check of the split is a separate whole-range quadrature
     that never goes through the cache.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     a, gamma = spec.a, spec.gamma
     prefactor = (2.0 / spec.s0) / (-math.log(a))
     b_max = 1.0 / a
     split = math.exp(2.0) * a < 1.0
     if split:
-        near, err_near = _q_near(gamma, tol)
-        far, err_far = _q_integral_beta(gamma, math.exp(2.0), b_max, tol)
+        near, err_near = _q_near(gamma)
+        far, err_far = _q_integral_beta(gamma, math.exp(2.0), b_max)
         q2 = prefactor * near
         q1 = prefactor * far
         q = q1 + q2
         err = prefactor * (err_near + err_far)
     else:
-        whole, err_whole = _q_integral_beta(gamma, 1.0, b_max, tol)
+        whole, err_whole = _q_integral_beta(gamma, 1.0, b_max)
         q = prefactor * whole
         q1, q2 = 0.0, q
         err = prefactor * err_whole

@@ -2,8 +2,10 @@
 
 Everything here consumes immutable trajectories. Each certificate returns a
 tuple of InequalityRow labelled as in verify_report.csv, each row carrying
-both sides of its inequality and the margin rhs - lhs; a certificate whose
-precondition fails returns none. full_report concatenates them.
+both sides of its inequality and the margin rhs - lhs. The two gated ones,
+pointwise_u_inverse_bound and curvature_monotonicity_check, return
+(rows, why): no rows when their precondition fails, and why says so.
+full_report concatenates them.
 djdt_identity_check alone returns the identity's three terms (DjdtReport),
 which full_report turns into a djdt-identity row with its error budget.
 
@@ -30,7 +32,7 @@ from .geometry import (
     hyperbolic_factor,
 )
 from .snapshots import write_rows_csv
-from .solver import Trajectory, _check_pair, check_order_preservation
+from .solver import NEWTON_TOL, Trajectory, _check_pair, check_order_preservation
 
 __all__ = [
     "DjdtReport",
@@ -276,32 +278,25 @@ def lower_barrier_check(
     )
 
 
-def pointwise_u_inverse_bound(
-    traj: Trajectory, s0: float = math.log(2.0), barrier_tol: float = 1e-9
-) -> tuple:
-    """u-inverse-bound rows, one per sample time t > 0: lhs = max over nodes
-    in (0, s0) of 1/U - C s^2/t, C = 9/(32 log^2 2), against rhs = 0.
+def pointwise_u_inverse_bound(traj: Trajectory) -> tuple:
+    """(rows, why): u-inverse-bound rows, one per sample time t > 0, with
+    lhs = max over nodes in (0, log 2) of 1/U - C s^2/t, C = 9/(32 log^2 2),
+    against rhs = 0, and why None.
 
-    Requires the lower barrier to hold (up to barrier_tol, scaled) on (0, s0)
-    over the whole trajectory; otherwise the bound is not asserted and no
-    rows are returned.
+    The bound needs a grid node in (0, log 2) and the lower barrier on
+    (0, log 2) over the whole trajectory, up to 1e-9 max(1, max U(0)); when
+    either fails, rows is empty and why says which.
     """
-    return _u_inverse_rows(traj, s0, barrier_tol)[0]
-
-
-def _u_inverse_rows(traj: Trajectory, s0: float = math.log(2.0), barrier_tol: float = 1e-9):
-    # (rows, None), or ((), why the barrier gate is shut)
-    if s0 > math.log(2.0) + 1e-12:
-        raise ValueError("s0 must not exceed log 2")
+    log2 = math.log(2.0)
     s = traj.grid.nodes
-    mask = (s > 0.0) & (s < s0)
+    mask = (s > 0.0) & (s < log2)
     if not np.any(mask):
-        raise ValueError("no grid nodes below s0")
-    # the bound is claimed on (0, s0), so that is where the barrier must hold
-    worst = max(r.lhs for r in lower_barrier_check(traj, s_to=s0))
-    tol = barrier_tol * max(1.0, float(np.max(traj.states[0].values)))
+        return (), "no grid nodes in (0, log 2)"
+    # the bound is claimed on (0, log 2), so that is where the barrier must hold
+    worst = max(r.lhs for r in lower_barrier_check(traj, s_to=log2))
+    tol = 1e-9 * max(1.0, float(np.max(traj.states[0].values)))
     if worst > tol:
-        return (), (f"lower barrier on (0, {s0:.4g}) fails by {worst:.3e} "
+        return (), (f"lower barrier on (0, {log2:.4g}) fails by {worst:.3e} "
                     f"(tolerance {tol:.3e})")
     c_s2 = INV_SQUARE_CONSTANT * s[mask] ** 2
     return tuple(
@@ -441,24 +436,16 @@ def volume_excess_verify(traj_g, traj_G, r0: float, gamma: float, R: float) -> t
 # ------------------------------------------------- damped-factor monotonicity
 
 
-def curvature_monotonicity_check(
-    traj: Trajectory, label: str, curvature_tol: float = 1e-6, monotone_tol: float | None = None
-) -> tuple:
-    """If K >= -1 at every sampled state, one row named label at the last
-    sample time: lhs = the largest increase of e^{-2t} U between consecutive
-    sample times over all nodes, rhs = monotone_tol.  A curvature dip below
-    -1 - curvature_tol gates the check off: no rows."""
-    return _curvature_rows(traj, label, curvature_tol, monotone_tol)[0]
-
-
-def _curvature_rows(traj: Trajectory, label: str, curvature_tol: float = 1e-6, monotone_tol=None):
-    # (rows, None), or ((), why the curvature gate is shut)
+def curvature_monotonicity_check(traj: Trajectory, label: str) -> tuple:
+    """(rows, why).  If K >= -1 - 1e-6 at every sampled state, rows is one
+    row named label at the last sample time, with lhs = the largest increase
+    of e^{-2t} U between consecutive sample times over all nodes and
+    rhs = 10 NEWTON_TOL max(1, max U(0)), and why is None.  A curvature dip
+    below that gates the check off: no rows, and why gives K_min."""
     kmin, t_min = min((float(np.min(gauss_curvature(st))), st.time) for st in traj.states)
-    if kmin < -1.0 - curvature_tol:
+    if kmin < -1.0 - 1e-6:
         return (), f"K_min = {kmin:.4g} < -1 at t={t_min:g}"
-    if monotone_tol is None:
-        scale = max(1.0, float(np.max(traj.states[0].values)))
-        monotone_tol = 10.0 * traj.config.newton_tol * scale
+    tol = 10.0 * NEWTON_TOL * max(1.0, float(np.max(traj.states[0].values)))
     worst = -math.inf
     prev = None
     for st in traj.states:
@@ -466,7 +453,7 @@ def _curvature_rows(traj: Trajectory, label: str, curvature_tol: float = 1e-6, m
         if prev is not None:
             worst = max(worst, float(np.max(damped - prev)))
         prev = damped
-    return (InequalityRow(float(traj.states[-1].time), label, worst, monotone_tol),), None
+    return (InequalityRow(float(traj.states[-1].time), label, worst, tol),), None
 
 
 # ------------------------------------------------------------- full report
@@ -521,11 +508,7 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     rows += volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
     # the chain only consumes the barrier on the cut-off support [S, s_max]
     rows += lower_barrier_check(traj_g, s_from=cutoff.S)
-    s = traj_g.grid.nodes
-    if np.any((s > 0.0) & (s < math.log(2.0))):
-        gate_rows, why = _u_inverse_rows(traj_g)
-    else:
-        gate_rows, why = (), "no grid nodes in (0, log 2)"
+    gate_rows, why = pointwise_u_inverse_bound(traj_g)
     rows += gate_rows
     if why:
         gated["u-inverse-bound"] = why
@@ -542,7 +525,7 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
         rows.append(InequalityRow(t, "djdt-identity", rep.discrepancy, budget))
 
     for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
-        gate_rows, why = _curvature_rows(traj, label)
+        gate_rows, why = curvature_monotonicity_check(traj, label)
         rows += gate_rows
         if why:
             gated[label] = why

@@ -22,7 +22,7 @@ import re
 import numpy as np
 
 from .geometry import ConformalState, LogPolarGrid
-from .solver import SolverConfig, Trajectory
+from .solver import Trajectory
 
 __all__ = [
     "save_state",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _HEADER = re.compile(r"^# logdiff-state t=(?P<t>[^ ]+) n=(?P<n>\d+)$")
+_STEM = "snap"  # a trajectory's files are snap_NNN.txt and snap_manifest.csv
 
 
 def hash_comment(payload: str) -> str:
@@ -98,28 +99,26 @@ def load_state(path) -> ConformalState:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_trajectory(traj: Trajectory, out_dir, stem: str = "snap", hash_payload: str = "") -> str:
-    """Writes one snapshot per sample time plus <stem>_manifest.csv.
-    Returns the manifest path."""
+def save_trajectory(traj: Trajectory, out_dir, hash_payload: str) -> str:
+    """Writes snap_NNN.txt per sample time plus snap_manifest.csv, whose hash
+    comment records hash_payload. Returns the manifest path."""
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, state in enumerate(traj.states):
-        name = f"{stem}_{i:03d}.txt"
+        name = f"{_STEM}_{i:03d}.txt"
         save_state(state, os.path.join(out_dir, name))
         rows.append({"index": i, "time": repr(state.time), "file": name})
-    manifest = os.path.join(out_dir, f"{stem}_manifest.csv")
-    write_rows_csv(manifest, ["index", "time", "file"], rows, hash_payload or stem)
+    manifest = os.path.join(out_dir, f"{_STEM}_manifest.csv")
+    write_rows_csv(manifest, ["index", "time", "file"], rows, hash_payload)
     return manifest
 
 
 def load_trajectory(manifest_path) -> Trajectory:
     """Rebuilds a Trajectory from a manifest and the snapshots beside it.
-    The solver config is not stored on disk, so the loaded trajectory carries
-    the default SolverConfig; estimates consume grids, times and values, and
-    the default newton_tol for their tolerances. Every manifest entry must be
-    a bare file name in the manifest's own directory, its index its position,
-    and its time exactly its snapshot's time (both are written with repr).
-    Every ValueError it raises names the manifest or the snapshot at fault."""
+    Every manifest entry must be a bare file name in the manifest's own
+    directory, its index its position, and its time exactly its snapshot's
+    time (both are written with repr). Every ValueError it raises names the
+    manifest or the snapshot at fault."""
     base = os.path.dirname(manifest_path)
     with open(manifest_path, errors="replace") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
@@ -152,7 +151,7 @@ def load_trajectory(manifest_path) -> Trajectory:
     if not states:
         raise ValueError(f"{manifest_path}: empty manifest")
     try:
-        return Trajectory(states=tuple(states), config=SolverConfig())
+        return Trajectory(states=tuple(states))
     except ValueError as exc:  # times out of order, or snapshots on different grids
         raise ValueError(f"{manifest_path}: {exc}") from None
 

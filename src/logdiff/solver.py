@@ -105,31 +105,31 @@ class BoundarySchedule:
         )
 
 
+# Newton and step-size controls shared by every run.  They are read at call
+# time, so a test can monkeypatch them.
+NEWTON_TOL = 1e-10  # a member converges once its damped step's max |dw| is below this
+MAX_NEWTON_ITER = 50  # Newton iterations before a step fails
+MAX_HALVINGS = 10  # halvings of dt on one step before the run fails
+STREAK_TO_GROW = 3  # cheap steps in a row before dt doubles
+FAST_ITERS = 3  # a step is cheap with at most this many Newton iterations
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-step policy and Newton controls.
+    """Time-step policy.
 
     dt is the target step; the adaptive policy halves it on a failed step
-    (up to max_halvings) and doubles it back after streak_to_grow consecutive
-    successes that each needed at most fast_iters Newton iterations, never
+    (up to MAX_HALVINGS) and doubles it back after STREAK_TO_GROW consecutive
+    successes that each needed at most FAST_ITERS Newton iterations, never
     exceeding dt_cap (defaults to the target dt).
     """
 
     dt: float = 1e-3
-    newton_tol: float = 1e-10
-    max_newton_iter: int = 50
-    max_halvings: int = 10
     dt_cap: float | None = None
-    streak_to_grow: int = 3
-    fast_iters: int = 3
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
-        if self.max_newton_iter < 1:
-            raise ValueError("max_newton_iter must be at least 1")
         if self.dt_cap is not None and self.dt_cap < self.dt:
             raise ValueError("dt_cap must not undercut dt")
 
@@ -144,7 +144,6 @@ class Trajectory:
     that pickles."""
 
     states: tuple
-    config: SolverConfig
     nsteps: int = 0
     newton_iters: int = 0
 
@@ -243,15 +242,14 @@ class _Layout:
         return np.maximum.reduceat(np.abs(x), self.starts).tolist()
 
 
-def _newton_solve(lay, values, bounds, dts, cfgs):
+def _newton_solve(lay, values, bounds, dts):
     """Backward-Euler systems in w = log U of every member of lay, solved by
     damped Newton in lockstep; returns (w, iterations, errors).
 
     Member k steps from values[k] to the boundary values bounds[k] =
-    (w_in, w_out) with step dts[k] and controls cfgs[k].  Junction entries
-    of the stacked u_old are set to exp(w), so their residual is exactly 0.
-    Each member has its own line search, acceptance test and
-    convergence test; a converged member rides along with a zero right-hand
+    (w_in, w_out) with step dts[k].  Junction entries of the stacked u_old
+    are set to exp(w), so their residual is exactly 0.  Each member has its
+    own line search, acceptance test and convergence test; a converged member rides along with a zero right-hand
     side, so its step is exactly 0, until the rest converge.  errors maps a
     member to the ValueError (non-finite initial residual) or StepFailure
     (singular Jacobian, exhausted damping or iteration budget) that stopped
@@ -268,9 +266,8 @@ def _newton_solve(lay, values, bounds, dts, cfgs):
     cl, cc, cr = lay.cl, lay.cc, lay.cr
     u_int = u_old[1:-1]
     w_try = w.copy()
-    m = len(cfgs)
+    m = len(dts)
     done = [None] * m  # iteration count of each converged member
-    budget = min(cfg.max_newton_iter for cfg in cfgs)
 
     def residual(wv):
         # returns F(w) and e^w at the system's rows; e^w is reused as the
@@ -325,16 +322,14 @@ def _newton_solve(lay, values, bounds, dts, cfgs):
         f, ew, fnorm = f_try, ew_try, fnorm_try
         steps = lay.seg_max(dw)
         for k in active:
-            if steps[k] < cfgs[k].newton_tol:
+            if steps[k] < NEWTON_TOL:
                 done[k] = it
         active = [k for k in active if done[k] is None]
         if not active:
             return w, done, {}
-        if it >= budget:
-            over = {k: StepFailure("Newton iteration budget exhausted", fnorm[k])
-                    for k in active if it >= cfgs[k].max_newton_iter}
-            if over:
-                return w, done, over
+        if it >= MAX_NEWTON_ITER:
+            return w, done, {k: StepFailure("Newton iteration budget exhausted", fnorm[k])
+                             for k in active}
 
 
 def _log_bounds(schedule, t_new):
@@ -344,19 +339,13 @@ def _log_bounds(schedule, t_new):
     return math.log(m_in), math.log(m_out)
 
 
-def step(
-    state: ConformalState,
-    dt: float,
-    schedule: BoundarySchedule,
-    config: SolverConfig | None = None,
-) -> ConformalState:
+def step(state: ConformalState, dt: float, schedule: BoundarySchedule) -> ConformalState:
     """One backward-Euler step; returns the state at time + dt."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    cfg = config if config is not None else SolverConfig(dt=dt)
     t_new = state.time + dt
     w, _, errors = _newton_solve(_Layout([state.grid.nodes]), [state.values],
-                                 [_log_bounds(schedule, t_new)], (dt,), [cfg])
+                                 [_log_bounds(schedule, t_new)], (dt,))
     if errors:
         raise errors[0]
     return ConformalState(state.grid, np.exp(w), t_new)
@@ -397,11 +386,11 @@ def _march(initial, schedule, config, T, sample_times=None):
         if not targets or abs(targets[-1] - T) > 1e-12 * max(1.0, T):
             targets.append(T)
 
-    cfg = config
+    cap = config.effective_cap
     snapshots = [initial]
     u = initial.values
     t = t0
-    dt_cur = cfg.dt
+    dt_cur = config.dt
     streak = 0
     nsteps = 0
     newton_total = 0
@@ -417,15 +406,14 @@ def _march(initial, schedule, config, T, sample_times=None):
                     break
                 except StepFailure as exc:
                     halvings += 1
-                    if halvings > cfg.max_halvings:
+                    if halvings > MAX_HALVINGS:
                         partial = Trajectory(
                             states=tuple(snapshots),
-                            config=cfg,
                             nsteps=nsteps,
                             newton_iters=newton_total,
                         )
                         raise RunError(
-                            f"step at t={t:g} failed after {cfg.max_halvings} halvings "
+                            f"step at t={t:g} failed after {MAX_HALVINGS} halvings "
                             f"(last residual {exc.residual:g})",
                             partial,
                         ) from exc
@@ -436,10 +424,10 @@ def _march(initial, schedule, config, T, sample_times=None):
             newton_total += iters
             if halvings > 0:
                 dt_cur = dt_try
-            if iters <= cfg.fast_iters and halvings == 0:
+            if iters <= FAST_ITERS and halvings == 0:
                 streak += 1
-                if streak >= cfg.streak_to_grow and dt_cur < cfg.effective_cap:
-                    dt_cur = min(2.0 * dt_cur, cfg.effective_cap)
+                if streak >= STREAK_TO_GROW and dt_cur < cap:
+                    dt_cur = min(2.0 * dt_cur, cap)
                     streak = 0
             else:
                 streak = 0
@@ -448,7 +436,6 @@ def _march(initial, schedule, config, T, sample_times=None):
 
     return Trajectory(
         states=tuple(snapshots),
-        config=cfg,
         nsteps=nsteps,
         newton_iters=newton_total,
     )
@@ -491,9 +478,8 @@ def evolve_many(runs) -> list:
         if group != lay_for:
             # rebuilt only when the set of live runs changes
             lay, lay_for = _Layout([runs[i][0].grid.nodes for i in group]), group
-            cfgs = [runs[i][2] for i in group]
         values, bounds, dts = zip(*[asks[i] for i in group])
-        w, iters, errors = _newton_solve(lay, values, bounds, dts, cfgs)
+        w, iters, errors = _newton_solve(lay, values, bounds, dts)
         if errors:
             # the others' solve was cut short; they retry the same step in
             # the next round, with the same result
@@ -516,7 +502,7 @@ def evolve(
     """March from initial.time to T, snapshotting at the sample times.
 
     Steps land exactly on every sample time.  On a failed step dt is halved
-    and the step retried (max_halvings times); sustained cheap steps let dt
+    and the step retried (MAX_HALVINGS times); sustained cheap steps let dt
     grow back toward the cap.  This is evolve_many with one run.
     """
     (out,) = evolve_many([(initial, schedule, config, T, sample_times)])
@@ -525,13 +511,7 @@ def evolve(
     return out
 
 
-def mms_residual(
-    model,
-    grid: LogPolarGrid,
-    t: float,
-    dt: float,
-    config: SolverConfig | None = None,
-) -> float:
+def mms_residual(model, grid: LogPolarGrid, t: float, dt: float) -> float:
     """Defect rate of one step against an exact solution.
 
     Takes the exact state at time t, advances one backward-Euler step with
@@ -543,8 +523,7 @@ def mms_residual(
     s = grid.nodes
     exact_now = ConformalState(grid, np.asarray(model_factor(model, s, t), dtype=float), t)
     schedule = BoundarySchedule.from_model(model, grid.s_min, grid.s_max)
-    cfg = config if config is not None else SolverConfig(dt=dt)
-    advanced = step(exact_now, dt, schedule, cfg)
+    advanced = step(exact_now, dt, schedule)
     exact_next = np.asarray(model_factor(model, s, t + dt), dtype=float)
     return float(np.max(np.abs(advanced.values - exact_next))) / dt
 
@@ -557,9 +536,6 @@ class OrderReport:
     max_violation: float
     tolerance: float
     worst_time: float
-
-    def __bool__(self) -> bool:
-        return self.ordered
 
 
 def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
@@ -575,18 +551,16 @@ def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
         raise ValueError("trajectories have mismatched sample times")
 
 
-def check_order_preservation(
-    traj_a: Trajectory, traj_b: Trajectory, tol: float | None = None
-) -> OrderReport:
-    """Check U_a <= U_b + tol at every node of every shared sample time."""
+def check_order_preservation(traj_a: Trajectory, traj_b: Trajectory) -> OrderReport:
+    """Check U_a <= U_b + tol at every node of every shared sample time, with
+    tol = 10 NEWTON_TOL max(1, max U at the last sample time of either)."""
     _check_pair(traj_a, traj_b)
-    if tol is None:
-        scale = max(
-            float(np.max(traj_a.states[-1].values)),
-            float(np.max(traj_b.states[-1].values)),
-            1.0,
-        )
-        tol = 10.0 * traj_a.config.newton_tol * scale
+    scale = max(
+        float(np.max(traj_a.states[-1].values)),
+        float(np.max(traj_b.states[-1].values)),
+        1.0,
+    )
+    tol = 10.0 * NEWTON_TOL * scale
     worst = -math.inf
     worst_t = float(traj_a.states[0].time)
     for st_a, st_b in zip(traj_a.states, traj_b.states):

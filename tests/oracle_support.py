@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 from scipy.linalg import solve_banded
 
+from logdiff import solver
 from logdiff.solver import StepFailure, _d2_coeffs
 
 mp.mp.dps = 40
@@ -156,12 +157,14 @@ def pair_flux_rate_reference(s0, S, s_max):
     return 4 * mp.pi * mp.quad(integrand, knots)
 
 
-def newton_solve_reference(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
+def newton_solve_reference(s, u_old, w_in, w_out, dt, coeffs=None):
     """The backward-Euler Newton loop as written on scipy.linalg.solve_banded.
 
     Kept verbatim as the reference for logdiff.solver._newton_solve, which
     calls LAPACK dgtsv directly (solve_banded is dgtsv for (1, 1) bands) and
-    must return a bitwise-equal w after the same number of iterations.
+    must return a bitwise-equal w after the same number of iterations.  It
+    reads the solver's NEWTON_TOL and MAX_NEWTON_ITER at call time, as the
+    kernel does.
     """
     cl, cc, cr = coeffs if coeffs is not None else _d2_coeffs(s)
     w = np.log(u_old)
@@ -174,7 +177,7 @@ def newton_solve_reference(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
 
     f = residual(w)
     fnorm = float(np.max(np.abs(f)))
-    for it in range(1, cfg.max_newton_iter + 1):
+    for it in range(1, solver.MAX_NEWTON_ITER + 1):
         ab = np.zeros((3, s.size - 2))
         ab[0, 1:] = -dt * cr[:-1]
         ab[1, :] = np.exp(w[1:-1]) - dt * cc
@@ -195,6 +198,6 @@ def newton_solve_reference(s, u_old, w_in, w_out, dt, cfg, coeffs=None):
             raise StepFailure("Newton damping exhausted", fnorm)
 
         w, f, fnorm = w_try, f_try, fnorm_try
-        if float(np.max(np.abs(scale * delta))) < cfg.newton_tol:
+        if float(np.max(np.abs(scale * delta))) < solver.NEWTON_TOL:
             return w, it
     raise StepFailure("Newton iteration budget exhausted", fnorm)

@@ -30,15 +30,8 @@ def _verdict(num: int, label: str, ok: bool) -> bool:
 
 
 def _exact_pair(grid, times):
-    cfg = SolverConfig()
-    tg = Trajectory(
-        states=tuple(model_state(BigBang, grid, t) for t in times),
-        config=cfg,
-    )
-    tG = Trajectory(
-        states=tuple(model_state(Cusp, grid, t) for t in times),
-        config=cfg,
-    )
+    tg = Trajectory(states=tuple(model_state(BigBang, grid, t) for t in times))
+    tG = Trajectory(states=tuple(model_state(Cusp, grid, t) for t in times))
     return tg, tG
 
 
@@ -106,7 +99,7 @@ def test_criterion_04_barrier_and_pointwise_bounds():
         worst_barrier = min(worst_barrier, barrier)
         ok &= barrier >= -1e-8
         # asserted at every sample time after t = 0 only if the barrier gate passed
-        rows = est.pointwise_u_inverse_bound(traj)
+        rows, _ = est.pointwise_u_inverse_bound(traj)
         ok &= tuple(r.time for r in rows) == ts and all(r.margin >= -1e-8 for r in rows)
         worst_inv = min([worst_inv] + [r.margin for r in rows])
     assert _verdict(
@@ -189,10 +182,10 @@ def test_criterion_09_damped_factor_monotone():
         0.3,
         sample_times=[0.1, 0.2, 0.3],
     )
-    rows_flat = est.curvature_monotonicity_check(traj, "damped-monotone")
+    rows_flat, _ = est.curvature_monotonicity_check(traj, "damped-monotone")
     # curvature gate needs K >= -1: holds for the expanding factor once t >= 1/2
     tb, _ = _exact_pair(LogPolarGrid.uniform(0.5, 3.0, 4001), (0.5, 0.75, 1.0))
-    rows_bb = est.curvature_monotonicity_check(tb, "damped-monotone")
+    rows_bb, _ = est.curvature_monotonicity_check(tb, "damped-monotone")
     # one row each means the gate passed
     ok = all(
         len(rows) == 1 and rows[0].margin >= 0.0 and rows[0].lhs <= 1e-8

@@ -149,7 +149,10 @@ def test_bad_config_exits_three(tmp_path, capsys):
     "[grid]\nn = 41\n[grid]\nratio = 1.02\n",      # duplicate section
     "[grid]\nn = 41\n[flow\nramps = 100\n",        # broken section line
     "[flow]\nramps = 100%\n",                       # '%' is a value, not a reference
-], ids=["no-header", "duplicate-key", "duplicate-section", "broken-section", "percent"])
+    "[cutoff]\nr = 0.9139, 0.9139, 0.9704\n",       # two distinct R values, listed as three
+    "[cutoff]\ngamma = 0.25, 0.25\n",               # one gamma, listed twice
+], ids=["no-header", "duplicate-key", "duplicate-section", "broken-section", "percent",
+        "repeated-R", "repeated-gamma"])
 def test_malformed_ini_exits_three_on_one_line(tmp_path, capsys, text):
     path = tmp_path / "bad.ini"
     path.write_text(text)

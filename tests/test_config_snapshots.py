@@ -13,7 +13,7 @@ from logdiff.snapshots import (
     save_trajectory,
     write_rows_csv,
 )
-from logdiff.solver import SolverConfig, Trajectory
+from logdiff.solver import Trajectory
 
 MINIMAL = """\
 [experiment]
@@ -194,7 +194,7 @@ class TestSnapshots:
     def make_traj(self):
         grid = LogPolarGrid.uniform(0.1, 5.0, 61)
         states = tuple(model_state(BigBang(), grid, t) for t in (0.2, 0.4, 0.6))
-        return Trajectory(states=states, config=SolverConfig())
+        return Trajectory(states=states)
 
     def test_trajectory_roundtrip(self, tmp_path):
         traj = self.make_traj()

@@ -20,7 +20,7 @@ from logdiff.cutoff import (
 )
 from logdiff.cutoff import _f1, _i2  # branch internals are part of the contract here
 from logdiff import cutoff
-from logdiff.cutoff import _q_direct, _q_near, _q_smooth
+from logdiff.cutoff import _q_direct, _q_integral_beta, _q_near, _q_smooth
 
 # [frozen] mpmath dps=40 values, computed before the implementation existed.
 Q_CASE_A = 10.18574547976275190944  # r0=e^{-1/2}, R=e^{-1/10}, gamma=1/4 (single range)
@@ -342,10 +342,14 @@ def test_q_bound_constant_matches_reference():
 
 
 def test_q_stable_under_tolerance_halving():
+    # every range compute_Q integrates, at two tolerances looser than its own
     for spec in (spec_case_a(), spec_case_b()):
-        loose = compute_Q(spec, tol=1e-8)
-        tight = compute_Q(spec, tol=5e-9)
-        assert abs(tight.Q - loose.Q) <= loose.quadrature_error + 1e-15
+        b_max, e2 = 1.0 / spec.a, math.exp(2.0)
+        ranges = [(1.0, b_max)] + ([(1.0, e2), (e2, b_max)] if e2 < b_max else [])
+        for lo, hi in ranges:
+            loose = _q_integral_beta(spec.gamma, lo, hi, tol=1e-8)
+            tight = _q_integral_beta(spec.gamma, lo, hi, tol=5e-9)
+            assert abs(tight[0] - loose[0]) <= loose[1] + 1e-15
 
 
 class _CountingIntegrate:

@@ -22,6 +22,7 @@ from logdiff.solver import (
     evolve,
 )
 from logdiff import estimates as est
+from logdiff.snapshots import load_trajectory, save_trajectory
 
 # frozen reference values (40-digit quadrature, see tests/oracle_support.py)
 PAIR_FLUX_RATE = 9.7794587372932628163  # 4 pi int (1/s^2 - 1/sinh^2 s) phi, case A, [0.1, 8]
@@ -35,15 +36,8 @@ def case_a_spec():
 
 
 def exact_pair(grid, times):
-    cfg = SolverConfig()
-    tg = Trajectory(
-        states=tuple(model_state(BigBang, grid, t) for t in times),
-        config=cfg,
-    )
-    tG = Trajectory(
-        states=tuple(model_state(Cusp, grid, t) for t in times),
-        config=cfg,
-    )
+    tg = Trajectory(states=tuple(model_state(BigBang, grid, t) for t in times))
+    tG = Trajectory(states=tuple(model_state(Cusp, grid, t) for t in times))
     return tg, tG
 
 
@@ -214,7 +208,7 @@ def test_barrier_flags_violator():
     states = tuple(
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
-    viol = Trajectory(states=states, config=SolverConfig())
+    viol = Trajectory(states=states)
     worst = min(r.margin for r in est.lower_barrier_check(viol))
     assert worst < -1.0
     # node restriction matters: the worst violation sits at small s
@@ -231,7 +225,8 @@ def test_barrier_flags_violator():
 def test_inverse_bound_on_bigbang_is_tight_at_log2():
     g = LogPolarGrid.uniform(0.05, 4.0, 2001)
     tb, _ = exact_pair(g, (0.2, 0.4))
-    rows = est.pointwise_u_inverse_bound(tb)  # barrier holds, so the bound is asserted
+    rows, why = est.pointwise_u_inverse_bound(tb)  # barrier holds, so the bound is asserted
+    assert why is None
     assert [(r.time, r.inequality) for r in rows] == [(0.2, "u-inverse-bound"), (0.4, "u-inverse-bound")]
     row = rows[1]
     scale = INV_SQUARE_CONSTANT * math.log(2.0) ** 2 / 0.4
@@ -245,20 +240,17 @@ def test_inverse_bound_not_asserted_without_barrier():
     states = tuple(
         ConformalState(g, float(t) / np.sinh(g.nodes) ** 2, float(t)) for t in (0.2, 0.4)
     )
-    viol = Trajectory(states=states, config=SolverConfig())
-    assert est.pointwise_u_inverse_bound(viol) == ()
+    viol = Trajectory(states=states)
+    rows, why = est.pointwise_u_inverse_bound(viol)
+    assert rows == () and why.startswith("lower barrier on (0, 0.6931) fails by ")
     # the gate read the barrier on (0, log 2)
     assert min(r.margin for r in est.lower_barrier_check(viol, s_to=math.log(2.0))) < 0.0
 
 
-def test_inverse_bound_validation(model_pair):
-    tg, _ = model_pair
-    with pytest.raises(ValueError, match="log 2"):
-        est.pointwise_u_inverse_bound(tg, s0=0.8)
+def test_inverse_bound_validation():
     deep = LogPolarGrid.uniform(1.0, 6.0, 101)
     tdeep, _ = exact_pair(deep, (0.4,))
-    with pytest.raises(ValueError, match="no grid nodes"):
-        est.pointwise_u_inverse_bound(tdeep)
+    assert est.pointwise_u_inverse_bound(tdeep) == ((), "no grid nodes in (0, log 2)")
 
 
 # ------------------------------------------------------------------ main ODI
@@ -404,16 +396,31 @@ def test_curvature_check_flat_static():
     st0 = model_state(FlatDisc, g)
     sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
     traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
-    (row,) = est.curvature_monotonicity_check(traj, "damped-monotone-g")  # gate passed
+    (row,), why = est.curvature_monotonicity_check(traj, "damped-monotone-g")  # gate passed
+    assert why is None
     assert (row.time, row.inequality) == (0.3, "damped-monotone-g")
     assert row.margin >= 0.0
     assert row.lhs < 0.0  # e^{-2t} U strictly decreasing
 
 
+def test_curvature_check_fails_when_damped_factor_rises():
+    # negative control: scaling the last snapshot shifts log U by a constant,
+    # so K stays 0 and the gate passes, but e^{-2t} U now rises at the end
+    g = LogPolarGrid.uniform(0.1, 6.0, 101)
+    st0 = model_state(FlatDisc, g)
+    sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
+    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
+    last = traj.states[-1]
+    bumped = Trajectory(states=traj.states[:-1] + (ConformalState(g, 1.5 * last.values, last.time),))
+    (row,), why = est.curvature_monotonicity_check(bumped, "damped-monotone-g")
+    assert why is None
+    assert row.margin < 0.0
+
+
 def test_curvature_check_bigbang_late_times():
     g = LogPolarGrid.uniform(0.5, 3.0, 4001)
     tb, _ = exact_pair(g, (0.5, 0.75, 1.0))
-    (row,) = est.curvature_monotonicity_check(tb, "damped-monotone-g")  # K = -1/(2t) >= -1 for t >= 1/2
+    (row,), _ = est.curvature_monotonicity_check(tb, "damped-monotone-g")  # K = -1/(2t) >= -1 for t >= 1/2
     assert row.margin >= 0.0
     assert row.lhs <= 0.0
 
@@ -421,7 +428,8 @@ def test_curvature_check_bigbang_late_times():
 def test_curvature_gate_blocks_early_bigbang():
     g = LogPolarGrid.uniform(0.5, 3.0, 401)
     tb, _ = exact_pair(g, (0.2, 0.3))
-    assert est.curvature_monotonicity_check(tb, "damped-monotone-g") == ()
+    rows, why = est.curvature_monotonicity_check(tb, "damped-monotone-g")
+    assert rows == () and why.startswith("K_min = ")
     assert min(float(np.min(gauss_curvature(st))) for st in tb.states) < -2.0
 
 
@@ -479,6 +487,19 @@ def test_full_report_on_exhaustion_pair(exhaust_pair, exhaust_spec, tmp_path):
     for row in parsed:
         for col in ("time", "lhs", "rhs", "margin"):
             float(row[col])
+
+
+def test_full_report_same_after_save_and_load(exhaust_pair, exhaust_spec, tmp_path):
+    # a saved run keeps no solver settings, and the report needs none
+    lo, hi = exhaust_pair
+    live = est.full_report(lo, hi, exhaust_spec)
+    back = est.full_report(
+        *(load_trajectory(save_trajectory(traj, tmp_path / name, "pair"))
+          for traj, name in ((lo, "lo"), (hi, "hi"))),
+        exhaust_spec,
+    )
+    assert back.rows == live.rows
+    assert back.gated == live.gated
 
 
 def test_full_report_refuses_reversed_pair(exhaust_pair, exhaust_spec):

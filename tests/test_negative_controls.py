@@ -4,7 +4,7 @@ shipped pair (configs/exhaustion_lo.ini, exhaustion_hi.ini) must make
 A family that no test here can fail would pass unseen if its comparison
 were flipped.
 
-Two families have no negative control, for these reasons:
+Two families have no negative control here, for these reasons:
 
 - `u-inverse-bound` is implied by the lower barrier that gates it. Where
   U >= 2t/sinh^2 s holds on (0, log 2), 1/U <= C s^2/t follows. An edit that
@@ -16,7 +16,9 @@ Two families have no negative control, for these reasons:
   The ramps pull K below -1 in every evolved snapshot (K_min is about -25 at
   t = 0.02), so the report holds no such rows to break, and `verify` says so
   on stderr. Turning the gate on would mean replacing every evolved
-  snapshot, which tests a different pair.
+  snapshot, which tests a different pair. The family's negative control is
+  in tests/test_estimates.py instead: a flat static run whose last snapshot
+  is scaled by 1.5 keeps K = 0 and fails its one row.
 
 Interior-area and volume-excess share the envelope and, on an ordered pair,
 the left side, so they fail together. J bounds the area difference, so an

@@ -57,13 +57,13 @@ def test_step_rejects_bad_dt_and_schedule():
         step(st0, 0.01, bad)
 
 
-def test_step_failure_carries_residual():
+def test_step_failure_carries_residual(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
     g = LogPolarGrid.uniform(0.3, 4.0, 81)
     st0 = model_state(BigBang, g, 0.2)
     sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
-    cfg = SolverConfig(dt=0.05, max_newton_iter=1)
     with pytest.raises(StepFailure) as exc:
-        step(st0, 0.05, sched, cfg)
+        step(st0, 0.05, sched)
     assert exc.value.residual > 0.0
 
 
@@ -79,11 +79,11 @@ def test_positivity_under_violent_ramp():
 # ------------------------------------------------------------ Newton kernel
 
 
-def _newton_one(s, u, w_in, w_out, dt, cfg):
+def _newton_one(s, u, w_in, w_out, dt):
     """The batched Newton kernel on one member: (w, iterations), or raises
     the member's error."""
     lay = solver._Layout([s])
-    w, (iters,), errors = solver._newton_solve(lay, [u], [(w_in, w_out)], (dt,), [cfg])
+    w, (iters,), errors = solver._newton_solve(lay, [u], [(w_in, w_out)], (dt,))
     if errors:
         raise errors[0]
     return w, iters
@@ -114,11 +114,10 @@ def _kernel_case(name):
 )
 def test_newton_kernel_matches_solve_banded_reference(name):
     s, u, w_in, w_out, dt = _kernel_case(name)
-    cfg = SolverConfig(dt=dt)
     coeffs = solver._d2_coeffs(s)
     u_before = u.copy()
-    w, iters = _newton_one(s, u, w_in, w_out, dt, cfg)
-    w_ref, iters_ref = newton_solve_reference(s, u, w_in, w_out, dt, cfg, coeffs)
+    w, iters = _newton_one(s, u, w_in, w_out, dt)
+    w_ref, iters_ref = newton_solve_reference(s, u, w_in, w_out, dt, coeffs)
     assert iters == iters_ref
     assert np.array_equal(w, w_ref)
     assert np.array_equal(u, u_before)
@@ -150,7 +149,6 @@ def test_evolve_leaves_inputs_and_cached_coeffs_untouched(monkeypatch):
 
 def test_non_finite_input_raises_value_error():
     s, u, w_in, w_out, dt = _kernel_case("flatdisc-static")
-    cfg = SolverConfig(dt=dt)
     _, st0, _ = flat_setup()
     inf_inner = BoundarySchedule(inner=lambda t: math.inf, outer=lambda t: 1.0)
     with np.errstate(invalid="ignore"):
@@ -158,7 +156,7 @@ def test_non_finite_input_raises_value_error():
             u_bad = u.copy()
             u_bad[len(u) // 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
-                _newton_one(s, u_bad, w_in, w_out, dt, cfg)
+                _newton_one(s, u_bad, w_in, w_out, dt)
         with pytest.raises(ValueError, match="non-finite"):
             step(st0, 0.01, inf_inner)
 
@@ -175,10 +173,10 @@ def test_singular_jacobian_fails_step_then_run(monkeypatch):
     with pytest.raises(StepFailure, match="singular"):
         step(st0, 0.01, sched)
     calls.clear()
-    cfg = SolverConfig(dt=0.01, max_halvings=3)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
     with pytest.raises(RunError, match="after 3 halvings") as exc:
-        evolve(st0, sched, cfg, 0.05)
-    assert len(calls) == cfg.max_halvings + 1
+        evolve(st0, sched, SolverConfig(dt=0.01), 0.05)
+    assert len(calls) == 3 + 1
     assert exc.value.partial.nsteps == 0
 
 
@@ -292,13 +290,14 @@ def test_adaptive_doubling_reduces_step_count():
     assert traj.nsteps < 40  # fixed dt would take 100
 
 
-def test_run_error_carries_partial_trajectory():
+def test_run_error_carries_partial_trajectory(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
     g = LogPolarGrid.uniform(0.3, 4.0, 81)
     st0 = model_state(BigBang, g, 0.2)
     sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
-    cfg = SolverConfig(dt=0.05, max_newton_iter=1, max_halvings=2)
     with pytest.raises(RunError) as exc:
-        evolve(st0, sched, cfg, 0.5)
+        evolve(st0, sched, SolverConfig(dt=0.05), 0.5)
     partial = exc.value.partial
     assert isinstance(partial, Trajectory)
     assert partial.states[-1].time < 0.5
@@ -311,10 +310,10 @@ def test_trajectory_lookup_and_validation():
     with pytest.raises(ValueError, match="not a sample time"):
         traj.state_at(0.15)
     with pytest.raises(ValueError):
-        Trajectory(states=(), config=SolverConfig())
+        Trajectory(states=())
     other = ConformalState(LogPolarGrid.uniform(0.1, 6.0, 51), np.ones(51), 0.1)
     with pytest.raises(ValueError, match="grid"):
-        Trajectory(states=(st0, other), config=SolverConfig())
+        Trajectory(states=(st0, other))
 
 
 def test_evolve_trajectory_pickles():
@@ -323,7 +322,6 @@ def test_evolve_trajectory_pickles():
     traj = evolve(st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=0.02), 0.1,
                   sample_times=[0.05, 0.1])
     back = pickle.loads(pickle.dumps(traj))
-    assert back.config == traj.config
     assert (back.nsteps, back.newton_iters) == (traj.nsteps, traj.newton_iters)
     assert np.array_equal(back.grid.nodes, traj.grid.nodes)
     assert np.array_equal(back.times, traj.times)
@@ -334,8 +332,6 @@ def test_evolve_trajectory_pickles():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(newton_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=1e-2, dt_cap=1e-3)
 
@@ -358,7 +354,7 @@ def test_schedule_constructors_validate():
 
 def _mixed_runs():
     """evolve_many runs that differ in n, dt, T, sample times, schedule and
-    controls; the last two halve dt on the way."""
+    dt cap."""
     runs = []
     g = LogPolarGrid.graded(0.05, 8.0, 141, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
@@ -370,14 +366,14 @@ def _mixed_runs():
     runs.append((st0, sched, SolverConfig(dt=1e-3, dt_cap=8e-3), 0.1, [0.03, 0.07]))
     g = LogPolarGrid.uniform(0.5, 3.0, 65)
     runs.append((model_state(Cusp, g, 0.5), BoundarySchedule.from_model(Cusp, 0.5, 3.0),
-                 SolverConfig(dt=0.0125, newton_tol=1e-12), 1.0, [0.6, 0.75]))
+                 SolverConfig(dt=0.0125), 1.0, [0.6, 0.75]))
     g = LogPolarGrid.uniform(0.3, 4.0, 81)
     runs.append((model_state(BigBang, g, 0.2), BoundarySchedule.from_model(BigBang, 0.3, 4.0),
-                 SolverConfig(dt=0.05, max_newton_iter=4), 0.5, [0.3, 0.45]))
+                 SolverConfig(dt=0.05), 0.5, [0.3, 0.45]))
     g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
     st0 = model_state(FlatDisc, g, 0.0)
     runs.append((st0, BoundarySchedule.ramp(st0, 1e6),
-                 SolverConfig(dt=0.01, max_newton_iter=6, dt_cap=0.02), 0.05, None))
+                 SolverConfig(dt=0.002, dt_cap=0.02), 0.05, None))
     return runs
 
 
@@ -388,7 +384,9 @@ def _assert_same_run(a, b):
         assert np.array_equal(x.values, y.values)
 
 
-def test_evolve_many_members_equal_their_solo_runs():
+def test_evolve_many_members_equal_their_solo_runs(monkeypatch):
+    # a budget of 4 Newton iterations makes several members halve dt on the way
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 4)
     runs = _mixed_runs()
     batch = solver.evolve_many(runs)
     assert len(batch) == len(runs)
@@ -421,8 +419,7 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     g = LogPolarGrid.uniform(0.1, 6.0, 77)
     st0 = model_state(FlatDisc, g, 0.0)
     u_in, u_out = float(st0.values[0]), float(st0.values[-1])
-    singular = (st0, BoundarySchedule.static(u_in, u_out),
-                SolverConfig(dt=0.01, max_halvings=3), 0.05)
+    singular = (st0, BoundarySchedule.static(u_in, u_out), SolverConfig(dt=0.01), 0.05)
     st1 = model_state(FlatDisc, LogPolarGrid.uniform(0.1, 6.0, 61), 0.0)
     v_in, v_out = float(st1.values[0]), float(st1.values[-1])
     dips = BoundarySchedule(inner=lambda t: v_in if t < 0.03 else -1.0, outer=lambda t: v_out)
@@ -430,6 +427,7 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     too_short = (st1, BoundarySchedule.static(v_in, v_out), SolverConfig(dt=0.01), 0.0)
 
     calls = []
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
     monkeypatch.setattr(solver, "dgtsv", _singular_when_n(77, calls))
     batch = solver.evolve_many(runs[:2] + [singular, nonpositive] + runs[2:] + [too_short])
     with pytest.raises(RunError) as alone:

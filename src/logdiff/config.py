@@ -70,31 +70,6 @@ class ExperimentConfig:
         hi = self.s_max if self.s_max is not None else max(8.0, 4.0 * s0)
         return lo, hi
 
-    def write_ini(self, path) -> None:
-        cp = configparser.ConfigParser()
-        cp["experiment"] = {"id": self.experiment}
-        grid = {"n": str(self.n), "ratio": repr(self.ratio)}
-        if self.s_min is not None:
-            grid["s_min"] = repr(self.s_min)
-        if self.s_max is not None:
-            grid["s_max"] = repr(self.s_max)
-        cp["grid"] = grid
-        cp["cutoff"] = {
-            "r0": repr(self.r0),
-            "R": ", ".join(repr(x) for x in self.R_list),
-            "gamma": ", ".join(repr(x) for x in self.gamma_list),
-        }
-        flow = {
-            "ramps": ", ".join(repr(x) for x in self.ramps),
-            "T": repr(self.T),
-            "dt": repr(self.dt),
-        }
-        if self.sample_times:
-            flow["sample_times"] = ", ".join(repr(x) for x in self.sample_times)
-        cp["flow"] = flow
-        with open(path, "w") as fh:
-            cp.write(fh)
-
 
 def validate(cfg: ExperimentConfig) -> list:
     errors = []
@@ -122,8 +97,8 @@ def validate(cfg: ExperimentConfig) -> list:
         errors.append("ramps must not be empty")
     if any(k <= 0.0 for k in cfg.ramps):
         errors.append("ramps must be positive")
-    if list(cfg.ramps) != sorted(cfg.ramps):
-        errors.append("ramps must be nondecreasing")
+    if any(b <= a for a, b in zip(cfg.ramps, cfg.ramps[1:])):
+        errors.append("ramps must be strictly increasing")
     for t in cfg.sample_times:
         if not 0.0 < t <= cfg.T:
             errors.append(f"sample time {t:g} outside (0, T]")

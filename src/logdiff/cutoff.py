@@ -35,7 +35,6 @@ __all__ = [
     "compute_Q",
     "q_analytic_bound",
     "q_bound_constant",
-    "elementary_inequalities",
     "log_excess",
     "INV_SQUARE_CONSTANT",
 ]
@@ -394,29 +393,3 @@ def q_analytic_bound(spec: CutoffSpec) -> float:
     depth = math.log(spec.s0) - math.log(spec.S)
     return q_bound_constant(spec.gamma) / (spec.s0 * depth ** spec.gamma)
 
-
-def elementary_inequalities(kind: str, *args) -> float:
-    """Margin (RHS - LHS) of the three scalar inequalities the chain relies on.
-
-    kind "log_power":   log(1+x) <= x^lam / lam       for lam in (0,1), x >= 0
-    kind "log_quad":    log(1+x) <= x - x^2/2         for x in (-1, 0]
-    kind "sinh_chord":  sinh(s) <= 3 s/(4 log 2)      for s in (0, log 2)
-    """
-    if kind == "log_power":
-        lam, x = args
-        if not (0.0 < lam < 1.0):
-            raise ValueError("lambda must lie in (0,1)")
-        if x < 0.0:
-            raise ValueError("x must be nonnegative")
-        return x ** lam / lam - math.log1p(x)
-    if kind == "log_quad":
-        (x,) = args
-        if not (-1.0 < x <= 0.0):
-            raise ValueError("x must lie in (-1, 0]")
-        return (x - x * x / 2.0) - math.log1p(x)
-    if kind == "sinh_chord":
-        (s,) = args
-        if not (0.0 < s < math.log(2.0)):
-            raise ValueError("s must lie in (0, log 2)")
-        return 3.0 * s / (4.0 * math.log(2.0)) - math.sinh(s)
-    raise ValueError(f"unknown inequality kind {kind!r}")

@@ -45,7 +45,6 @@ __all__ = [
     "curvature_monotonicity_check",
     "djdt_identity_check",
     "full_report",
-    "holder_check",
     "interior_area_verify",
     "lemma_constant",
     "lower_barrier_check",
@@ -109,9 +108,6 @@ class EstimateReport:
     @property
     def passed(self) -> bool:
         return all(r.margin >= 0.0 for r in self.rows)
-
-    def rows_for(self, inequality: str) -> tuple:
-        return tuple(r for r in self.rows if r.inequality == inequality)
 
     @property
     def worst(self):
@@ -342,34 +338,6 @@ def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float, order=None)
         rhs = cs * (t2**p - t1**p) * Q**p
         rows.append(InequalityRow(time=t2, inequality="main-odi", lhs=lhs, rhs=rhs, constants=tag))
     return tuple(rows)
-
-
-def holder_check(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> InequalityRow:
-    """Discrete Hoelder step: with f = ((V-U) phi)^{gamma/(1+gamma)} and
-    g = |phi''| (phi U)^{-gamma/(1+gamma)}, the weighted sum of f g is at most
-    the product of the conjugate-power factor sums.  Pure finite-sum Hoelder,
-    so it must hold for any ordered data; checking it guards the quadrature
-    arithmetic used by the ODI."""
-    s, U, V = _pair_arrays(traj_g, traj_G, t)
-    gamma = cutoff.gamma
-    q = gamma / (1.0 + gamma)
-    phi = cutoff.value(s)
-    phi2 = np.abs(cutoff.second_deriv(s))
-    diff = np.maximum(V - U, 0.0)
-    w = np.zeros_like(s)  # trapezoid weights
-    w[1:] += 0.5 * np.diff(s)
-    w[:-1] += 0.5 * np.diff(s)
-    f = (diff * phi) ** q
-    # phi'' and phi share support boundaries; build g only where both live
-    live = (phi2 > 0.0) & (phi > 0.0)
-    g = np.zeros_like(s)
-    g[live] = phi2[live] * (phi[live] * U[live]) ** (-q)
-    g2 = np.zeros_like(s)
-    g2[live] = phi2[live] ** (1.0 + gamma) * (phi[live] * U[live]) ** (-gamma)
-    lhs = float(np.sum(w * f * g))
-    fac1 = float(np.sum(w * diff * phi)) ** q
-    fac2 = float(np.sum(w * g2)) ** (1.0 / (1.0 + gamma))
-    return InequalityRow(time=float(t), inequality="holder", lhs=lhs, rhs=fac1 * fac2, constants=f"gamma={gamma:g}")
 
 
 # ------------------------------------------------------- area certificates

@@ -380,7 +380,7 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
                 for crow in cert[1:]:  # every sample time after the initial data
                     t = crow.time
                     sup_diff = float(np.max(np.abs(
-                        hi.values_at(t)[mask] - lo.values_at(t)[mask])))
+                        hi.state_at(t).values[mask] - lo.state_at(t).values[mask])))
                     area_diff = crow.lhs ** (1.0 + gamma)
                     envelope = crow.rhs ** (1.0 + gamma)
                     passed = crow.margin >= 0.0

@@ -20,16 +20,13 @@ __all__ = [
     "BigBang",
     "Cusp",
     "FlatDisc",
-    "Poincare",
     "MODEL_KINDS",
     "s_from_r",
-    "r_from_s",
     "hyperbolic_factor",
     "model_factor",
     "gauss_curvature",
     "annulus_area",
     "disc_area",
-    "weighted_area",
     "model_state",
 ]
 
@@ -40,15 +37,6 @@ def s_from_r(r):
     if np.any(r <= 0.0) or np.any(r > 1.0):
         raise ValueError("radius must lie in (0,1]")
     out = -np.log(r)
-    return float(out) if out.ndim == 0 else out
-
-
-def r_from_s(s):
-    """Inverse of s_from_r; requires s >= 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0.0):
-        raise ValueError("s must be nonnegative")
-    out = np.exp(-s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -160,10 +148,6 @@ class ConformalState:
 class _Model:
     time_dependent = True
 
-    @staticmethod
-    def factor(s, t):  # pragma: no cover - interface stub
-        raise NotImplementedError
-
 
 class BigBang(_Model):
     """U(s,t) = 2t/sinh^2 s: the hyperbolic metric expanding from zero area.
@@ -208,18 +192,7 @@ class FlatDisc(_Model):
         return float(out) if out.ndim == 0 else out
 
 
-class Poincare(_Model):
-    """U(s) = 1/sinh^2 s: the complete hyperbolic metric (not a flow; K = -1)."""
-
-    name = "poincare"
-    time_dependent = False
-
-    @staticmethod
-    def factor(s, t=None):
-        return hyperbolic_factor(s)
-
-
-MODEL_KINDS = {m.name: m for m in (BigBang, Cusp, FlatDisc, Poincare)}
+MODEL_KINDS = {m.name: m for m in (BigBang, Cusp, FlatDisc)}
 
 
 def model_factor(model, s, t=0.0):
@@ -292,18 +265,3 @@ def disc_area(state: ConformalState, r0: float) -> float:
     s0 = max(s0, state.grid.s_min)
     return annulus_area(state, s0, state.grid.s_max) + _tail_area(state)
 
-
-def weighted_area(state: ConformalState, cutoff) -> float:
-    """Weighted area 2*pi int_S^{s_max} U(s) phi(s) ds + tail, phi from a cutoff spec.
-
-    The cutoff is identically 1 beyond its upper knot, so the tail correction
-    of disc_area applies unchanged.  Requires the support [S, s_max] to be
-    resolved by at least 16 grid nodes.
-    """
-    s = state.grid.nodes
-    s_lo = max(float(cutoff.S), state.grid.s_min)
-    if int(np.count_nonzero(s >= s_lo)) < 16:
-        raise ValueError("cutoff support resolved by fewer than 16 nodes")
-    product = state.values * cutoff.value(s)
-    area = 2.0 * math.pi * _trapezoid_between(s, product, s_lo, state.grid.s_max)
-    return area + _tail_area(state)

@@ -30,7 +30,6 @@ __all__ = [
     "save_trajectory",
     "load_trajectory",
     "write_rows_csv",
-    "read_rows_csv",
     "hash_comment",
     "write_atomic",
 ]
@@ -174,9 +173,3 @@ def write_rows_csv(path, fieldnames, rows, hash_payload: str) -> None:
 
     write_atomic(path, write)
 
-
-def read_rows_csv(path) -> list:
-    """Reads an artifact written by write_rows_csv, skipping comment rows."""
-    with open(path) as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        return list(reader)

@@ -15,7 +15,7 @@ stability matters more than temporal order, which the convergence tests
 recover by refinement.
 
 Runs are solved in batches: evolve_many advances many runs in lockstep,
-and evolve and step are batches of one.  Each round stacks the live runs'
+and evolve is a batch of one.  Each round stacks the live runs'
 nodes into one tridiagonal system whose blocks do not couple, and each
 Newton iteration solves it with one direct call of LAPACK dgtsv (Gaussian
 elimination with partial pivoting).  Line search, convergence and the step
@@ -45,10 +45,8 @@ __all__ = [
     "StepFailure",
     "RunError",
     "OrderReport",
-    "step",
     "evolve",
     "evolve_many",
-    "mms_residual",
     "check_order_preservation",
 ]
 
@@ -124,7 +122,7 @@ class SolverConfig:
     exceeding dt_cap (defaults to the target dt).
     """
 
-    dt: float = 1e-3
+    dt: float
     dt_cap: float | None = None
 
     def __post_init__(self):
@@ -171,9 +169,6 @@ class Trajectory:
             if abs(st.time - t) <= 1e-12 * max(1.0, abs(t)):
                 return st
         raise ValueError(f"time {t} is not a sample time of this trajectory")
-
-    def values_at(self, t: float) -> np.ndarray:
-        return self.state_at(t).values
 
 
 def _d2_coeffs(s: np.ndarray):
@@ -339,18 +334,6 @@ def _log_bounds(schedule, t_new):
     return math.log(m_in), math.log(m_out)
 
 
-def step(state: ConformalState, dt: float, schedule: BoundarySchedule) -> ConformalState:
-    """One backward-Euler step; returns the state at time + dt."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t_new = state.time + dt
-    w, _, errors = _newton_solve(_Layout([state.grid.nodes]), [state.values],
-                                 [_log_bounds(schedule, t_new)], (dt,))
-    if errors:
-        raise errors[0]
-    return ConformalState(state.grid, np.exp(w), t_new)
-
-
 def _check_schedule_consistency(initial: ConformalState, schedule: BoundarySchedule):
     t0 = initial.time
     for val, idx, name in (
@@ -509,23 +492,6 @@ def evolve(
     if isinstance(out, Exception):
         raise out
     return out
-
-
-def mms_residual(model, grid: LogPolarGrid, t: float, dt: float) -> float:
-    """Defect rate of one step against an exact solution.
-
-    Takes the exact state at time t, advances one backward-Euler step with
-    exact boundary data, and returns max|U_num - U_exact(t+dt)| / dt.  For a
-    time-dependent model this converges at first order in dt on a fine grid
-    and at second order in ds when dt is slaved to ds^2; for a static exact
-    solution it sits at the Newton floor.
-    """
-    s = grid.nodes
-    exact_now = ConformalState(grid, np.asarray(model_factor(model, s, t), dtype=float), t)
-    schedule = BoundarySchedule.from_model(model, grid.s_min, grid.s_max)
-    advanced = step(exact_now, dt, schedule)
-    exact_next = np.asarray(model_factor(model, s, t + dt), dtype=float)
-    return float(np.max(np.abs(advanced.values - exact_next))) / dt
 
 
 @dataclass(frozen=True)

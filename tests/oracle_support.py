@@ -81,45 +81,6 @@ def bigbang_disc_area_reference(r0, t):
     return 4 * mp.pi * mp.mpf(t) * (mp.coth(s0) - 1)
 
 
-def weighted_area_reference(s0, S, t, s_max):
-    """2 pi int_S^{s_max} (2t/sinh^2 s) phi(s) ds + tail, phi the scaled flux cut-off."""
-    s0, S, t, s_max = mp.mpf(s0), mp.mpf(S), mp.mpf(t), mp.mpf(s_max)
-    a = 2 * S / s0
-
-    def f(sigma):
-        sigma = mp.mpf(sigma)
-        if sigma <= a:
-            return mp.mpf(0)
-        if sigma < 1:
-            return a * mp_excess(sigma / a - 1) / (-mp.log(a))
-        f1 = 1 - (1 - a) / (-mp.log(a))
-        if f1 > mp.mpf(2) / 3:
-            knot = 3 - 2 * f1
-            if sigma < knot:
-                tau = sigma - 1
-                return f1 + tau - tau**2 / (4 * (1 - f1))
-            return mp.mpf(1)
-        if f1 >= mp.mpf(1) / 3:
-            if sigma < 2:
-                tau = sigma - 1
-                return f1 + tau + (1 - 3 * f1) * tau**2 + (2 * f1 - 1) * tau**3
-            return mp.mpf(1)
-        knot = 2 - 2 * f1
-        if sigma < knot:
-            return f1 + (sigma - 1)
-        if sigma < 2:
-            return 1 - (2 - sigma) ** 2 / (4 * f1)
-        return mp.mpf(1)
-
-    def integrand(s):
-        return 2 * t / mp.sinh(s) ** 2 * f(2 * s / s0)
-
-    knots = sorted({S, s0 / 2, s0, s_max})
-    total = mp.quad(integrand, knots)
-    tail = mp.pi * 2 * t / mp.sinh(s_max) ** 2
-    return 2 * mp.pi * total + tail
-
-
 def pair_flux_rate_reference(s0, S, s_max):
     """4 pi int (1/s^2 - 1/sinh^2 s) phi ds over [S, s_max]: dJ/dt of the model pair."""
     s0, S, s_max = mp.mpf(s0), mp.mpf(S), mp.mpf(s_max)

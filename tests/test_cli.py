@@ -11,7 +11,8 @@ import pytest
 from logdiff import estimates
 from logdiff.cli import main
 from logdiff.config import ExperimentConfig
-from logdiff.snapshots import load_trajectory, read_rows_csv
+from logdiff.snapshots import load_trajectory
+from artifact_io import read_rows_csv, write_ini
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -31,8 +32,8 @@ def _pair_configs(tmp_path, k_lo, k_hi):
     )
     lo = tmp_path / "lo.ini"
     hi = tmp_path / "hi.ini"
-    ExperimentConfig(ramps=(k_lo,), **base).write_ini(lo)
-    ExperimentConfig(ramps=(k_hi,), **base).write_ini(hi)
+    write_ini(ExperimentConfig(ramps=(k_lo,), **base), lo)
+    write_ini(ExperimentConfig(ramps=(k_hi,), **base), hi)
     return lo, hi
 
 
@@ -69,7 +70,7 @@ def test_q_sweep_config_driven(tmp_path, capsys):
         gamma_list=(0.25,),
     )
     path = tmp_path / "q.ini"
-    cfg.write_ini(path)
+    write_ini(cfg, path)
     rc = main(["q-sweep", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 0
     assert "q-sweep: PASS" in capsys.readouterr().out
@@ -191,6 +192,17 @@ def test_infinite_ramp_in_uniqueness_exits_three(tmp_path, capsys):
     rc = main(["uniqueness", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 3
     assert "config error: ramps must be finite" in capsys.readouterr().err
+
+
+def test_repeated_ramp_in_uniqueness_exits_three(tmp_path, capsys):
+    # two equal ramps give two bitwise-equal runs, whose certificates compare nothing
+    shipped = (CONFIGS / "uniqueness_small.ini").read_text()
+    assert "ramps = 100.0, 1000.0\n" in shipped
+    path = tmp_path / "u.ini"
+    path.write_text(shipped.replace("ramps = 100.0, 1000.0\n", "ramps = 100.0, 100.0\n"))
+    rc = main(["uniqueness", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "config error: ramps must be strictly increasing\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "uniqueness"])
@@ -321,7 +333,7 @@ def test_uniqueness_precondition_exits_three(tmp_path, capsys):
         ramps=(1e3,),
     )
     path = tmp_path / "u.ini"
-    cfg.write_ini(path)
+    write_ini(cfg, path)
     rc = main(["uniqueness", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 3
     assert "at least 2 ramps" in capsys.readouterr().err
@@ -330,7 +342,7 @@ def test_uniqueness_precondition_exits_three(tmp_path, capsys):
 def test_experiment_id_mismatch_warns_but_runs(tmp_path, capsys):
     cfg = ExperimentConfig(experiment="simulate", r0=0.6, R_list=(0.9,), gamma_list=(0.25,))
     path = tmp_path / "c.ini"
-    cfg.write_ini(path)
+    write_ini(cfg, path)
     rc = main(["q-sweep", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 0
     captured = capsys.readouterr()

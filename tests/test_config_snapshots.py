@@ -8,12 +8,12 @@ from logdiff.geometry import BigBang, LogPolarGrid, model_state
 from logdiff.snapshots import (
     load_state,
     load_trajectory,
-    read_rows_csv,
     save_state,
     save_trajectory,
     write_rows_csv,
 )
 from logdiff.solver import Trajectory
+from artifact_io import read_rows_csv, write_ini
 
 MINIMAL = """\
 [experiment]
@@ -49,7 +49,7 @@ class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
         out = tmp_path / "echo.ini"
-        cfg.write_ini(out)
+        write_ini(cfg, out)
         again = parse_config(out)
         assert again == cfg
         assert again.config_hash == cfg.config_hash
@@ -111,7 +111,7 @@ class TestParseConfig:
 
     def test_decreasing_ramps_rejected(self, tmp_path):
         bad = MINIMAL.replace("ramps = 100.0, 1000.0", "ramps = 1000.0, 100.0")
-        with pytest.raises(ConfigError, match="nondecreasing"):
+        with pytest.raises(ConfigError, match="ramps must be strictly increasing"):
             parse_config(write(tmp_path, bad))
 
     def test_grid_bounds_defaults(self):

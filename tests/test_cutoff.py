@@ -9,7 +9,6 @@ from logdiff.cutoff import (
     INV_SQUARE_CONSTANT,
     CutoffSpec,
     compute_Q,
-    elementary_inequalities,
     flux_deriv,
     flux_knots,
     flux_second_deriv,
@@ -444,33 +443,27 @@ def test_pointwise_numerator_bounds(a, frac):
 @given(st.floats(min_value=1e-6, max_value=0.999), st.floats(min_value=0.0, max_value=1e6))
 @settings(max_examples=100)
 def test_log_power_inequality(lam, x):
-    assert elementary_inequalities("log_power", lam, x) >= -1e-12
+    # log(1+x) <= x^lam / lam for lam in (0,1), x >= 0
+    assert x**lam / lam - math.log1p(x) >= -1e-12
 
 
 @given(st.floats(min_value=-0.999, max_value=0.0))
 @settings(max_examples=100)
 def test_log_quad_inequality(x):
-    assert elementary_inequalities("log_quad", x) >= -1e-12
+    # log(1+x) <= x - x^2/2 for x in (-1, 0]
+    assert (x - x * x / 2.0) - math.log1p(x) >= -1e-12
 
 
 @given(st.floats(min_value=1e-9, max_value=math.log(2.0) - 1e-9))
 @settings(max_examples=100)
 def test_sinh_chord_inequality(s):
-    assert elementary_inequalities("sinh_chord", s) >= -1e-12
+    # sinh(s) <= 3 s/(4 log 2) on (0, log 2), the chord behind INV_SQUARE_CONSTANT
+    assert 3.0 * s / (4.0 * math.log(2.0)) - math.sinh(s) >= -1e-12
 
 
 def test_sinh_chord_tight_at_right_endpoint():
     # sinh(log 2) = 3/4 exactly, so the chord bound closes up at log 2
-    margin = elementary_inequalities("sinh_chord", math.log(2.0) - 1e-9)
+    s = math.log(2.0) - 1e-9
+    margin = 3.0 * s / (4.0 * math.log(2.0)) - math.sinh(s)
     assert 0.0 <= margin < 1e-8
 
-
-def test_elementary_inequalities_domain_checks():
-    with pytest.raises(ValueError):
-        elementary_inequalities("log_power", 1.5, 1.0)
-    with pytest.raises(ValueError):
-        elementary_inequalities("log_quad", 0.5)
-    with pytest.raises(ValueError):
-        elementary_inequalities("sinh_chord", 1.0)
-    with pytest.raises(ValueError):
-        elementary_inequalities("nope", 1.0)

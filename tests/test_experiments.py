@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from logdiff.config import ExperimentConfig
+from logdiff.config import ConfigError, ExperimentConfig
 from logdiff.experiments import (
     matched_truncation_gauge,
     run_boundary_layer_experiment,
@@ -10,7 +10,7 @@ from logdiff.experiments import (
     run_q_sweep,
     run_uniqueness_experiment,
 )
-from logdiff.snapshots import read_rows_csv
+from artifact_io import read_rows_csv
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +143,16 @@ class TestUniqueness:
         assert len(uniq_result.rows) == 12
         assert not uniq_result.failures
 
-    def test_identical_ramps_give_zero_diffs(self):
-        cfg = ExperimentConfig(
-            experiment="uniqueness", r0=0.75,
-            R_list=(math.exp(-0.09), math.exp(-0.06), math.exp(-0.03)),
-            gamma_list=(0.25,), ramps=(1e3, 1e3), T=0.05, dt=1e-3,
-            n=101, ratio=1.05, sample_times=(0.05,),
-        )
-        res = run_uniqueness_experiment(cfg)
-        assert all(r["sup_diff"] == 0.0 for r in res.rows)
-        assert all(r["area_diff"] == 0.0 for r in res.rows)
+    def test_identical_ramps_rejected(self):
+        # equal ramps would certify two bitwise-equal runs (see
+        # test_solver.test_exhaust_equal_ramps_identical), which checks nothing
+        with pytest.raises(ConfigError, match="ramps must be strictly increasing"):
+            ExperimentConfig(
+                experiment="uniqueness", r0=0.75,
+                R_list=(math.exp(-0.09), math.exp(-0.06), math.exp(-0.03)),
+                gamma_list=(0.25,), ramps=(1e3, 1e3), T=0.05, dt=1e-3,
+                n=101, ratio=1.05, sample_times=(0.05,),
+            )
 
     def test_needs_two_ramps(self):
         cfg = ExperimentConfig(ramps=(1e3,), R_list=(0.92, 0.94, 0.96), r0=0.75)

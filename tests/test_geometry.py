@@ -9,16 +9,13 @@ from logdiff.geometry import (
     Cusp,
     FlatDisc,
     LogPolarGrid,
-    Poincare,
     annulus_area,
     disc_area,
     gauss_curvature,
     hyperbolic_factor,
     model_factor,
     model_state,
-    r_from_s,
     s_from_r,
-    weighted_area,
 )
 
 # [frozen] 4 pi t (coth(-log 0.8) - 1), mpmath dps=40
@@ -27,7 +24,7 @@ BIGBANG_DISC_AREA_R08_T1 = 44.680428851054837169
 
 def test_coordinate_round_trip():
     r = np.array([0.999, 0.5, 0.1, 1e-6])
-    assert np.allclose(r_from_s(s_from_r(r)), r, rtol=1e-14)
+    assert np.allclose(np.exp(-s_from_r(r)), r, rtol=1e-14)
     assert s_from_r(1.0) == 0.0
 
 
@@ -42,8 +39,6 @@ def test_coordinate_domain_checks():
         s_from_r(0.0)
     with pytest.raises(ValueError):
         s_from_r(1.0 + 1e-9)
-    with pytest.raises(ValueError):
-        r_from_s(-0.1)
 
 
 def test_hyperbolic_factor_values():
@@ -115,7 +110,6 @@ def test_model_factor_names_and_classes():
     assert np.allclose(model_factor("bigbang", s, 2.0), 4.0 / np.sinh(s) ** 2)
     assert np.allclose(model_factor(Cusp, s, 0.5), 1.0 / s**2)
     assert np.allclose(model_factor("flatdisc", s), np.exp(-2.0 * s))
-    assert np.allclose(model_factor(Poincare, s), 1.0 / np.sinh(s) ** 2)
     with pytest.raises(ValueError):
         model_factor("nosuch", s)
 
@@ -123,13 +117,13 @@ def test_model_factor_names_and_classes():
 def test_bigbang_dominates_poincare_after_t_half():
     # 2t/sinh^2 >= 1/sinh^2 once t >= 1/2, uniformly in s
     s = np.linspace(0.05, 9.0, 200)
-    assert np.all(model_factor(BigBang, s, 0.5) >= model_factor(Poincare, s) - 1e-15)
+    assert np.all(model_factor(BigBang, s, 0.5) >= hyperbolic_factor(s) - 1e-15)
 
 
 def test_gauss_curvature_of_models():
     g = LogPolarGrid.graded(0.05, 8.0, 801, ratio=1.01)
     # Poincare metric has K = -1 identically
-    k_hyp = gauss_curvature(model_state(Poincare, g))
+    k_hyp = gauss_curvature(ConformalState(g, hyperbolic_factor(g.nodes), 0.0))
     assert np.max(np.abs(k_hyp + 1.0)) < 2e-3
     # big-bang at time t has K = -1/(2t)
     k_bb = gauss_curvature(model_state(BigBang, g, t=0.25))
@@ -150,7 +144,7 @@ def test_gauss_curvature_conformal_scaling(c):
     # scaling the factor by c scales curvature by 1/c; exact up to
     # log roundoff amplified by e^{2s}/h^2
     g = LogPolarGrid.uniform(0.3, 5.0, 301)
-    base = model_state(Poincare, g)
+    base = ConformalState(g, hyperbolic_factor(g.nodes), 0.0)
     scaled = ConformalState(g, c * base.values, 0.0)
     assert np.allclose(gauss_curvature(scaled), gauss_curvature(base) / c, rtol=2e-6, atol=1e-8)
 
@@ -213,32 +207,3 @@ def test_disc_area_includes_deep_tail():
     full = disc_area(st8, r0=np.exp(-0.1))
     assert full == pytest.approx(np.pi * np.exp(-0.2), rel=1e-6)
 
-
-def test_weighted_area_requires_resolved_support():
-    from logdiff.cutoff import CutoffSpec
-
-    spec = CutoffSpec(r0=0.8, R=0.95, gamma=0.25)
-    coarse = LogPolarGrid.uniform(0.01, 8.0, 12)  # 11 nodes above S, below the floor of 16
-    with pytest.raises(ValueError, match="support"):
-        weighted_area(model_state(BigBang, coarse, t=1e-6), spec)
-
-
-def test_weighted_area_small_time_oracle():
-    # [frozen] mpmath dps=40: 2 pi int_S^inf (2t/sinh^2) phi ds,
-    # cutoff r0=e^{-1/2}, R=e^{-1/10}, t=1e-6; trapezoid limits the agreement
-    from logdiff.cutoff import CutoffSpec
-
-    spec = CutoffSpec(r0=np.exp(-0.5), R=np.exp(-0.1), gamma=0.25)
-    g = LogPolarGrid.graded(spec.S / 4, 8.0, 4001, ratio=1.002)
-    val = weighted_area(model_state(BigBang, g, t=1e-6), spec)
-    assert val == pytest.approx(3.6404925594630382458e-05, rel=2e-6)
-
-
-def test_weighted_area_matches_reference_quadrature():
-    from oracle_support import weighted_area_reference
-
-    from logdiff.cutoff import CutoffSpec
-
-    spec = CutoffSpec(r0=np.exp(-0.5), R=np.exp(-0.1), gamma=0.25)
-    ref = float(weighted_area_reference(spec.s0, spec.S, 1e-6, 8.0))
-    assert ref == pytest.approx(3.6404925594630382458e-05, rel=1e-11)

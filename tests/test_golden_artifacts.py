@@ -1,4 +1,5 @@
-"""Golden digests of every artifact the shipped commands write.
+"""Golden digests of every artifact the shipped commands write, and a guard
+that those commands run every def of the package.
 
 The nine commands below are the shipped configs of each subcommand. Their
 23 artifacts are byte-identical across refactors, so each file's SHA-256 is
@@ -9,9 +10,12 @@ recorded with.
 
 The commands run in one fresh interpreter that imports `logdiff.cli` before
 numpy, as the console script does, so they run with the CLI's start-up
-settings (single-threaded OpenBLAS), as users do.
+settings (single-threaded OpenBLAS), as users do. The guard runs them
+again under a profiler and fails on any def in `logdiff` they never call,
+save a short list of error paths: code only tests run belongs in tests/.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -22,6 +26,8 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+
+import logdiff
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
@@ -74,19 +80,82 @@ def _commands(out):
     )
 
 
+def _run_shipped(script, out):
+    """Runs the commands, writing under out, in a fresh interpreter that
+    executes script; checks that each exited 0 and returns the stdout lines
+    before the exit codes."""
+    commands = _commands(out)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *lines, codes = proc.stdout.splitlines()
+    assert json.loads(codes) == [0] * len(commands)
+    return lines
+
+
 def test_shipped_artifacts_match_recorded_digests(tmp_path):
     versions = (numpy.__version__, scipy.__version__)
     if versions != RECORDED_WITH:
         pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
                     f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
-    commands = _commands(tmp_path)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(commands)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
+    _run_shipped(_RUN_ALL, tmp_path)
     written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
     assert written == set(GOLDEN)
     moved = sorted(name for name, digest in GOLDEN.items()
                    if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest)
     assert moved == []
+
+
+# _RUN_ALL under a profiler that records every Python function called; the
+# line before the exit codes lists (module, first line) of each function of
+# the logdiff package that ran
+_RUN_PROFILED = """\
+import json, os, sys
+called = set()
+sys.setprofile(lambda frame, event, arg: called.add(frame.f_code) if event == "call" else None)
+from logdiff.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+package = os.path.dirname(os.path.realpath(sys.modules["logdiff"].__file__))
+print(json.dumps(sorted({(os.path.basename(c.co_filename)[:-3], c.co_firstlineno) for c in called
+                         if os.path.dirname(os.path.realpath(c.co_filename)) == package})))
+print(json.dumps(codes))
+"""
+
+# defs no shipped command reaches, each with its reason
+UNREACHED_ON_PURPOSE = {
+    "cli._Parser.error": "runs on a bad command line only",
+    "config.ConfigError.__init__": "runs on an invalid config only",
+    "solver.StepFailure.__init__": "runs when a Newton solve fails, as no shipped run's does",
+    "solver.RunError.__init__": "runs when a run fails after all its halvings",
+}
+
+
+def _defs():
+    """(module, first line) -> dotted name of every def in the package.  A
+    code object's first line is its first decorator's, if it has one."""
+    found = {}
+
+    def visit(node, prefix, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[(module, first)] = name
+                visit(child, name, module)
+            else:
+                visit(child, prefix, module)
+
+    for path in sorted(Path(logdiff.__file__).resolve().parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, path.stem)
+    return found
+
+
+def test_shipped_commands_reach_every_def(tmp_path):
+    # a fresh interpreter, because lru_cache'd functions called earlier in
+    # this process would not run again
+    called = {tuple(key) for key in json.loads(_run_shipped(_RUN_PROFILED, tmp_path)[-1])}
+    unreached = sorted(name for key, name in _defs().items() if key not in called)
+    assert unreached == sorted(UNREACHED_ON_PURPOSE)

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 from logdiff.cli import main
-from logdiff.snapshots import read_rows_csv
+from artifact_io import read_rows_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 S = 0.18                # cut-off S = -log R of the shipped configs

@@ -24,8 +24,6 @@ from logdiff.solver import (
     Trajectory,
     check_order_preservation,
     evolve,
-    mms_residual,
-    step,
 )
 from oracle_support import newton_solve_reference
 
@@ -37,48 +35,6 @@ def flat_setup(n=101, s_min=0.1, s_max=6.0):
     return g, st0, sched
 
 
-# ------------------------------------------------------------------ one step
-
-
-def test_flatdisc_is_discrete_fixed_point():
-    # log U linear in s, so D2(log U) vanishes node-by-node and the step is exact
-    g, st0, sched = flat_setup()
-    out = step(st0, 0.05, sched)
-    assert out.time == pytest.approx(0.05)
-    assert np.max(np.abs(out.values - st0.values)) < 1e-12
-
-
-def test_step_rejects_bad_dt_and_schedule():
-    g, st0, sched = flat_setup()
-    with pytest.raises(ValueError):
-        step(st0, -0.1, sched)
-    bad = BoundarySchedule(inner=lambda t: -1.0, outer=lambda t: 1.0)
-    with pytest.raises(ValueError, match="nonpositive"):
-        step(st0, 0.01, bad)
-
-
-def test_step_failure_carries_residual(monkeypatch):
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
-    g = LogPolarGrid.uniform(0.3, 4.0, 81)
-    st0 = model_state(BigBang, g, 0.2)
-    sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
-    with pytest.raises(StepFailure) as exc:
-        step(st0, 0.05, sched)
-    assert exc.value.residual > 0.0
-
-
-def test_positivity_under_violent_ramp():
-    g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
-    st0 = model_state(FlatDisc, g, 0.0)
-    sched = BoundarySchedule.ramp(st0, 1e6)
-    out = step(st0, 0.05, sched)
-    assert np.all(out.values > 0.0)
-    assert out.values[0] == pytest.approx(5e4)  # Dirichlet value k*t
-
-
-# ------------------------------------------------------------ Newton kernel
-
-
 def _newton_one(s, u, w_in, w_out, dt):
     """The batched Newton kernel on one member: (w, iterations), or raises
     the member's error."""
@@ -87,6 +43,58 @@ def _newton_one(s, u, w_in, w_out, dt):
     if errors:
         raise errors[0]
     return w, iters
+
+
+def _step(state, dt, schedule):
+    """One backward-Euler step of state through the Newton kernel, to the
+    schedule's boundary values at time + dt."""
+    t_new = state.time + dt
+    w, _ = _newton_one(state.grid.nodes, state.values, *solver._log_bounds(schedule, t_new), dt)
+    return ConformalState(state.grid, np.exp(w), t_new)
+
+
+# ------------------------------------------------------------------ one step
+
+
+def test_flatdisc_is_discrete_fixed_point():
+    # log U linear in s, so D2(log U) vanishes node-by-node and the step is exact
+    g, st0, sched = flat_setup()
+    out = _step(st0, 0.05, sched)
+    assert out.time == pytest.approx(0.05)
+    assert np.max(np.abs(out.values - st0.values)) < 1e-12
+
+
+def test_step_rejects_bad_dt_and_schedule():
+    g, st0, sched = flat_setup()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        SolverConfig(dt=-0.1)
+    # consistent with the initial data, nonpositive at the first step
+    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
+    bad = BoundarySchedule(inner=lambda t: u_in if t == 0.0 else -1.0, outer=lambda t: u_out)
+    with pytest.raises(ValueError, match="nonpositive"):
+        evolve(st0, bad, SolverConfig(dt=0.01), 0.05)
+
+
+def test_step_failure_carries_residual(monkeypatch):
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
+    g = LogPolarGrid.uniform(0.3, 4.0, 81)
+    st0 = model_state(BigBang, g, 0.2)
+    sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
+    with pytest.raises(StepFailure) as exc:
+        _step(st0, 0.05, sched)
+    assert exc.value.residual > 0.0
+
+
+def test_positivity_under_violent_ramp():
+    g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
+    st0 = model_state(FlatDisc, g, 0.0)
+    sched = BoundarySchedule.ramp(st0, 1e6)
+    out = _step(st0, 0.05, sched)
+    assert np.all(out.values > 0.0)
+    assert out.values[0] == pytest.approx(5e4)  # Dirichlet value k*t
+
+
+# ------------------------------------------------------------ Newton kernel
 
 
 def _kernel_case(name):
@@ -158,7 +166,7 @@ def test_non_finite_input_raises_value_error():
             with pytest.raises(ValueError, match="non-finite"):
                 _newton_one(s, u_bad, w_in, w_out, dt)
         with pytest.raises(ValueError, match="non-finite"):
-            step(st0, 0.01, inf_inner)
+            _step(st0, 0.01, inf_inner)
 
 
 def test_singular_jacobian_fails_step_then_run(monkeypatch):
@@ -171,7 +179,7 @@ def test_singular_jacobian_fails_step_then_run(monkeypatch):
     monkeypatch.setattr(solver, "dgtsv", singular_dgtsv)
     _, st0, sched = flat_setup()
     with pytest.raises(StepFailure, match="singular"):
-        step(st0, 0.01, sched)
+        _step(st0, 0.01, sched)
     calls.clear()
     monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
     with pytest.raises(RunError, match="after 3 halvings") as exc:
@@ -183,15 +191,24 @@ def test_singular_jacobian_fails_step_then_run(monkeypatch):
 # --------------------------------------------------- manufactured solutions
 
 
+def _mms_residual(model, grid, t, dt):
+    """max |U_num - U_exact(t + dt)| / dt after one step from the exact state
+    at t with exact boundary data: first order in dt on a fine grid, second
+    order in ds with dt slaved to ds^2, the Newton floor for a static model."""
+    schedule = BoundarySchedule.from_model(model, grid.s_min, grid.s_max)
+    out = _step(model_state(model, grid, t), dt, schedule)
+    return float(np.max(np.abs(out.values - model_factor(model, grid.nodes, t + dt)))) / dt
+
+
 def test_mms_flatdisc_sits_at_newton_floor():
     g = LogPolarGrid.uniform(0.1, 6.0, 201)
-    assert mms_residual(FlatDisc, g, 0.3, 0.01) < 1e-8
+    assert _mms_residual(FlatDisc, g, 0.3, 0.01) < 1e-8
 
 
 def test_mms_bigbang_first_order_in_dt():
     # one-step error dt*rate halves with dt on a fine grid
     g = LogPolarGrid.uniform(0.5, 3.0, 801)
-    errs = [dt * mms_residual(BigBang, g, 0.5, dt) for dt in (8e-6, 4e-6, 2e-6, 1e-6)]
+    errs = [dt * _mms_residual(BigBang, g, 0.5, dt) for dt in (8e-6, 4e-6, 2e-6, 1e-6)]
     for big, small in zip(errs, errs[1:]):
         assert 1.85 <= big / small <= 2.1
 
@@ -202,7 +219,7 @@ def test_mms_cusp_second_order_in_ds():
     for n in (101, 201, 401):
         g = LogPolarGrid.uniform(0.5, 3.0, n)
         ds = g.nodes[1] - g.nodes[0]
-        rates.append(mms_residual(Cusp, g, 0.5, 0.25 * ds * ds))
+        rates.append(_mms_residual(Cusp, g, 0.5, 0.25 * ds * ds))
     r1 = rates[0] / rates[1]
     r2 = rates[1] / rates[2]
     assert 3.2 < r1 < 4.6 and 3.2 < r2 < 4.6

@@ -18,7 +18,7 @@ import sys
 # set before numpy loads: numpy's and scipy's OpenBLAS thread pools slow start-up, get no work
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import INI_KEYS, ConfigError, ExperimentConfig, parse_config
 from .cutoff import CutoffSpec
 from .estimates import full_report
 from .experiments import (
@@ -36,10 +36,17 @@ EXIT_CERT_FAIL = 2
 EXIT_INFRA = 3
 
 
-def _load_config(path: str | None, experiment: str) -> ExperimentConfig | None:
-    if path is None:
+def _load_config(args, experiment: str, single=()) -> ExperimentConfig | None:
+    # single names the (section, key)s of which the command runs one value:
+    # a config listing more is refused, not run on its first value alone
+    if args.config is None:
         return None
-    cfg = parse_config(path)
+    cfg = parse_config(args.config)
+    lists = {key: getattr(cfg, INI_KEYS[section, key][0]) for section, key in single}
+    many = [f"{args.command} takes one value of {key}, got {len(values)}: "
+            + ", ".join(f"{v:g}" for v in values) for key, values in lists.items() if len(values) > 1]
+    if many:
+        raise ConfigError(many)
     if cfg.experiment != experiment:
         # the id field is bookkeeping for the hash; warn, do not refuse
         print(f"note: config says experiment={cfg.experiment}, running {experiment}",
@@ -65,7 +72,7 @@ def _default_uniqueness_config() -> ExperimentConfig:
 
 
 def _cmd_exact_suite(args) -> int:
-    cfg = _load_config(args.config, "exact-suite")
+    cfg = _load_config(args, "exact-suite")
     result = run_exact_solution_suite(cfg, out_dir=args.out)
     for (model, kind), slope in sorted(result.orders.items()):
         print(f"  {model:8s} {kind:8s} order {slope:.3f}")
@@ -75,7 +82,7 @@ def _cmd_exact_suite(args) -> int:
 
 
 def _cmd_q_sweep(args) -> int:
-    cfg = _load_config(args.config, "q-sweep")
+    cfg = _load_config(args, "q-sweep")
     result = run_q_sweep(cfg, out_dir=args.out)
     worst = max(r["ratio"] for r in result.rows if r["status"] == "ok")
     print(f"  {len(result.rows)} rows, worst Q/bound ratio {worst:.4f}")
@@ -86,7 +93,7 @@ def _cmd_q_sweep(args) -> int:
 
 
 def _cmd_uniqueness(args) -> int:
-    cfg = _load_config(args.config, "uniqueness") or _default_uniqueness_config()
+    cfg = _load_config(args, "uniqueness") or _default_uniqueness_config()
     result = run_uniqueness_experiment(cfg, out_dir=args.out)
     print(f"  {len(result.rows)} certificate rows, failures={len(result.failures)}")
     print(f"  certified={result.all_certified} area_monotone={result.area_monotone_in_R} "
@@ -99,7 +106,7 @@ def _cmd_uniqueness(args) -> int:
 
 
 def _cmd_boundary_layer(args) -> int:
-    cfg = _load_config(args.config, "boundary-layer")
+    cfg = _load_config(args, "boundary-layer")
     result = run_boundary_layer_experiment(cfg, out_dir=args.out)
     print(f"  fitted exponent p = {result.exponent:.4f} "
           f"(exploratory window [0.35, 0.65]: {'in' if result.in_range else 'out of'} range)")
@@ -109,8 +116,12 @@ def _cmd_boundary_layer(args) -> int:
     return EXIT_PASS
 
 
+# the keys of which simulate runs one value; verify reads only the first two
+_ONE_MEMBER = (("cutoff", "r"), ("cutoff", "gamma"), ("flow", "ramps"))
+
+
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, "simulate") or ExperimentConfig()
+    cfg = _load_config(args, "simulate", _ONE_MEMBER) or ExperimentConfig()
     R, k = cfg.R_list[0], cfg.ramps[0]
     st0, schedule, solver_config, T, samples = exhaustion_member(cfg, R, k)
     traj = evolve(st0, schedule, solver_config, T, sample_times=samples)
@@ -125,7 +136,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     # verify replays a pair of simulate runs, so a simulate config is expected
-    cfg = _load_config(args.config, "simulate") or ExperimentConfig()
+    cfg = _load_config(args, "simulate", _ONE_MEMBER[:2]) or ExperimentConfig()
     traj_g = load_trajectory(args.manifest_g)
     traj_G = load_trajectory(args.manifest_G)
     cutoff = CutoffSpec(cfg.r0, cfg.R_list[0], cfg.gamma_list[0])

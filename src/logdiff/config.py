@@ -12,19 +12,9 @@ from dataclasses import dataclass, field, fields
 
 from .cutoff import CutoffSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "INI_KEYS", "parse_config"]
 
 _EXPERIMENTS = ("exact-suite", "uniqueness", "q-sweep", "boundary-layer", "simulate")
-
-# section -> allowed keys; anything else is an unknown-key error.
-# configparser lowercases option names, so the schema is lowercase too.
-_SCHEMA = {
-    "experiment": {"id"},
-    "grid": {"s_min", "s_max", "n", "ratio"},
-    "cutoff": {"r0", "r", "gamma"},
-    "flow": {"ramps", "t", "dt", "sample_times"},
-}
-
 
 class ConfigError(ValueError):
     """Carries the full list of validation problems in .errors."""
@@ -128,6 +118,25 @@ def _floats(raw: str) -> tuple:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
+# (section, key) -> (ExperimentConfig field, conversion of the value text);
+# anything else in a file is an unknown section or key.  configparser
+# lowercases option names, so the keys are lowercase too.
+INI_KEYS = {
+    ("experiment", "id"): ("experiment", str),
+    ("grid", "s_min"): ("s_min", float),
+    ("grid", "s_max"): ("s_max", float),
+    ("grid", "n"): ("n", int),
+    ("grid", "ratio"): ("ratio", float),
+    ("cutoff", "r0"): ("r0", float),
+    ("cutoff", "r"): ("R_list", _floats),
+    ("cutoff", "gamma"): ("gamma_list", _floats),
+    ("flow", "ramps"): ("ramps", _floats),
+    ("flow", "t"): ("T", float),
+    ("flow", "dt"): ("dt", float),
+    ("flow", "sample_times"): ("sample_times", _floats),
+}
+
+
 def parse_config(path) -> ExperimentConfig:
     # values are literal: no key refers to another, so '%' is just a bad value
     cp = configparser.ConfigParser(interpolation=None)
@@ -142,43 +151,17 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([f"config file {path} not found or unreadable"])
     errors = []
     for section in cp.sections():
-        if section not in _SCHEMA:
+        keys = {key for sec, key in INI_KEYS if sec == section}
+        if not keys:
             errors.append(f"unknown section [{section}]")
-            continue
-        unknown = set(cp[section]) - _SCHEMA[section]
-        if unknown:
+        elif unknown := set(cp[section]) - keys:
             errors.append(f"unknown keys in [{section}]: {', '.join(sorted(unknown))}")
     if errors:
         raise ConfigError(errors)
-
-    kwargs = {}
     try:
-        if cp.has_section("experiment"):
-            sec = cp["experiment"]
-            kwargs["experiment"] = sec.get("id", ExperimentConfig.experiment)
-        if cp.has_section("grid"):
-            sec = cp["grid"]
-            if "s_min" in sec:
-                kwargs["s_min"] = sec.getfloat("s_min")
-            if "s_max" in sec:
-                kwargs["s_max"] = sec.getfloat("s_max")
-            kwargs["n"] = sec.getint("n", ExperimentConfig.n)
-            kwargs["ratio"] = sec.getfloat("ratio", ExperimentConfig.ratio)
-        if cp.has_section("cutoff"):
-            sec = cp["cutoff"]
-            kwargs["r0"] = sec.getfloat("r0", ExperimentConfig.r0)
-            if "r" in sec:
-                kwargs["R_list"] = _floats(sec["r"])
-            if "gamma" in sec:
-                kwargs["gamma_list"] = _floats(sec["gamma"])
-        if cp.has_section("flow"):
-            sec = cp["flow"]
-            if "ramps" in sec:
-                kwargs["ramps"] = _floats(sec["ramps"])
-            kwargs["T"] = sec.getfloat("t", ExperimentConfig.T)
-            kwargs["dt"] = sec.getfloat("dt", ExperimentConfig.dt)
-            if "sample_times" in sec:
-                kwargs["sample_times"] = _floats(sec["sample_times"])
+        kwargs = {name: convert(cp[section][key])
+                  for (section, key), (name, convert) in INI_KEYS.items()
+                  if cp.has_option(section, key)}
     except ValueError as exc:
         raise ConfigError([f"malformed value: {exc}"]) from exc
     return ExperimentConfig(**kwargs)

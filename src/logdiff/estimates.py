@@ -25,6 +25,7 @@ import numpy as np
 
 from .cutoff import CutoffSpec, INV_SQUARE_CONSTANT, compute_Q, q_bound_constant
 from .geometry import (
+    _area_beyond,
     _trapezoid_between,
     annulus_area,
     disc_area,
@@ -137,19 +138,15 @@ def _pair_arrays(traj_g: Trajectory, traj_G: Trajectory, t: float):
 
 
 def _endpoint_slope(s: np.ndarray, w: np.ndarray, last: bool) -> float:
-    # one-sided 3-point first derivative, nonuniform spacing
-    if last:
-        x0, x1, x2 = s[-3], s[-2], s[-1]
-        w0, w1, w2 = w[-3], w[-2], w[-1]
-        h1, h2 = x1 - x0, x2 - x1
-        return float(
-            w2 * (2.0 * h2 + h1) / (h2 * (h1 + h2)) - w1 * (h1 + h2) / (h1 * h2) + w0 * h2 / (h1 * (h1 + h2))
-        )
-    x0, x1, x2 = s[0], s[1], s[2]
-    w0, w1, w2 = w[0], w[1], w[2]
+    # one-sided 3-point first derivative, nonuniform spacing; the first
+    # node's is minus the last node's on the mirrored grid
+    if not last:
+        return -_endpoint_slope(-s[2::-1], w[2::-1], True)
+    x0, x1, x2 = s[-3], s[-2], s[-1]
+    w0, w1, w2 = w[-3], w[-2], w[-1]
     h1, h2 = x1 - x0, x2 - x1
     return float(
-        -w0 * (2.0 * h1 + h2) / (h1 * (h1 + h2)) + w1 * (h1 + h2) / (h1 * h2) - w2 * h1 / (h2 * (h1 + h2))
+        w2 * (2.0 * h2 + h1) / (h2 * (h1 + h2)) - w1 * (h1 + h2) / (h1 * h2) + w0 * h2 / (h1 * (h1 + h2))
     )
 
 
@@ -345,11 +342,7 @@ def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float, order=None)
 
 def _positive_part_area(s, U, V, s_lo: float) -> float:
     # 2 pi int (V-U)_+ over {s >= s_lo} with the same tail convention as disc_area
-    d = np.maximum(V - U, 0.0)
-    lo = max(float(s_lo), float(s[0]))
-    if lo > float(s[-1]):
-        raise ValueError("region lies outside the grid")
-    return 2.0 * math.pi * _trapezoid_between(s, d, lo, float(s[-1])) + math.pi * float(d[-1])
+    return _area_beyond(s, np.maximum(V - U, 0.0), max(float(s_lo), float(s[0])))
 
 
 def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: str) -> tuple:
@@ -411,8 +404,10 @@ def curvature_monotonicity_check(traj: Trajectory, label: str) -> tuple:
     rhs = 10 NEWTON_TOL max(1, max U(0)), and why is None.  A curvature dip
     below that gates the check off: no rows, and why gives K_min."""
     kmin, t_min = min((float(np.min(gauss_curvature(st))), st.time) for st in traj.states)
-    if kmin < -1.0 - 1e-6:
-        return (), f"K_min = {kmin:.4g} < -1 at t={t_min:g}"
+    floor = -1.0 - 1e-6
+    if kmin < floor:
+        # 7 digits, so the note never rounds K_min onto the threshold
+        return (), f"K_min = {kmin:.7g} < {floor:.7g} at t={t_min:g}"
     tol = 10.0 * NEWTON_TOL * max(1.0, float(np.max(traj.states[0].values)))
     worst = -math.inf
     prev = None
@@ -457,13 +452,12 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     Q = compute_Q(cutoff)
 
     if order.ordered:
-        s0_disc = -math.log(cutoff.r0)
         s_hi = traj_g.grid.s_max
         for t, J in zip(times, Js):
             rows.append(InequalityRow(t, "J-nonnegative", 0.0, J))
             # truncated disc areas: tails cancel identically from both sides
-            diff = annulus_area(traj_G.state_at(t), s0_disc, s_hi) - annulus_area(
-                traj_g.state_at(t), s0_disc, s_hi
+            diff = annulus_area(traj_G.state_at(t), cutoff.s0, s_hi) - annulus_area(
+                traj_g.state_at(t), cutoff.s0, s_hi
             )
             rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
         rows += main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q, order=order)

@@ -20,13 +20,14 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .config import ExperimentConfig
 from .cutoff import CutoffSpec, _q_integral_beta, compute_Q
 from .estimates import interior_area_verify
-from .geometry import MODEL_KINDS, FlatDisc, LogPolarGrid, model_factor, model_state
+from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
 from .snapshots import write_rows_csv
 from .solver import (
     BoundarySchedule,
@@ -73,37 +74,40 @@ _TEMPORAL_GRID = (0.5, 3.0, 201)
 _TEMPORAL_DTS = (0.05, 0.025, 0.0125, 0.00625)
 _TEMPORAL_SPAN = (0.5, 1.0)
 _STATIC_NS = (101, 201, 401)
+# (kind, model, levels) of each study, in the order of the CSV rows
+_STUDIES = (
+    ("static", FlatDisc, len(_STATIC_NS)),
+    ("spatial", BigBang, 3),
+    ("spatial", Cusp, 3),
+    ("temporal", BigBang, len(_TEMPORAL_DTS)),
+    ("temporal", Cusp, len(_TEMPORAL_DTS)),
+)
 
 
 def _exact_run(kind, model, level):
-    """The evolve_many run of one refinement level of one study."""
+    """The evolve_many run of one refinement level of one study, held at the
+    model's own values at both grid ends."""
     if kind == "static":
         grid = LogPolarGrid.graded(0.1, 6.0, _STATIC_NS[level], 1.02)
-        st0 = model_state(model, grid, 0.0)
-        sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
-        return st0, sched, SolverConfig(dt=1e-3), 0.1
-    if kind == "spatial":
-        s_lo, s_hi, n0, ratio = _SPATIAL_BASE
-        grid = LogPolarGrid.graded(s_lo, s_hi, n0, ratio)
+        (t0, T), dt = (0.0, 0.1), 1e-3
+    elif kind == "spatial":
+        grid = LogPolarGrid.graded(*_SPATIAL_BASE)
         for _ in range(level):
             grid = grid.refine()
-        t0, T = _SPATIAL_SPAN
-        dt = _SPATIAL_DT
+        (t0, T), dt = _SPATIAL_SPAN, _SPATIAL_DT
     else:  # temporal: fixed grid, one run per dt
-        s_lo, s_hi, n = _TEMPORAL_GRID
-        grid = LogPolarGrid.uniform(s_lo, s_hi, n)
-        t0, T = _TEMPORAL_SPAN
-        dt = _TEMPORAL_DTS[level]
-    sched = BoundarySchedule.from_model(model, s_lo, s_hi)
+        grid = LogPolarGrid.uniform(*_TEMPORAL_GRID)
+        (t0, T), dt = _TEMPORAL_SPAN, _TEMPORAL_DTS[level]
+    sched = BoundarySchedule.from_model(model, grid.s_min, grid.s_max)
     return model_state(model, grid, t0), sched, SolverConfig(dt=dt), T
 
 
-def _exact_row(kind, name, level, run, traj):
+def _exact_row(kind, model, level, run, traj):
     """Row of one refinement level; solver failures land in the status
     column and the suite continues.  Temporal errors are successive
-    terminal differences, filled in once every level has run."""
+    terminal differences, filled in by the caller."""
     if isinstance(traj, Exception):
-        return {"kind": kind, "model": name, "level": level, "n": "", "dt": "",
+        return {"kind": kind, "model": model.name, "level": level, "n": "", "dt": "",
                 "h": "", "error": "", "status": f"failed: {traj}"}
     st0, _, cfg, T = run
     grid = st0.grid
@@ -112,11 +116,11 @@ def _exact_row(kind, name, level, run, traj):
     if kind == "static":
         error = float(np.max(np.abs(final - st0.values)))
     elif kind == "spatial":
-        exact = model_factor(MODEL_KINDS[name], grid.nodes, T)
+        exact = model_factor(model, grid.nodes, T)
         error = float(np.max(np.abs(final - exact)) / np.max(exact))
     else:
         h, error = cfg.dt, ""
-    return {"kind": kind, "model": name, "level": level, "n": grid.n,
+    return {"kind": kind, "model": model.name, "level": level, "n": grid.n,
             "dt": cfg.dt, "h": h, "error": error, "status": "ok"}
 
 
@@ -151,52 +155,35 @@ def run_exact_solution_suite(config=None, out_dir=None) -> ExactSuiteResult:
     measure only the spatial term again).
     """
     started = time.time()
-    tasks = []
-    for level in range(len(_STATIC_NS)):
-        tasks.append(("static", "flatdisc", level))
-    for name in ("bigbang", "cusp"):
-        for level in range(3):
-            tasks.append(("spatial", name, level))
-    for name in ("bigbang", "cusp"):
-        for level in range(len(_TEMPORAL_DTS)):
-            tasks.append(("temporal", name, level))
-    runs = [_exact_run(kind, MODEL_KINDS[name], level) for kind, name, level in tasks]
-    trajs = evolve_many(runs)
-    raw = [_exact_row(*task, run, traj) for task, run, traj in zip(tasks, runs, trajs)]
-    finals = {(r["model"], r["level"]): traj.states[-1].values for r, traj in zip(raw, trajs)
-              if r["kind"] == "temporal" and r["status"] == "ok"}
-
+    runs = [_exact_run(kind, model, level)
+            for kind, model, levels in _STUDIES for level in range(levels)]
+    done = iter(zip(runs, evolve_many(runs)))
     rows, orders = [], {}
     flat_max = 0.0
-    for key in ("static", "spatial", "temporal"):
-        group_names = ["flatdisc"] if key == "static" else ["bigbang", "cusp"]
-        for name in group_names:
-            levels = [r for r in raw if r["kind"] == key and r["model"] == name]
-            levels.sort(key=lambda r: r["level"])
-            ok = [r for r in levels if r["status"] == "ok"]
-            if key == "temporal":
-                # diff of level j against level j+1, attached to the coarser dt
-                for j in range(len(ok) - 1):
-                    d = finals[(name, ok[j + 1]["level"])] - finals[(name, ok[j]["level"])]
-                    ok[j]["error"] = float(np.max(np.abs(d)))
-            errs = [r["error"] for r in ok if r["error"] != ""]
-            hs = [r["h"] for r in ok if r["error"] != ""]
-            for j, r in enumerate(levels):
-                prev = levels[j - 1] if j else None
-                if (key != "static" and prev is not None
-                        and r.get("error", "") != "" and prev.get("error", "") != ""):
-                    r["order"] = math.log2(prev["error"] / r["error"])
-                else:
-                    r["order"] = ""
-                rows.append(r)
-            if key == "static":
-                flat_max = max([flat_max] + errs)
-            elif len(errs) >= 2:
-                slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-                orders[(name, key)] = slope
-                rows.append({"kind": key, "model": name, "level": "fit", "n": "",
-                             "dt": "", "h": "", "error": "", "order": slope,
-                             "status": "ok"})
+    for kind, model, levels in _STUDIES:
+        study = [(_exact_row(kind, model, level, run, traj), traj)
+                 for level, (run, traj) in enumerate(islice(done, levels))]
+        if kind == "temporal":
+            # diff of each ok level against the next, attached to the coarser dt
+            ok = [(r, traj) for r, traj in study if r["status"] == "ok"]
+            for (r, coarse), (_, fine) in zip(ok, ok[1:]):
+                d = fine.states[-1].values - coarse.states[-1].values
+                r["error"] = float(np.max(np.abs(d)))
+        errors = [r["error"] for r, _ in study]
+        for (r, _), coarse, fine in zip(study, [""] + errors, errors):
+            r["order"] = (math.log2(coarse / fine)
+                          if kind != "static" and "" not in (coarse, fine) else "")
+            rows.append(r)
+        errs = [e for e in errors if e != ""]
+        hs = [r["h"] for r, _ in study if r["error"] != ""]
+        if kind == "static":
+            flat_max = max([flat_max] + errs)
+        elif len(errs) >= 2:
+            slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+            orders[(model.name, kind)] = slope
+            rows.append({"kind": kind, "model": model.name, "level": "fit", "n": "",
+                         "dt": "", "h": "", "error": "", "order": slope,
+                         "status": "ok"})
     result = ExactSuiteResult(rows=tuple(rows), orders=orders,
                               flat_max_error=flat_max, elapsed=time.time() - started)
     if out_dir is not None:
@@ -336,26 +323,20 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
         raise ValueError("uniqueness experiment needs at least 3 R values")
     Rs = sorted(config.R_list)
 
-    # one evolve_many run per (R, ramp); a run that cannot even be built
-    # fails with the same text as one that fails while stepping
-    outcome, keys, members = {}, [], []
+    # one evolve_many run per (R, ramp), keyed (R, ramp index) and replaced
+    # by its Trajectory or its error; a run that cannot even be built fails
+    # with the same text as one that fails while stepping
+    members = {}
     for R in Rs:
         for j, k in enumerate(config.ramps):
             try:
-                members.append(exhaustion_member(config, R, k))
-                keys.append((R, j))
+                members[(R, j)] = exhaustion_member(config, R, k)
             except ValueError as exc:
-                outcome[(R, j)] = exc
-    outcome.update(zip(keys, evolve_many(members)))
-    runs = {}
-    failures = []
-    for R in Rs:
-        for j, k in enumerate(config.ramps):
-            run = outcome[(R, j)]
-            if isinstance(run, Trajectory):
-                runs[(R, j)] = run
-            else:
-                failures.append(f"R={R:g} k={float(k):g}: {run}")
+                members[(R, j)] = exc
+    built = [key for key, run in members.items() if not isinstance(run, Exception)]
+    members.update(zip(built, evolve_many([members[key] for key in built])))
+    failures = [f"R={R:g} k={float(config.ramps[j]):g}: {run}"
+                for (R, j), run in members.items() if not isinstance(run, Trajectory)]
 
     s0 = -math.log(config.r0)
     rows = []
@@ -365,9 +346,8 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
         S = -math.log(R)
         s_lo, _ = config.grid_bounds(R)
         for pair_idx in range(len(config.ramps) - 1):
-            lo = runs.get((R, pair_idx))
-            hi = runs.get((R, pair_idx + 1))
-            if lo is None or hi is None:
+            lo, hi = members[(R, pair_idx)], members[(R, pair_idx + 1)]
+            if not (isinstance(lo, Trajectory) and isinstance(hi, Trajectory)):
                 continue
             mask = lo.grid.nodes >= s0
             for gamma in config.gamma_list:
@@ -518,11 +498,10 @@ def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerRes
     samples = np.logspace(-3.0, -1.0, _LAYER_SAMPLES)
     traj = evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=1e-4, dt_cap=2e-3), 0.1,
                   sample_times=samples)
-    flat = np.exp(-2.0 * grid.nodes)
     rows = []
     widths, ts = [], []
     for st in traj.states[1:]:
-        ratio = st.values / flat
+        ratio = st.values / st0.values
         idx = np.nonzero(ratio >= 2.0)[0]
         s_star = float(grid.nodes[idx[-1]]) if idx.size else float(grid.s_min)
         w = s_star - float(grid.s_min)

@@ -20,7 +20,6 @@ __all__ = [
     "BigBang",
     "Cusp",
     "FlatDisc",
-    "MODEL_KINDS",
     "s_from_r",
     "hyperbolic_factor",
     "model_factor",
@@ -192,16 +191,8 @@ class FlatDisc(_Model):
         return float(out) if out.ndim == 0 else out
 
 
-MODEL_KINDS = {m.name: m for m in (BigBang, Cusp, FlatDisc)}
-
-
 def model_factor(model, s, t=0.0):
-    """Evaluate a model conformal factor; model may be a class or its name."""
-    if isinstance(model, str):
-        try:
-            model = MODEL_KINDS[model]
-        except KeyError:
-            raise ValueError(f"unknown model {model!r}") from None
+    """Evaluate the conformal factor of a model class."""
     if model.time_dependent and t < 0.0:
         raise ValueError("time must be nonnegative")
     return model.factor(s, t)
@@ -250,11 +241,11 @@ def annulus_area(state: ConformalState, s_lo: float, s_hi: float) -> float:
     return 2.0 * math.pi * _trapezoid_between(state.grid.nodes, state.values, s_lo, s_hi)
 
 
-def _tail_area(state: ConformalState) -> float:
-    # Area beyond s_max assuming the smooth-center profile U ~ U(s_max) e^{-2(s-s_max)};
-    # 2*pi int U = pi U(s_max).  Exact for FlatDisc, error O(e^{-4 s_max}) for models
-    # with a smooth center.
-    return math.pi * float(state.values[-1])
+def _area_beyond(s: np.ndarray, u: np.ndarray, s_lo: float) -> float:
+    # 2 pi int u ds over {s >= s_lo}.  Beyond s_max the smooth-center profile
+    # u ~ u(s_max) e^{-2(s - s_max)} is assumed, whose 2 pi int is pi u(s_max):
+    # exact for FlatDisc, error O(e^{-4 s_max}) for models with a smooth center.
+    return 2.0 * math.pi * _trapezoid_between(s, u, s_lo, float(s[-1])) + math.pi * float(u[-1])
 
 
 def disc_area(state: ConformalState, r0: float) -> float:
@@ -262,6 +253,4 @@ def disc_area(state: ConformalState, r0: float) -> float:
     s0 = s_from_r(r0)
     if s0 < state.grid.s_min - 1e-12:
         raise ValueError("disc boundary falls outside the grid")
-    s0 = max(s0, state.grid.s_min)
-    return annulus_area(state, s0, state.grid.s_max) + _tail_area(state)
-
+    return _area_beyond(state.grid.nodes, state.values, max(s0, state.grid.s_min))

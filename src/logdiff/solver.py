@@ -80,12 +80,6 @@ class BoundarySchedule:
     outer: Callable[[float], float]
 
     @classmethod
-    def static(cls, u_in: float, u_out: float) -> "BoundarySchedule":
-        if u_in <= 0.0 or u_out <= 0.0:
-            raise ValueError("boundary values must be positive")
-        return cls(inner=lambda t: u_in, outer=lambda t: u_out)
-
-    @classmethod
     def ramp(cls, initial: ConformalState, k: float) -> "BoundarySchedule":
         """Standard exhaustion member started from initial: inner
         max(U0(s_min), k*t), outer pinned at U0(s_max)."""

@@ -4,6 +4,8 @@ the INI configs they read."""
 import csv
 from pathlib import Path
 
+from logdiff.config import INI_KEYS
+
 
 def read_rows_csv(path) -> list:
     """Rows of a CSV artifact as dicts of strings; comment rows are skipped."""
@@ -13,17 +15,19 @@ def read_rows_csv(path) -> list:
 
 def write_ini(cfg, path) -> None:
     """Write an ExperimentConfig as an INI file that parse_config reads back
-    to an equal config."""
-
-    def floats(values):
-        return ", ".join(map(repr, values))
-
-    grid = [f"{key} = {getattr(cfg, key)!r}" for key in ("s_min", "s_max", "n", "ratio")
-            if getattr(cfg, key) is not None]
-    flow = [f"ramps = {floats(cfg.ramps)}", f"t = {cfg.T!r}", f"dt = {cfg.dt!r}"]
-    if cfg.sample_times:
-        flow.append(f"sample_times = {floats(cfg.sample_times)}")
-    lines = ["[experiment]", f"id = {cfg.experiment}", "[grid]", *grid,
-             "[cutoff]", f"r0 = {cfg.r0!r}", f"r = {floats(cfg.R_list)}",
-             f"gamma = {floats(cfg.gamma_list)}", "[flow]", *flow]
+    to an equal config: one line per key of config.INI_KEYS whose field is
+    set."""
+    lines, section = [], None
+    for (sec, key), (name, _) in INI_KEYS.items():
+        value = getattr(cfg, name)
+        if value is None:
+            continue
+        if sec != section:
+            lines.append(f"[{sec}]")
+            section = sec
+        if isinstance(value, tuple):
+            value = ", ".join(map(repr, value))
+        elif not isinstance(value, str):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")

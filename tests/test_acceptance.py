@@ -177,7 +177,7 @@ def test_criterion_09_damped_factor_monotone():
     st0 = model_state(FlatDisc, g)
     traj = evolve(
         st0,
-        BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1])),
+        BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max),
         SolverConfig(dt=0.02),
         0.3,
         sample_times=[0.1, 0.2, 0.3],

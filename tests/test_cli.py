@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,31 @@ def test_repeated_ramp_in_uniqueness_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: ramps must be strictly increasing\n"
 
 
+@pytest.mark.parametrize("command, config, edit, keys", [
+    ("simulate", "uniqueness_small.ini", None, ["r", "ramps"]),
+    ("simulate", "exhaustion_lo.ini", ("gamma = 0.25\n", "gamma = 0.25, 0.4\n"), ["gamma"]),
+    ("verify", "q_sweep_custom.ini", None, ["r", "gamma"]),
+], ids=["simulate-R-and-ramps", "simulate-gamma", "verify-R-and-gamma"])
+def test_several_values_of_a_member_key_exit_three(shipped_pair, tmp_path, capsys,
+                                                    command, config, edit, keys):
+    # simulate runs, and verify certifies, one member; neither may run the
+    # first of several listed values and drop the rest unread
+    path = CONFIGS / config
+    if edit is not None:
+        text = path.read_text()
+        assert edit[0] in text
+        path = tmp_path / config
+        path.write_text(text.replace(*edit))
+    manifests = ([str(shipped_pair / run / "snap_manifest.csv") for run in ("lo", "hi")]
+                 if command == "verify" else [])
+    rc = main([command, *manifests, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert re.findall(r"takes one value of (\w+), got \d+", err) == keys
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "uniqueness"])
 @pytest.mark.parametrize("times", ["0.1, 0.05", "0.05, 0.05, 0.1"], ids=["decreasing", "repeated"])
 def test_sample_times_not_increasing_exit_three(tmp_path, capsys, command, times):
@@ -369,7 +395,7 @@ def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.split(": K_min = ")[0] for line in err] == [
         "note: damped-monotone-g gated off, no rows", "note: damped-monotone-G gated off, no rows"]
-    assert all(line.endswith(" < -1 at t=0.02") for line in err)
+    assert all(line.endswith(" < -1.000001 at t=0.02") for line in err)
     # the shipped manifests pass the index and time checks of load_trajectory
     for run in ("lo", "hi"):
         traj = load_trajectory(tmp_path / run / "snap_manifest.csv")

@@ -264,6 +264,24 @@ def test_inverse_bound_not_asserted_without_barrier():
     assert min(r.margin for r in est.lower_barrier_check(viol, s_to=math.log(2.0))) < 0.0
 
 
+def test_inverse_bound_gate_tolerance():
+    # the gate forgives a barrier deficit up to 1e-9 max(1, max U(0)); on
+    # this exact flow the barrier's lhs is 0 and that tolerance 1.599e-7
+    g = LogPolarGrid.uniform(0.05, 4.0, 2001)
+    tb, _ = exact_pair(g, (0.2, 0.4))
+    tol = 1e-9 * float(np.max(tb.states[0].values))
+    assert tol == pytest.approx(1.599e-7, rel=1e-3)
+    assert max(r.lhs for r in est.lower_barrier_check(tb, s_to=math.log(2.0))) == 0.0
+    j = int(np.searchsorted(g.nodes, 0.5))  # a node in (0, log 2)
+    first, last = tb.states
+    for deficit, kept in ((tol / 3.0, True), (3.0 * tol, False)):
+        values = last.values.copy()
+        values[j] -= deficit
+        lowered = Trajectory(states=(first, ConformalState(g, values, last.time)))
+        rows, why = est.pointwise_u_inverse_bound(lowered)
+        assert (len(rows), why is None) == ((2, True) if kept else (0, False))
+
+
 def test_inverse_bound_validation():
     deep = LogPolarGrid.uniform(1.0, 6.0, 101)
     tdeep, _ = exact_pair(deep, (0.4,))
@@ -426,7 +444,7 @@ def test_volume_excess_on_crossing_pair(crossing_pair, exhaust_spec):
 def test_curvature_check_flat_static():
     g = LogPolarGrid.uniform(0.1, 6.0, 101)
     st0 = model_state(FlatDisc, g)
-    sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
+    sched = BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max)
     traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
     (row,), why = est.curvature_monotonicity_check(traj, "damped-monotone-g")  # gate passed
     assert why is None
@@ -440,7 +458,7 @@ def test_curvature_check_fails_when_damped_factor_rises():
     # so K stays 0 and the gate passes, but e^{-2t} U now rises at the end
     g = LogPolarGrid.uniform(0.1, 6.0, 101)
     st0 = model_state(FlatDisc, g)
-    sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
+    sched = BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max)
     traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
     last = traj.states[-1]
     bumped = Trajectory(states=traj.states[:-1] + (ConformalState(g, 1.5 * last.values, last.time),))
@@ -463,6 +481,24 @@ def test_curvature_gate_blocks_early_bigbang():
     rows, why = est.curvature_monotonicity_check(tb, "damped-monotone-g")
     assert rows == () and why.startswith("K_min = ")
     assert min(float(np.min(gauss_curvature(st))) for st in tb.states) < -2.0
+
+
+def test_curvature_gate_slack():
+    # U -> A U turns the discrete K into K/A, so A puts K_min just inside
+    # and just outside the gate's slack, K >= -1 - 1e-6
+    g = LogPolarGrid.uniform(0.5, 3.0, 401)
+    tb, _ = exact_pair(g, (0.5, 1.0))
+    kmin = min(float(np.min(gauss_curvature(st))) for st in tb.states)
+    for target, kept in ((-1.0 - 4e-7, True), (-1.0 - 3e-6, False)):
+        scale = kmin / target
+        scaled = Trajectory(states=tuple(
+            ConformalState(g, scale * st.values, st.time) for st in tb.states))
+        assert min(float(np.min(gauss_curvature(st))) for st in scaled.states) == pytest.approx(
+            target, rel=0.0, abs=1e-9)
+        rows, why = est.curvature_monotonicity_check(scaled, "damped-monotone-g")
+        assert (len(rows), why is None) == ((1, True) if kept else (0, False))
+    # the note keeps enough digits to tell K_min from the threshold
+    assert why == "K_min = -1.000003 < -1.000001 at t=0.5"
 
 
 # ----------------------------------------------------------------- reporting

@@ -106,12 +106,14 @@ def test_state_validation():
 
 
 def test_model_factor_names_and_classes():
+    # the names are the model column of exact_suite.csv
+    assert [m.name for m in (BigBang, Cusp, FlatDisc)] == ["bigbang", "cusp", "flatdisc"]
     s = np.linspace(0.3, 5.0, 7)
-    assert np.allclose(model_factor("bigbang", s, 2.0), 4.0 / np.sinh(s) ** 2)
+    assert np.allclose(model_factor(BigBang, s, 2.0), 4.0 / np.sinh(s) ** 2)
     assert np.allclose(model_factor(Cusp, s, 0.5), 1.0 / s**2)
-    assert np.allclose(model_factor("flatdisc", s), np.exp(-2.0 * s))
-    with pytest.raises(ValueError):
-        model_factor("nosuch", s)
+    assert np.allclose(model_factor(FlatDisc, s), np.exp(-2.0 * s))
+    with pytest.raises(ValueError, match="time must be nonnegative"):
+        model_factor(BigBang, s, -0.5)
 
 
 def test_bigbang_dominates_poincare_after_t_half():

@@ -8,11 +8,12 @@ output bytes. Floats depend on the numpy and scipy builds, so the test skips,
 naming both versions, on any other pair than the one the digests were
 recorded with.
 
-The commands run in one fresh interpreter that imports `logdiff.cli` before
-numpy, as the console script does, so they run with the CLI's start-up
-settings (single-threaded OpenBLAS), as users do. The guard runs them
-again under a profiler and fails on any def in `logdiff` they never call,
-save a short list of error paths: code only tests run belongs in tests/.
+The commands run once, in one fresh interpreter that imports `logdiff.cli`
+before numpy, as the console script does, so they run with the CLI's
+start-up settings (single-threaded OpenBLAS), as users do. A profiler
+records every function they call, and the guard fails on any def in
+`logdiff` they never call, save a short list of error paths: code only
+tests run belongs in tests/. Both tests read that one run.
 """
 
 import ast
@@ -59,11 +60,6 @@ GOLDEN = {
 }
 
 
-# main's exit codes, one per command, as the last stdout line
-_RUN_ALL = ("import json, sys; from logdiff.cli import main; "
-            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
-
-
 def _commands(out):
     lo, hi = str(CONFIGS / "exhaustion_lo.ini"), str(CONFIGS / "exhaustion_hi.ini")
     return (
@@ -80,36 +76,9 @@ def _commands(out):
     )
 
 
-def _run_shipped(script, out):
-    """Runs the commands, writing under out, in a fresh interpreter that
-    executes script; checks that each exited 0 and returns the stdout lines
-    before the exit codes."""
-    commands = _commands(out)
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    *lines, codes = proc.stdout.splitlines()
-    assert json.loads(codes) == [0] * len(commands)
-    return lines
-
-
-def test_shipped_artifacts_match_recorded_digests(tmp_path):
-    versions = (numpy.__version__, scipy.__version__)
-    if versions != RECORDED_WITH:
-        pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
-                    f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
-    _run_shipped(_RUN_ALL, tmp_path)
-    written = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
-    assert written == set(GOLDEN)
-    moved = sorted(name for name, digest in GOLDEN.items()
-                   if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() != digest)
-    assert moved == []
-
-
-# _RUN_ALL under a profiler that records every Python function called; the
-# line before the exit codes lists (module, first line) of each function of
-# the logdiff package that ran
+# runs the commands given as JSON in argv[1] under a profiler that records
+# every Python function called; prints (module, first line) of each function
+# of the logdiff package that ran, then main's exit codes, one per command
 _RUN_PROFILED = """\
 import json, os, sys
 called = set()
@@ -122,6 +91,37 @@ print(json.dumps(sorted({(os.path.basename(c.co_filename)[:-3], c.co_firstlineno
                          if os.path.dirname(os.path.realpath(c.co_filename)) == package})))
 print(json.dumps(codes))
 """
+
+
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """(out, called): the commands run once, writing under out, each checked
+    to exit 0, and the (module, first line) of every package function they
+    called.  A fresh interpreter, because lru_cache'd functions called
+    earlier in this process would not run again."""
+    out = tmp_path_factory.mktemp("shipped")
+    commands = _commands(out)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run([sys.executable, "-c", _RUN_PROFILED, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    *_, called, codes = proc.stdout.splitlines()
+    assert json.loads(codes) == [0] * len(commands)
+    return out, {tuple(key) for key in json.loads(called)}
+
+
+def test_shipped_artifacts_match_recorded_digests(shipped):
+    versions = (numpy.__version__, scipy.__version__)
+    if versions != RECORDED_WITH:
+        pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
+                    f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
+    out, _ = shipped
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == set(GOLDEN)
+    moved = sorted(name for name, digest in GOLDEN.items()
+                   if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest)
+    assert moved == []
+
 
 # defs no shipped command reaches, each with its reason
 UNREACHED_ON_PURPOSE = {
@@ -153,9 +153,7 @@ def _defs():
     return found
 
 
-def test_shipped_commands_reach_every_def(tmp_path):
-    # a fresh interpreter, because lru_cache'd functions called earlier in
-    # this process would not run again
-    called = {tuple(key) for key in json.loads(_run_shipped(_RUN_PROFILED, tmp_path)[-1])}
+def test_shipped_commands_reach_every_def(shipped):
+    _, called = shipped
     unreached = sorted(name for key, name in _defs().items() if key not in called)
     assert unreached == sorted(UNREACHED_ON_PURPOSE)

@@ -31,8 +31,7 @@ from oracle_support import newton_solve_reference
 def flat_setup(n=101, s_min=0.1, s_max=6.0):
     g = LogPolarGrid.uniform(s_min, s_max, n)
     st0 = model_state(FlatDisc, g, 0.0)
-    sched = BoundarySchedule.static(float(st0.values[0]), float(st0.values[-1]))
-    return g, st0, sched
+    return g, st0, BoundarySchedule.from_model(FlatDisc, s_min, s_max)
 
 
 def _newton_one(s, u, w_in, w_out, dt):
@@ -296,7 +295,7 @@ def test_evolve_validates_times_and_consistency():
         evolve(st0, sched, SolverConfig(dt=0.01), T=0.0)
     with pytest.raises(ValueError, match="sample times"):
         evolve(st0, sched, SolverConfig(dt=0.01), T=0.1, sample_times=[0.2])
-    bad = BoundarySchedule.static(42.0, float(st0.values[-1]))
+    bad = BoundarySchedule(inner=lambda t: 42.0, outer=sched.outer)
     with pytest.raises(ValueError, match="inconsistent"):
         evolve(st0, bad, SolverConfig(dt=0.01), T=0.1)
 
@@ -354,8 +353,6 @@ def test_config_validation():
 
 
 def test_schedule_constructors_validate():
-    with pytest.raises(ValueError):
-        BoundarySchedule.static(0.0, 1.0)
     st0 = ConformalState(LogPolarGrid.uniform(0.1, 1.0, 5), np.linspace(2.0, 1.0, 5), 0.0)
     for k in (-5.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -435,13 +432,13 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     solo = [evolve(*run) for run in runs]
     g = LogPolarGrid.uniform(0.1, 6.0, 77)
     st0 = model_state(FlatDisc, g, 0.0)
-    u_in, u_out = float(st0.values[0]), float(st0.values[-1])
-    singular = (st0, BoundarySchedule.static(u_in, u_out), SolverConfig(dt=0.01), 0.05)
+    flat = BoundarySchedule.from_model(FlatDisc, 0.1, 6.0)  # both grids span [0.1, 6]
+    singular = (st0, flat, SolverConfig(dt=0.01), 0.05)
     st1 = model_state(FlatDisc, LogPolarGrid.uniform(0.1, 6.0, 61), 0.0)
     v_in, v_out = float(st1.values[0]), float(st1.values[-1])
     dips = BoundarySchedule(inner=lambda t: v_in if t < 0.03 else -1.0, outer=lambda t: v_out)
     nonpositive = (st1, dips, SolverConfig(dt=0.01), 0.05)
-    too_short = (st1, BoundarySchedule.static(v_in, v_out), SolverConfig(dt=0.01), 0.0)
+    too_short = (st1, flat, SolverConfig(dt=0.01), 0.0)
 
     calls = []
     monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
@@ -540,9 +537,7 @@ def test_order_preservation_incompatibility_errors():
     g, st0, sched = flat_setup()
     traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.1)
     g2 = LogPolarGrid.uniform(0.1, 6.0, 51)
-    st2 = model_state(FlatDisc, g2, 0.0)
-    sched2 = BoundarySchedule.static(float(st2.values[0]), float(st2.values[-1]))
-    other = evolve(st2, sched2, SolverConfig(dt=0.02), 0.1)
+    other = evolve(model_state(FlatDisc, g2, 0.0), sched, SolverConfig(dt=0.02), 0.1)
     with pytest.raises(ValueError, match="incompatible"):
         check_order_preservation(traj, other)
     shifted = evolve(st0, sched, SolverConfig(dt=0.02), 0.12)

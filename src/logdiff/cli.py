@@ -72,8 +72,7 @@ def _default_uniqueness_config() -> ExperimentConfig:
 
 
 def _cmd_exact_suite(args) -> int:
-    cfg = _load_config(args, "exact-suite")
-    result = run_exact_solution_suite(cfg, out_dir=args.out)
+    result = run_exact_solution_suite(out_dir=args.out)
     for (model, kind), slope in sorted(result.orders.items()):
         print(f"  {model:8s} {kind:8s} order {slope:.3f}")
     print(f"  flat-disc max drift {result.flat_max_error:.3e}  ({result.elapsed:.1f}s)")
@@ -179,18 +178,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    out_opt = argparse.ArgumentParser(add_help=False)
+    out_opt.add_argument("--out", metavar="DIR", default="out",
+                         help="artifact directory (default: out)")
+    common = argparse.ArgumentParser(add_help=False, parents=[out_opt])
     common.add_argument("--config", metavar="PATH", default=None,
                         help="INI experiment config (defaults used when omitted)")
-    common.add_argument("--out", metavar="DIR", default="out",
-                        help="artifact directory (default: out)")
 
     parser = _Parser(
         prog="logdiff",
         description="Log-diffusion flow laboratory: exhaustion runs and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("exact-suite", parents=[common],
+    # the exact suite's studies are fixed: it takes no config
+    sub.add_parser("exact-suite", parents=[out_opt],
                    help="convergence orders against closed-form flows")
     sub.add_parser("q-sweep", parents=[common],
                    help="Q integral against its analytic bound over (r0, R, gamma)")

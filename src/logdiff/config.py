@@ -14,7 +14,7 @@ from .cutoff import CutoffSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "INI_KEYS", "parse_config"]
 
-_EXPERIMENTS = ("exact-suite", "uniqueness", "q-sweep", "boundary-layer", "simulate")
+_EXPERIMENTS = ("uniqueness", "q-sweep", "boundary-layer", "simulate")
 
 class ConfigError(ValueError):
     """Carries the full list of validation problems in .errors."""

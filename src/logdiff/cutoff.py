@@ -244,13 +244,12 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class QReport:
-    """Q quadrature values, split parts, analytic bound, and tracked constant."""
+    """Q quadrature values, split parts, analytic bound and quadrature error."""
 
     Q: float
     Q1: float
     Q2: float
     analytic_bound: float
-    tracked_constant: float
     quadrature_error: float
     split_applied: bool
 
@@ -350,7 +349,6 @@ def compute_Q(spec: CutoffSpec) -> QReport:
     return QReport(
         Q=q, Q1=q1, Q2=q2,
         analytic_bound=q_analytic_bound(spec),
-        tracked_constant=q_bound_constant(gamma),
         quadrature_error=err,
         split_applied=split,
     )

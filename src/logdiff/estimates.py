@@ -1,13 +1,12 @@
 """Certified inequality checks on pairs of conformal-factor trajectories.
 
-Everything here consumes immutable trajectories. Each certificate returns a
-tuple of InequalityRow labelled as in verify_report.csv, each row carrying
-both sides of its inequality and the margin rhs - lhs. The two gated ones,
-pointwise_u_inverse_bound and curvature_monotonicity_check, return
-(rows, why): no rows when their precondition fails, and why says so.
-full_report concatenates them.
-djdt_identity_check alone returns the identity's three terms (DjdtReport),
-which full_report turns into a djdt-identity row with its error budget.
+Everything here consumes immutable trajectories. A pair certificate checks
+its pair once (_check_pair), then walks the two flows' states in step. Each
+certificate returns a tuple of InequalityRow labelled as in verify_report.csv,
+each row carrying both sides of its inequality and the margin rhs - lhs. The
+two gated ones, pointwise_u_inverse_bound and curvature_monotonicity_check,
+return (rows, why): no rows when their precondition fails, and why says so.
+full_report concatenates them and alone decides ordered versus crossing.
 
 The tracked constants are assembled once per gamma:
 
@@ -33,16 +32,16 @@ from .geometry import (
     hyperbolic_factor,
 )
 from .snapshots import write_rows_csv
-from .solver import NEWTON_TOL, Trajectory, _check_pair, check_order_preservation
+from .solver import NEWTON_TOL, Trajectory
 
 __all__ = [
-    "DjdtReport",
     "EstimateReport",
     "InequalityRow",
     "J_samples",
+    "OrderReport",
     "c_star_diff",
     "c_star_int",
-    "compute_J",
+    "check_order_preservation",
     "curvature_monotonicity_check",
     "djdt_identity_check",
     "full_report",
@@ -131,10 +130,53 @@ class EstimateReport:
 # ------------------------------------------------------------ pair plumbing
 
 
-def _pair_arrays(traj_g: Trajectory, traj_G: Trajectory, t: float):
-    _check_pair(traj_g, traj_G)
-    # state_at refuses interpolation, so an unsampled t fails loudly here
-    return traj_g.grid.nodes, traj_g.state_at(t).values, traj_G.state_at(t).values
+@dataclass(frozen=True)
+class OrderReport:
+    """Outcome of a pointwise trajectory comparison U_a <= U_b."""
+
+    ordered: bool
+    max_violation: float
+    tolerance: float
+    worst_time: float
+
+
+def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
+    """Raise ValueError unless both trajectories share one grid and one set
+    of sample times; every pair certificate starts here, once."""
+    if not np.array_equal(traj_a.grid.nodes, traj_b.grid.nodes):
+        raise ValueError("trajectories live on incompatible grids")
+    # np.allclose(rtol=1e-12, atol=1e-14) on a few finite floats, without its
+    # per-call overhead
+    ta = [st.time for st in traj_a.states]
+    tb = [st.time for st in traj_b.states]
+    if len(ta) != len(tb) or any(abs(a - b) > 1e-14 + 1e-12 * abs(b) for a, b in zip(ta, tb)):
+        raise ValueError("trajectories have mismatched sample times")
+
+
+def check_order_preservation(traj_a: Trajectory, traj_b: Trajectory) -> OrderReport:
+    """Check U_a <= U_b + tol at every node of every shared sample time, with
+    tol = 10 NEWTON_TOL max(1, max U at the last sample time of either)."""
+    _check_pair(traj_a, traj_b)
+    scale = max(
+        float(np.max(traj_a.states[-1].values)),
+        float(np.max(traj_b.states[-1].values)),
+        1.0,
+    )
+    tol = 10.0 * NEWTON_TOL * scale
+    worst = -math.inf
+    worst_t = float(traj_a.states[0].time)
+    for st_a, st_b in zip(traj_a.states, traj_b.states):
+        v = float(np.max(st_a.values - st_b.values))
+        if v > worst:
+            worst, worst_t = v, st_a.time
+    return OrderReport(
+        ordered=worst <= tol, max_violation=worst, tolerance=tol, worst_time=worst_t
+    )
+
+
+def _check_J_table(times, Js) -> None:
+    if len(Js) != len(times):
+        raise ValueError(f"need one J value per sample time, got {len(Js)} for {len(times)}")
 
 
 def _endpoint_slope(s: np.ndarray, w: np.ndarray, last: bool) -> float:
@@ -153,68 +195,25 @@ def _endpoint_slope(s: np.ndarray, w: np.ndarray, last: bool) -> float:
 # ------------------------------------------------------------------- J(t)
 
 
-def compute_J(traj_g, traj_G, cutoff: CutoffSpec, t: float) -> float:
-    """J(t) = 2 pi int_S^{s_max} (V - U) phi ds, keeping the sign of V - U."""
-    s, U, V = _pair_arrays(traj_g, traj_G, t)
-    s_lo = max(float(cutoff.S), float(s[0]))
-    return 2.0 * math.pi * _trapezoid_between(s, (V - U) * cutoff.value(s), s_lo, float(s[-1]))
-
-
 def J_samples(traj_g, traj_G, cutoff: CutoffSpec) -> tuple:
-    """J at every sample time of the pair, in time order: the one table the
-    ODI and the dJ/dt check share."""
-    return tuple(compute_J(traj_g, traj_G, cutoff, float(t)) for t in traj_g.times)
-
-
-def _check_J_table(traj_g, Js) -> None:
-    if len(Js) != len(traj_g.states):
-        raise ValueError(f"need one J value per sample time, got {len(Js)} for {len(traj_g.states)}")
-
-
-@dataclass(frozen=True)
-class DjdtReport:
-    """Finite-difference dJ/dt against the integrated-by-parts identity.
-
-    identity_rhs = phi2_integral + boundary_term; the boundary bracket
-    [phi d_s(log V - log U) - phi' (log V - log U)] is always computed and
-    reported, never assumed zero: truncation replaces the decay hypothesis
-    that kills it on the untruncated domain.
-    """
-
-    time: float
-    fd_djdt: float
-    phi2_integral: float
-    boundary_term: float
-
-    @property
-    def identity_rhs(self) -> float:
-        return self.phi2_integral + self.boundary_term
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.fd_djdt - self.identity_rhs)
-
-
-def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float, Js) -> DjdtReport:
-    """dJ/dt at sample time t, differenced from Js (J_samples of the pair),
-    against the integrated-by-parts identity evaluated on the state at t."""
+    """J(t) = 2 pi int_S^{s_max} (V - U) phi ds, keeping the sign of V - U,
+    at every sample time of the pair, in time order: the one table the ODI
+    and the dJ/dt check share."""
     _check_pair(traj_g, traj_G)
-    times = traj_g.times
-    if times.size < 2:
-        raise ValueError("need at least two sample times to difference J")
-    _check_J_table(traj_g, Js)
-    traj_g.state_at(t)  # validates t is sampled
-    i = int(np.argmin(np.abs(times - t)))
+    s = traj_g.grid.nodes
+    phi = cutoff.value(s)
+    s_lo, s_hi = max(float(cutoff.S), float(s[0])), float(s[-1])
+    return tuple(2.0 * math.pi * _trapezoid_between(s, (st_G.values - st_g.values) * phi, s_lo, s_hi)
+                 for st_g, st_G in zip(traj_g.states, traj_G.states))
 
-    if 0 < i < times.size - 1:
-        fd = (Js[i + 1] - Js[i - 1]) / (times[i + 1] - times[i - 1])
-    elif i == 0:
-        fd = (Js[1] - Js[0]) / (times[1] - times[0])
-    else:
-        fd = (Js[i] - Js[i - 1]) / (times[i] - times[i - 1])
 
-    s, U, V = _pair_arrays(traj_g, traj_G, t)
-    dw = np.log(V) - np.log(U)
+def _djdt_terms(st_g, st_G, cutoff: CutoffSpec) -> tuple:
+    """(phi'' integral, boundary term) of the identity dJ/dt = 2 pi int
+    (log V - log U) phi'' ds + 2 pi [phi d_s(log V - log U) - phi' (log V - log U)]
+    on one state pair.  The bracket is computed, never assumed zero:
+    truncation replaces the decay hypothesis that kills it."""
+    s = st_g.grid.nodes
+    dw = np.log(st_G.values) - np.log(st_g.values)
     s_lo = max(float(cutoff.S), float(s[0]))
     s_hi = float(s[-1])
 
@@ -236,8 +235,30 @@ def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, t: float, Js) -> Djd
         spd = float(cutoff.deriv(s[idx]))
         return sp * _endpoint_slope(s, dw, last) - spd * float(dw[idx])
 
-    boundary = 2.0 * math.pi * (bracket(True) - bracket(False))
-    return DjdtReport(time=float(t), fd_djdt=fd, phi2_integral=phi2, boundary_term=boundary)
+    return phi2, 2.0 * math.pi * (bracket(True) - bracket(False))
+
+
+def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, Js) -> tuple:
+    """djdt-identity rows, one per interior sample time t: lhs = |centered
+    difference of Js (the pair's J_samples) - _djdt_terms at t| against
+    rhs = 0.05 scale + 0.5 |fwd - bwd| + 1e-8, scale the sum of the three
+    terms' sizes and fwd, bwd the one-sided slopes of J at t."""
+    _check_pair(traj_g, traj_G)
+    times = [float(st.time) for st in traj_g.states]
+    _check_J_table(times, Js)
+    rows = []
+    for k in range(1, len(times) - 1):
+        t = times[k]
+        fd = (Js[k + 1] - Js[k - 1]) / (times[k + 1] - times[k - 1])
+        phi2, boundary = _djdt_terms(traj_g.states[k], traj_G.states[k], cutoff)
+        scale = abs(fd) + abs(phi2) + abs(boundary)
+        # forward/backward slope disagreement measures the time-differencing
+        # error that centered FD leaves in; quadrature gets the 5% of scale
+        fwd = (Js[k + 1] - Js[k]) / (times[k + 1] - t)
+        bwd = (Js[k] - Js[k - 1]) / (t - times[k - 1])
+        budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
+        rows.append(InequalityRow(t, "djdt-identity", abs(fd - (phi2 + boundary)), budget))
+    return tuple(rows)
 
 
 # ------------------------------------------------------------ barrier bounds
@@ -302,33 +323,23 @@ def pointwise_u_inverse_bound(traj: Trajectory) -> tuple:
 # ------------------------------------------------------------------ main ODI
 
 
-def _require_ordered(traj_g, traj_G, order) -> None:
-    if order is None:
-        order = check_order_preservation(traj_g, traj_G)
-    if not order.ordered:
-        raise ValueError("pair is not ordered; use volume_excess_verify")
-
-
-def main_odi_check(traj_g, traj_G, cutoff: CutoffSpec, Js, Q: float, order=None) -> tuple:
+def main_odi_check(times, Js, cutoff: CutoffSpec, Q: float) -> tuple:
     """main-odi rows: the integrated flux inequality between consecutive
     sample times, one row at each later time t2,
 
         J^p(t2) - J^p(t1) <= C* (t2^p - t1^p) Q^p,   p = 1/(1+gamma),
 
-    with Js the pair's J_samples and Q = compute_Q(cutoff).Q.  Refuses
-    unordered pairs; those belong to volume_excess_verify.  order, the
-    pair's check_order_preservation report if the caller has one, saves
-    checking the order again.
+    with Js the J_samples of an ordered pair at its sample times and
+    Q = compute_Q(cutoff).Q.  The inequality holds for ordered pairs only;
+    the caller decides that the pair is one.
     """
-    _require_ordered(traj_g, traj_G, order)
-    _check_J_table(traj_g, Js)
+    _check_J_table(times, Js)
     gamma = cutoff.gamma
     p = 1.0 / (1.0 + gamma)
     cs = c_star_int(gamma)
-    times = traj_g.times
     tag = f"gamma={gamma:g} C*={cs:.8g} Q={Q:.8g}"
     rows = []
-    for k in range(times.size - 1):
+    for k in range(len(times) - 1):
         t1, t2 = float(times[k]), float(times[k + 1])
         # tiny negative J from quadrature noise on near-identical pairs
         lhs = max(Js[k + 1], 0.0) ** p - max(Js[k], 0.0) ** p
@@ -345,16 +356,16 @@ def _positive_part_area(s, U, V, s_lo: float) -> float:
     return _area_beyond(s, np.maximum(V - U, 0.0), max(float(s_lo), float(s[0])))
 
 
-def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: str) -> tuple:
+def _area_certificate(traj_g, traj_G, cutoff: CutoffSpec, positive_part: bool, label: str) -> tuple:
     _check_pair(traj_g, traj_G)
-    spec = CutoffSpec(r0, R, gamma)  # validates every parameter range
+    r0, R, gamma = cutoff.r0, cutoff.R, cutoff.gamma
     p = 1.0 / (1.0 + gamma)
     cl = lemma_constant(gamma)
-    denom = spec.s0 * (math.log(spec.s0) - math.log(spec.S)) ** gamma
+    denom = cutoff.s0 * (math.log(cutoff.s0) - math.log(cutoff.S)) ** gamma
     s = traj_g.grid.nodes
     g0, G0 = traj_g.states[0], traj_G.states[0]
     if positive_part:
-        init = _positive_part_area(s, g0.values, G0.values, spec.S)
+        init = _positive_part_area(s, g0.values, G0.values, cutoff.S)
     else:
         init = max(disc_area(G0, R) - disc_area(g0, R), 0.0)
     init_term = init**p
@@ -363,7 +374,7 @@ def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: 
     for st_g, st_G in zip(traj_g.states, traj_G.states):
         t = st_g.time
         if positive_part:
-            vol = _positive_part_area(s, st_g.values, st_G.values, spec.s0)
+            vol = _positive_part_area(s, st_g.values, st_G.values, cutoff.s0)
         else:
             vol = max(disc_area(st_G, r0) - disc_area(st_g, r0), 0.0)
         lhs = vol**p
@@ -372,26 +383,30 @@ def _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part: bool, label: 
     return tuple(rows)
 
 
-def interior_area_verify(traj_g, traj_G, r0: float, gamma: float, R: float, order=None) -> tuple:
+def interior_area_verify(traj_g, traj_G, cutoff: CutoffSpec, order=None) -> tuple:
     """interior-area rows, one per sample time: the area-difference
     certificate over the disc D_{r0},
 
         [Vol_G D_{r0} - Vol_g D_{r0}]^p <= [Vol_G(0) D_R - Vol_g(0) D_R]^p
                                            + C_L [t/(s0 (log s0 - log S)^gamma)]^p
 
-    with p = 1/(1+gamma), S = -log R, s0 = -log r0.  Requires an ordered
-    pair; order is as in main_odi_check.
+    with p = 1/(1+gamma), S = -log R, s0 = -log r0.  Refuses a pair that
+    is not ordered, as uniqueness relies on; order, the pair's
+    check_order_preservation if the caller has it, saves checking again.
     """
-    _require_ordered(traj_g, traj_G, order)
-    return _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part=False, label="interior-area")
+    if order is None:
+        order = check_order_preservation(traj_g, traj_G)
+    if not order.ordered:
+        raise ValueError("pair is not ordered; use volume_excess_verify")
+    return _area_certificate(traj_g, traj_G, cutoff, positive_part=False, label="interior-area")
 
 
-def volume_excess_verify(traj_g, traj_G, r0: float, gamma: float, R: float) -> tuple:
+def volume_excess_verify(traj_g, traj_G, cutoff: CutoffSpec) -> tuple:
     """volume-excess rows: the positive-part variant of interior_area_verify.
     The volume excess 2 pi int (V-U)_+ over D_{r0} obeys the same bound
     without any ordering hypothesis.  For ordered pairs it reduces to
     interior_area_verify."""
-    return _area_certificate(traj_g, traj_G, r0, gamma, R, positive_part=True, label="volume-excess")
+    return _area_certificate(traj_g, traj_G, cutoff, positive_part=True, label="volume-excess")
 
 
 # ------------------------------------------------- damped-factor monotonicity
@@ -433,7 +448,7 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     add rows only when their preconditions hold; report.gated names each
     family that wrote no rows and why.  A pair with fewer than two
     sample times raises ValueError: it holds no evolved state to certify.
-    J is computed once per sample time and Q once per report; the checks
+    J, Q and the pair's order are computed once per report; the checks
     share them.
     """
     if min(len(traj_g.states), len(traj_G.states)) < 2:
@@ -444,7 +459,6 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
             "pair is in reverse order: the first flow lies above the second "
             f"(by up to {order.max_violation:.3e}); give the smaller flow first"
         )
-    gamma = cutoff.gamma
     rows = []
     gated = {}
     times = [float(t) for t in traj_g.times]
@@ -453,38 +467,26 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
 
     if order.ordered:
         s_hi = traj_g.grid.s_max
-        for t, J in zip(times, Js):
+        for t, J, st_g, st_G in zip(times, Js, traj_g.states, traj_G.states):
             rows.append(InequalityRow(t, "J-nonnegative", 0.0, J))
             # truncated disc areas: tails cancel identically from both sides
-            diff = annulus_area(traj_G.state_at(t), cutoff.s0, s_hi) - annulus_area(
-                traj_g.state_at(t), cutoff.s0, s_hi
-            )
+            diff = annulus_area(st_G, cutoff.s0, s_hi) - annulus_area(st_g, cutoff.s0, s_hi)
             rows.append(InequalityRow(t, "area-diff-below-J", diff, J))
-        rows += main_odi_check(traj_g, traj_G, cutoff, Js, Q.Q, order=order)
-        rows += interior_area_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R, order=order)
+        rows += main_odi_check(times, Js, cutoff, Q.Q)
+        rows += interior_area_verify(traj_g, traj_G, cutoff, order=order)
     else:
         why = (f"pair not ordered: g exceeds G by up to {order.max_violation:.3e} "
                f"at t={order.worst_time:g}")
         gated.update(dict.fromkeys(
             ("J-nonnegative", "area-diff-below-J", "main-odi", "interior-area"), why))
-    rows += volume_excess_verify(traj_g, traj_G, cutoff.r0, gamma, cutoff.R)
+    rows += volume_excess_verify(traj_g, traj_G, cutoff)
     # the chain only consumes the barrier on the cut-off support [S, s_max]
     rows += lower_barrier_check(traj_g, s_from=cutoff.S)
     gate_rows, why = pointwise_u_inverse_bound(traj_g)
     rows += gate_rows
     if why:
         gated["u-inverse-bound"] = why
-
-    for k in range(1, len(times) - 1):
-        t = times[k]
-        rep = djdt_identity_check(traj_g, traj_G, cutoff, t, Js)
-        scale = abs(rep.fd_djdt) + abs(rep.phi2_integral) + abs(rep.boundary_term)
-        # forward/backward slope disagreement measures the time-differencing
-        # error that centered FD leaves in; quadrature gets the 5% of scale
-        fwd = (Js[k + 1] - Js[k]) / (times[k + 1] - t)
-        bwd = (Js[k] - Js[k - 1]) / (t - times[k - 1])
-        budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
-        rows.append(InequalityRow(t, "djdt-identity", rep.discrepancy, budget))
+    rows += djdt_identity_check(traj_g, traj_G, cutoff, Js)
 
     for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
         gate_rows, why = curvature_monotonicity_check(traj, label)
@@ -495,10 +497,10 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     meta = {
         "r0": cutoff.r0,
         "R": cutoff.R,
-        "gamma": gamma,
+        "gamma": cutoff.gamma,
         "Q": Q.Q,
         "Q_bound": Q.analytic_bound,
-        "C_L": lemma_constant(gamma),
+        "C_L": lemma_constant(cutoff.gamma),
         "ordered": order.ordered,
     }
     return EstimateReport(rows=tuple(rows), meta=meta, gated=gated)

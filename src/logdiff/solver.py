@@ -44,10 +44,8 @@ __all__ = [
     "Trajectory",
     "StepFailure",
     "RunError",
-    "OrderReport",
     "evolve",
     "evolve_many",
-    "check_order_preservation",
 ]
 
 
@@ -157,12 +155,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([st.time for st in self.states])
-
-    def state_at(self, t: float) -> ConformalState:
-        for st in self.states:
-            if abs(st.time - t) <= 1e-12 * max(1.0, abs(t)):
-                return st
-        raise ValueError(f"time {t} is not a sample time of this trajectory")
 
 
 def _d2_coeffs(s: np.ndarray):
@@ -487,46 +479,3 @@ def evolve(
         raise out
     return out
 
-
-@dataclass(frozen=True)
-class OrderReport:
-    """Outcome of a pointwise trajectory comparison U_a <= U_b."""
-
-    ordered: bool
-    max_violation: float
-    tolerance: float
-    worst_time: float
-
-
-def _check_pair(traj_a: Trajectory, traj_b: Trajectory) -> None:
-    """Raise ValueError unless both trajectories share one grid and one set
-    of sample times; every pair comparison starts here."""
-    if not np.array_equal(traj_a.grid.nodes, traj_b.grid.nodes):
-        raise ValueError("trajectories live on incompatible grids")
-    # np.allclose(rtol=1e-12, atol=1e-14) on a few finite floats, without its
-    # per-call overhead: certificates run this once per sample time
-    ta = [st.time for st in traj_a.states]
-    tb = [st.time for st in traj_b.states]
-    if len(ta) != len(tb) or any(abs(a - b) > 1e-14 + 1e-12 * abs(b) for a, b in zip(ta, tb)):
-        raise ValueError("trajectories have mismatched sample times")
-
-
-def check_order_preservation(traj_a: Trajectory, traj_b: Trajectory) -> OrderReport:
-    """Check U_a <= U_b + tol at every node of every shared sample time, with
-    tol = 10 NEWTON_TOL max(1, max U at the last sample time of either)."""
-    _check_pair(traj_a, traj_b)
-    scale = max(
-        float(np.max(traj_a.states[-1].values)),
-        float(np.max(traj_b.states[-1].values)),
-        1.0,
-    )
-    tol = 10.0 * NEWTON_TOL * scale
-    worst = -math.inf
-    worst_t = float(traj_a.states[0].time)
-    for st_a, st_b in zip(traj_a.states, traj_b.states):
-        v = float(np.max(st_a.values - st_b.values))
-        if v > worst:
-            worst, worst_t = v, st_a.time
-    return OrderReport(
-        ordered=worst <= tol, max_violation=worst, tolerance=tol, worst_time=worst_t
-    )

@@ -47,10 +47,11 @@ def test_help_exits_zero(capsys):
 
 def test_usage_errors_exit_three():
     # 2 is reserved for certificate failures; bad command lines get 3
-    # no subcommand takes --jobs, so it is a usage error everywhere
+    # no subcommand takes --jobs, so it is a usage error everywhere; the
+    # exact suite's studies are fixed, so it takes no --config either
     for argv in ([], ["wibble"], ["verify", "only_one.csv"], ["simulate", "--jobs", "2"],
                  ["boundary-layer", "--jobs", "2"], ["exact-suite", "--jobs", "2"],
-                 ["uniqueness", "--jobs", "2"]):
+                 ["uniqueness", "--jobs", "2"], ["exact-suite", "--config", "x.ini"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 3
@@ -420,8 +421,8 @@ def _verify_shipped(pair, out):
 
 
 def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_path, monkeypatch):
-    calls = {"compute_J": 0, "compute_Q": 0, "lower_barrier_check": 0,
-             "check_order_preservation": 0}
+    calls = {"J_samples": 0, "compute_Q": 0, "lower_barrier_check": 0,
+             "check_order_preservation": 0, "_check_pair": 0}
 
     def count(name):
         fn = getattr(estimates, name)
@@ -432,16 +433,17 @@ def test_verify_computes_J_once_per_sample_time_and_Q_once(shipped_pair, tmp_pat
 
         monkeypatch.setattr(estimates, name, counted)
 
-    count("compute_J")
-    count("compute_Q")
-    count("lower_barrier_check")
-    count("check_order_preservation")
+    for name in calls:
+        count(name)
     assert _verify_shipped(shipped_pair, tmp_path / "ver") == 0
-    # 6 sample times, one report; the barrier runs once for its rows and
-    # once as the gate of the 1/U bound; the ordered certificates reuse the
-    # report's one order check
-    assert calls == {"compute_J": 6, "compute_Q": 1, "lower_barrier_check": 2,
+    # one J table and one Q per report; the barrier runs once for its rows
+    # and once as the gate of the 1/U bound; the ordered certificates reuse
+    # the report's one order check, and each pair certificate checks the
+    # pair once
+    pair_checks = calls.pop("_check_pair")
+    assert calls == {"J_samples": 1, "compute_Q": 1, "lower_barrier_check": 2,
                      "check_order_preservation": 1}
+    assert pair_checks <= 5
 
 
 def test_verify_headline_skips_rows_that_read_zero_le_zero(shipped_pair, tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_q_case_a_single_range():
     assert rep.analytic_bound == pytest.approx(BOUND_CASE_A, rel=1e-12)
     assert rep.Q <= rep.analytic_bound
     assert rep.quadrature_error < 1e-9
-    assert rep.tracked_constant == pytest.approx(CQ_TABLE[0.25], rel=1e-12)
+    assert q_bound_constant(0.25) == pytest.approx(CQ_TABLE[0.25], rel=1e-12)
 
 
 def test_q_case_b_split_range():

@@ -14,13 +14,7 @@ from logdiff.geometry import (
     gauss_curvature,
     model_state,
 )
-from logdiff.solver import (
-    BoundarySchedule,
-    SolverConfig,
-    Trajectory,
-    check_order_preservation,
-    evolve,
-)
+from logdiff.solver import BoundarySchedule, SolverConfig, Trajectory, evolve
 from logdiff import estimates as est
 from logdiff.snapshots import load_trajectory, save_trajectory
 from oracle_support import pair_flux_rate_reference
@@ -124,16 +118,14 @@ def test_lemma_constant_matches_frozen_values():
 
 def test_J_identical_pair_is_zero(model_pair):
     tg, _ = model_pair
-    spec = case_a_spec()
-    assert est.compute_J(tg, tg, spec, 0.4) == 0.0
+    assert est.J_samples(tg, tg, case_a_spec()) == (0.0,) * len(tg.states)
 
 
 def test_J_linear_in_t_on_model_pair(model_pair):
     # V - U = 2t (1/s^2 - 1/sinh^2 s), so J(t) = t * (frozen quadrature rate)
     tg, tG = model_pair
-    spec = case_a_spec()
-    for t in (0.2, 0.4, 0.6):
-        J = est.compute_J(tg, tG, spec, t)
+    Js = est.J_samples(tg, tG, case_a_spec())
+    for t, J in zip(tg.times, Js):
         assert J / t == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
 
 
@@ -146,13 +138,8 @@ def test_J_matches_pair_flux_rate_reference():
     assert PAIR_FLUX_RATE == pytest.approx(ref, rel=1e-15)
     grid = LogPolarGrid.graded(spec.S / 4.0, 8.0, 4001, ratio=1.002)
     tg, tG = exact_pair(grid, (0.4,))
-    assert est.compute_J(tg, tG, spec, 0.4) / 0.4 == pytest.approx(ref, rel=2e-6)
-
-
-def test_J_refuses_interpolation(model_pair):
-    tg, tG = model_pair
-    with pytest.raises(ValueError, match="not a sample time"):
-        est.compute_J(tg, tG, case_a_spec(), 0.25)
+    (J,) = est.J_samples(tg, tG, spec)
+    assert J / 0.4 == pytest.approx(ref, rel=2e-6)
 
 
 def test_J_refuses_incompatible_grids(model_pair):
@@ -160,7 +147,7 @@ def test_J_refuses_incompatible_grids(model_pair):
     g2 = LogPolarGrid.uniform(0.1, 6.0, 101)
     other, _ = exact_pair(g2, (0.2, 0.4))
     with pytest.raises(ValueError, match="incompatible"):
-        est.compute_J(tg, other, case_a_spec(), 0.4)
+        est.J_samples(tg, other, case_a_spec())
 
 
 # ------------------------------------------------------------ dJ/dt identity
@@ -169,30 +156,31 @@ def test_J_refuses_incompatible_grids(model_pair):
 def test_djdt_identity_on_model_pair(model_pair):
     tg, tG = model_pair
     spec = case_a_spec()
-    rep = est.djdt_identity_check(tg, tG, spec, 0.4, est.J_samples(tg, tG, spec))
+    Js = est.J_samples(tg, tG, spec)
+    rows = est.djdt_identity_check(tg, tG, spec, Js)
+    # one row at each interior sample time
+    assert [(r.time, r.inequality) for r in rows] == [
+        (0.3, "djdt-identity"), (0.4, "djdt-identity"), (0.5, "djdt-identity")]
+    assert all(r.margin >= 0.0 for r in rows)
     # J is exactly linear in t, so centered differencing is exact and both
     # routes must land on the frozen rate
-    assert rep.fd_djdt == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
-    assert rep.identity_rhs == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
-    assert rep.discrepancy < 1e-3
+    fd = (Js[3] - Js[1]) / (0.5 - 0.3)
+    phi2, boundary = est._djdt_terms(tg.states[2], tG.states[2], spec)
+    assert fd == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
+    assert phi2 + boundary == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
+    assert rows[1].lhs == abs(fd - (phi2 + boundary))
+    assert rows[1].lhs < 1e-3
     # the s_max bracket is phi * d_s(log V - log U) = 2(coth s - 1/s) there
     analytic = 2.0 * math.pi * 2.0 * (1.0 / math.tanh(8.0) - 1.0 / 8.0)
-    assert rep.boundary_term == pytest.approx(analytic, rel=1e-4)
+    assert boundary == pytest.approx(analytic, rel=1e-4)
 
 
 def test_djdt_identity_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
     spec = case_a_spec()
-    rep = est.djdt_identity_check(tg, tg, spec, 0.4, est.J_samples(tg, tg, spec))
-    assert rep.fd_djdt == 0.0 and rep.phi2_integral == 0.0 and rep.boundary_term == 0.0
-    assert rep.discrepancy == 0.0
-
-
-def test_djdt_endpoint_uses_one_sided_difference(model_pair):
-    tg, tG = model_pair
-    spec = case_a_spec()
-    rep = est.djdt_identity_check(tg, tG, spec, 0.2, est.J_samples(tg, tG, spec))
-    assert rep.fd_djdt == pytest.approx(PAIR_FLUX_RATE, rel=1e-4)
+    rows = est.djdt_identity_check(tg, tg, spec, est.J_samples(tg, tg, spec))
+    assert len(rows) == 3 and all(r.lhs == 0.0 for r in rows)
+    assert est._djdt_terms(tg.states[2], tg.states[2], spec) == (0.0, 0.0)
 
 
 def test_djdt_rejects_mismatched_times(model_pair):
@@ -200,7 +188,7 @@ def test_djdt_rejects_mismatched_times(model_pair):
     grid = tg.grid
     other, _ = exact_pair(grid, (0.2, 0.4))
     with pytest.raises(ValueError, match="mismatched"):
-        est.djdt_identity_check(tg, other, case_a_spec(), 0.2, (0.0, 0.0))
+        est.djdt_identity_check(tg, other, case_a_spec(), (0.0, 0.0))
 
 
 # -------------------------------------------------------------- lower barrier
@@ -297,7 +285,7 @@ def test_odi_on_model_pair(model_pair):
     Js = est.J_samples(tg, tG, spec)
     Q = compute_Q(spec).Q
     assert Q == pytest.approx(Q_CASE_A, rel=1e-12)
-    rows = est.main_odi_check(tg, tG, spec, Js, Q)
+    rows = est.main_odi_check(tg.times, Js, spec, Q)
     assert [r.time for r in rows] == [0.3, 0.4, 0.5, 0.6]
     # the rows state the C* they used: the frozen integrated-ODI constant
     assert est.c_star_int(0.25) == pytest.approx(C_STAR_INT[0.25], rel=1e-12)
@@ -312,32 +300,26 @@ def test_odi_on_model_pair(model_pair):
 def test_odi_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
     spec = case_a_spec()
-    rows = est.main_odi_check(tg, tg, spec, est.J_samples(tg, tg, spec), compute_Q(spec).Q)
+    rows = est.main_odi_check(tg.times, est.J_samples(tg, tg, spec), spec, compute_Q(spec).Q)
     assert all(r.lhs == 0.0 and r.margin >= 0.0 for r in rows)
 
 
 def test_odi_on_exhaustion_pair(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
     Js = est.J_samples(lo, hi, exhaust_spec)
-    rows = est.main_odi_check(lo, hi, exhaust_spec, Js, compute_Q(exhaust_spec).Q)
+    rows = est.main_odi_check(lo.times, Js, exhaust_spec, compute_Q(exhaust_spec).Q)
     assert Js[0] == 0.0  # equal initial data
     assert all(j >= 0.0 for j in Js)
     assert min(r.margin for r in rows) > 1.0
-
-
-def test_odi_refuses_unordered_pair(crossing_pair, exhaust_spec):
-    a, b = crossing_pair
-    with pytest.raises(ValueError, match="not ordered"):
-        est.main_odi_check(a, b, exhaust_spec, est.J_samples(a, b, exhaust_spec),
-                           compute_Q(exhaust_spec).Q)
 
 
 def test_holder_step_discrete(model_pair, exhaust_pair, exhaust_spec):
     # the flux ODI's Hoelder step as a trapezoid sum: with q = gamma/(1+gamma),
     # d = (V-U)_+ phi and g = |phi''| (phi U)^{-q},
     # sum w d^q g <= (sum w d)^q (sum w g^{1+gamma})^{1/(1+gamma)}
-    def sides(traj_g, traj_G, spec, t):
-        s, U, V = est._pair_arrays(traj_g, traj_G, t)
+    def sides(traj_g, traj_G, spec, k):
+        s = traj_g.grid.nodes
+        U, V = traj_g.states[k].values, traj_G.states[k].values
         q = spec.gamma / (1.0 + spec.gamma)
         phi, phi2 = spec.value(s), np.abs(spec.second_deriv(s))
         d = np.maximum(V - U, 0.0) * phi
@@ -350,10 +332,10 @@ def test_holder_step_discrete(model_pair, exhaust_pair, exhaust_spec):
         rhs = np.sum(w * d) ** q * np.sum(w * g ** (1.0 + spec.gamma)) ** (1.0 - q)
         return np.sum(w * d**q * g), rhs
 
-    lhs, rhs = sides(*model_pair, case_a_spec(), 0.4)
+    lhs, rhs = sides(*model_pair, case_a_spec(), 2)  # t = 0.4
     assert lhs <= rhs * (1.0 + 1e-12)
-    for t in (0.02, 0.06, 0.1):
-        lhs, rhs = sides(*exhaust_pair, exhaust_spec, t)
+    for k in (1, 3, 5):  # t = 0.02, 0.06, 0.1
+        lhs, rhs = sides(*exhaust_pair, exhaust_spec, k)
         assert lhs <= rhs * (1.0 + 1e-12)
         assert rhs > 0.0
 
@@ -370,7 +352,7 @@ def _lemma_term(spec, t):
 
 def test_interior_area_on_exhaustion_pair(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
-    rows = est.interior_area_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
+    rows = est.interior_area_verify(lo, hi, exhaust_spec)
     assert [r.time for r in rows] == list(lo.times)
     assert rows[0].lhs == 0.0 and rows[0].rhs == 0.0
     assert all(r.margin > 1.0 for r in rows[1:])
@@ -384,7 +366,7 @@ def test_interior_area_on_exhaustion_pair(exhaust_pair, exhaust_spec):
 def test_interior_area_on_model_pair(model_pair):
     tg, tG = model_pair
     spec = CutoffSpec(0.55, math.exp(-0.18), 0.25)
-    rows = est.interior_area_verify(tg, tG, 0.55, 0.25, spec.R)
+    rows = est.interior_area_verify(tg, tG, spec)
     assert all(r.margin >= 0.0 for r in rows)
     # different data already at the first sample: a positive initial term
     assert rows[0].rhs - _lemma_term(spec, rows[0].time) > 0.0
@@ -392,7 +374,7 @@ def test_interior_area_on_model_pair(model_pair):
 
 def test_interior_area_trivial_identical(exhaust_pair, exhaust_spec):
     lo, _ = exhaust_pair
-    rows = est.interior_area_verify(lo, lo, 0.55, 0.25, exhaust_spec.R)
+    rows = est.interior_area_verify(lo, lo, exhaust_spec)
     assert all(r.lhs == 0.0 and r.margin >= 0.0 for r in rows)
 
 
@@ -400,21 +382,21 @@ def test_interior_area_domain_errors(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
     with pytest.raises(ValueError, match="R must"):
         # r0 = 0.75 needs R > 0.75^(1/3) ~ 0.908, above the grid-implied R
-        est.interior_area_verify(lo, hi, 0.75, 0.25, exhaust_spec.R)
+        est.interior_area_verify(lo, hi, CutoffSpec(0.75, exhaust_spec.R, 0.25))
     with pytest.raises(ValueError, match="gamma"):
-        est.interior_area_verify(lo, hi, 0.55, 0.75, exhaust_spec.R)
+        est.interior_area_verify(lo, hi, CutoffSpec(0.55, exhaust_spec.R, 0.75))
 
 
 def test_interior_area_refuses_unordered(crossing_pair, exhaust_spec):
     a, b = crossing_pair
     with pytest.raises(ValueError, match="not ordered"):
-        est.interior_area_verify(a, b, 0.55, 0.25, exhaust_spec.R)
+        est.interior_area_verify(a, b, exhaust_spec)
 
 
 def test_volume_excess_reduces_to_interior_area_when_ordered(exhaust_pair, exhaust_spec):
     lo, hi = exhaust_pair
-    cert = est.interior_area_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
-    vex = est.volume_excess_verify(lo, hi, 0.55, 0.25, exhaust_spec.R)
+    cert = est.interior_area_verify(lo, hi, exhaust_spec)
+    vex = est.volume_excess_verify(lo, hi, exhaust_spec)
     assert [r.inequality for r in vex] == ["volume-excess"] * len(cert)
     for a, b in zip(cert, vex):
         assert b.lhs == pytest.approx(a.lhs, rel=1e-10, abs=1e-13)
@@ -423,7 +405,7 @@ def test_volume_excess_reduces_to_interior_area_when_ordered(exhaust_pair, exhau
 
 def test_volume_excess_identical_is_zero(exhaust_pair, exhaust_spec):
     lo, _ = exhaust_pair
-    vex = est.volume_excess_verify(lo, lo, 0.55, 0.25, exhaust_spec.R)
+    vex = est.volume_excess_verify(lo, lo, exhaust_spec)
     assert all(r.lhs == 0.0 for r in vex)
 
 
@@ -431,9 +413,9 @@ def test_volume_excess_on_crossing_pair(crossing_pair, exhaust_spec):
     # genuine crossing: neither ordering holds, yet the positive-part
     # certificate goes through
     a, b = crossing_pair
-    assert not check_order_preservation(a, b).ordered
-    assert not check_order_preservation(b, a).ordered
-    vex = est.volume_excess_verify(a, b, 0.55, 0.25, exhaust_spec.R)
+    assert not est.check_order_preservation(a, b).ordered
+    assert not est.check_order_preservation(b, a).ordered
+    vex = est.volume_excess_verify(a, b, exhaust_spec)
     assert all(r.margin >= 0.0 for r in vex)
     assert any(r.lhs > 0.0 for r in vex)
 
@@ -522,9 +504,9 @@ def test_J_table_must_cover_every_sample_time(model_pair):
     spec = case_a_spec()
     short = est.J_samples(tg, tG, spec)[:-1]
     with pytest.raises(ValueError, match="one J value per sample time"):
-        est.djdt_identity_check(tg, tG, spec, 0.4, short)
+        est.djdt_identity_check(tg, tG, spec, short)
     with pytest.raises(ValueError, match="one J value per sample time"):
-        est.main_odi_check(tg, tG, spec, short, compute_Q(spec).Q)
+        est.main_odi_check(tg.times, short, spec, compute_Q(spec).Q)
 
 
 def test_full_report_on_exhaustion_pair(exhaust_pair, exhaust_spec, tmp_path):

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from logdiff.config import ConfigError, ExperimentConfig
+from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.experiments import (
     matched_truncation_gauge,
     run_boundary_layer_experiment,
@@ -10,7 +11,10 @@ from logdiff.experiments import (
     run_q_sweep,
     run_uniqueness_experiment,
 )
+from logdiff.geometry import LogPolarGrid
 from artifact_io import read_rows_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +202,17 @@ class TestBoundaryLayer:
         assert len(layer.rows) == 9
         assert layer.rows[0]["t"] == pytest.approx(1e-3)
         assert layer.rows[-1]["t"] == pytest.approx(1e-1)
-        assert layer.rows[0]["width"] >= layer.grid_floor
+        # the default grid is graded(0.005, 4, 301, 1.02); width is at
+        # least its first spacing
+        nodes = LogPolarGrid.graded(0.005, 4.0, 301, 1.02).nodes
+        assert layer.rows[0]["width"] >= nodes[1] - nodes[0]
+
+    def test_config_runs_its_last_ramp(self, layer):
+        # ramps 100, 1000 and no s_min: the run differs from the default
+        # one in k alone, so its rows must differ too
+        small = run_boundary_layer_experiment(parse_config(CONFIGS / "uniqueness_small.ini"))
+        assert small.rows != layer.rows
+        assert small.width_monotone
 
     def test_csv(self, tmp_path):
         run_boundary_layer_experiment(out_dir=tmp_path)

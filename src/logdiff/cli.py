@@ -106,6 +106,13 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_boundary_layer(args) -> int:
     cfg = _load_config(args, "boundary-layer")
+    # its grid, step and sample times are fixed; each field's INI key is its lowercase name
+    for name in ("s_max", "n", "ratio", "T", "dt", "sample_times") if cfg else ():
+        value = getattr(cfg, name)
+        if value != getattr(ExperimentConfig(), name):
+            shown = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+            print(f"note: boundary-layer ignores {name.lower()} = {shown}; "
+                  "it runs its fixed grid, step and sample times", file=sys.stderr)
     result = run_boundary_layer_experiment(cfg, out_dir=args.out)
     print(f"  fitted exponent p = {result.exponent:.4f} "
           f"(exploratory window [0.35, 0.65]: {'in' if result.in_range else 'out of'} range)")
@@ -122,8 +129,7 @@ _ONE_MEMBER = (("cutoff", "r"), ("cutoff", "gamma"), ("flow", "ramps"))
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args, "simulate", _ONE_MEMBER) or ExperimentConfig()
     R, k = cfg.R_list[0], cfg.ramps[0]
-    st0, schedule, solver_config, T, samples = exhaustion_member(cfg, R, k)
-    traj = evolve(st0, schedule, solver_config, T, sample_times=samples)
+    traj = evolve(exhaustion_member(cfg, R, k))
     s_lo, s_hi = cfg.grid_bounds(R)
     os.makedirs(args.out, exist_ok=True)
     manifest = save_trajectory(traj, args.out, cfg.config_hash)

@@ -444,8 +444,9 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     certificate; crossing pairs fall back to the positive-part variants.
     A pair given larger flow first raises ValueError: read as a crossing
     pair it would drop the ordered certificates and pass on a volume excess
-    that is zero by construction.  The 1/U bound and curvature monotonicity
-    add rows only when their preconditions hold; report.gated names each
+    that is zero by construction.  The 1/U bound, curvature monotonicity and
+    the dJ/dt identity (it needs a sample time between the first and the
+    last) add rows only when their preconditions hold; report.gated names each
     family that wrote no rows and why.  A pair with fewer than two
     sample times raises ValueError: it holds no evolved state to certify.
     J, Q and the pair's order are computed once per report; the checks
@@ -487,6 +488,8 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     if why:
         gated["u-inverse-bound"] = why
     rows += djdt_identity_check(traj_g, traj_G, cutoff, Js)
+    if len(times) < 3:
+        gated["djdt-identity"] = f"no sample time between t={times[0]:g} and t={times[-1]:g}"
 
     for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
         gate_rows, why = curvature_monotonicity_check(traj, label)

@@ -26,18 +26,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .cutoff import CutoffSpec, _q_integral_beta, compute_Q
-from .estimates import interior_area_verify
+from .estimates import check_order_preservation, interior_area_verify
 from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
 from .snapshots import write_rows_csv
-from .solver import (
-    BoundarySchedule,
-    SolverConfig,
-    Trajectory,
-    evolve,
-    evolve_many,
-)
+from .solver import BoundarySchedule, Run, Trajectory, evolve, evolve_many
 
 __all__ = [
+    "flat_start_run",
     "exhaustion_member",
     "ExactSuiteResult",
     "run_exact_solution_suite",
@@ -54,15 +49,20 @@ __all__ = [
 # ------------------------------------------------------- exhaustion members
 
 
-def exhaustion_member(config: ExperimentConfig, R: float, k: float) -> tuple:
-    """The evolve / evolve_many run of one exhaustion member: flat initial
-    data on the graded window of cut-off radius R, inner boundary ramped at
-    slope k, sampled at config.sample_times or, when none are given, at five
-    equal steps up to T."""
-    s_lo, s_hi = config.grid_bounds(R)
-    st0 = model_state(FlatDisc(), LogPolarGrid.graded(s_lo, s_hi, config.n, config.ratio), 0.0)
+def flat_start_run(grid, k, dt, T, sample_times=None, dt_cap=None) -> Run:
+    """The Run of every exhaustion flow: flat data on grid at t = 0, inner
+    boundary ramped at slope k, outer value pinned."""
+    st0 = model_state(FlatDisc(), grid, 0.0)
+    return Run(st0, BoundarySchedule.ramp(st0, float(k)), dt, T, sample_times, dt_cap)
+
+
+def exhaustion_member(config: ExperimentConfig, R: float, k: float) -> Run:
+    """One exhaustion member: the flat-start run on the graded window of
+    cut-off radius R at slope k, sampled at config.sample_times or, when
+    none are given, at five equal steps up to T."""
+    grid = LogPolarGrid.graded(*config.grid_bounds(R), config.n, config.ratio)
     samples = config.sample_times or tuple((j + 1) * config.T / 5.0 for j in range(5))
-    return st0, BoundarySchedule.ramp(st0, float(k)), SolverConfig(dt=config.dt), config.T, samples
+    return flat_start_run(grid, k, config.dt, config.T, samples)
 
 
 # ---------------------------------------------------------- exact solutions
@@ -99,7 +99,7 @@ def _exact_run(kind, model, level):
         grid = LogPolarGrid.uniform(*_TEMPORAL_GRID)
         (t0, T), dt = _TEMPORAL_SPAN, _TEMPORAL_DTS[level]
     sched = BoundarySchedule.from_model(model, grid.s_min, grid.s_max)
-    return model_state(model, grid, t0), sched, SolverConfig(dt=dt), T
+    return Run(model_state(model, grid, t0), sched, dt, T)
 
 
 def _exact_row(kind, model, level, run, traj):
@@ -109,19 +109,18 @@ def _exact_row(kind, model, level, run, traj):
     if isinstance(traj, Exception):
         return {"kind": kind, "model": model.name, "level": level, "n": "", "dt": "",
                 "h": "", "error": "", "status": f"failed: {traj}"}
-    st0, _, cfg, T = run
-    grid = st0.grid
+    grid = run.initial.grid
     h = float(np.min(np.diff(grid.nodes)))
     final = traj.states[-1].values
     if kind == "static":
-        error = float(np.max(np.abs(final - st0.values)))
+        error = float(np.max(np.abs(final - run.initial.values)))
     elif kind == "spatial":
-        exact = model_factor(model, grid.nodes, T)
+        exact = model_factor(model, grid.nodes, run.T)
         error = float(np.max(np.abs(final - exact)) / np.max(exact))
     else:
-        h, error = cfg.dt, ""
+        h, error = run.dt, ""
     return {"kind": kind, "model": model.name, "level": level, "n": grid.n,
-            "dt": cfg.dt, "h": h, "error": error, "status": "ok"}
+            "dt": run.dt, "h": h, "error": error, "status": "ok"}
 
 
 @dataclass(frozen=True)
@@ -348,9 +347,11 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
             if not (isinstance(lo, Trajectory) and isinstance(hi, Trajectory)):
                 continue
             mask = lo.grid.nodes >= s0
+            # members at one R share grid and sample times, so the pair check passes
+            order = check_order_preservation(lo, hi)
             for gamma in config.gamma_list:
                 try:
-                    cert = interior_area_verify(lo, hi, CutoffSpec(config.r0, R, gamma))
+                    cert = interior_area_verify(lo, hi, CutoffSpec(config.r0, R, gamma), order)
                 except ValueError as exc:
                     failures.append(f"R={R:g} pair={pair_idx} gamma={gamma:g}: {exc}")
                     all_certified = False
@@ -437,11 +438,8 @@ def matched_truncation_gauge() -> dict:
     # all three windows end at the same outer node, so they share the
     # pinned outer value
     fine = master.refine()
-    runs = []
-    for grid, k, step in ((master, k_hi, dt), (sub, k_lo, dt), (fine, k_hi, 0.5 * dt)):
-        st0 = model_state(FlatDisc(), grid, 0.0)
-        runs.append((st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=step), T))
-    hi, lo, hif = evolve_many(runs)
+    hi, lo, hif = evolve_many([flat_start_run(grid, k, step, T) for grid, k, step in (
+        (master, k_hi, dt), (sub, k_lo, dt), (fine, k_hi, 0.5 * dt))])
     for run in (hi, lo, hif):
         if isinstance(run, Exception):
             raise run
@@ -490,14 +488,12 @@ def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerRes
     k = 3e5 if config is None else float(config.ramps[-1])
     s_min = 0.005 if config is None or config.s_min is None else config.s_min
     grid = LogPolarGrid.graded(s_min, 4.0, 301, 1.02)
-    st0 = model_state(FlatDisc(), grid, 0.0)
-    samples = np.logspace(-3.0, -1.0, _LAYER_SAMPLES)
-    traj = evolve(st0, BoundarySchedule.ramp(st0, k), SolverConfig(dt=1e-4, dt_cap=2e-3), 0.1,
-                  sample_times=samples)
+    traj = evolve(flat_start_run(grid, k, 1e-4, 0.1, np.logspace(-3.0, -1.0, _LAYER_SAMPLES),
+                                 dt_cap=2e-3))
     rows = []
     widths, ts = [], []
     for st in traj.states[1:]:
-        ratio = st.values / st0.values
+        ratio = st.values / traj.states[0].values
         idx = np.nonzero(ratio >= 2.0)[0]
         s_star = float(grid.nodes[idx[-1]]) if idx.size else float(grid.s_min)
         w = s_star - float(grid.s_min)

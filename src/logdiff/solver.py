@@ -40,7 +40,7 @@ from .geometry import ConformalState, LogPolarGrid, model_factor
 
 __all__ = [
     "BoundarySchedule",
-    "SolverConfig",
+    "Run",
     "Trajectory",
     "StepFailure",
     "RunError",
@@ -105,16 +105,17 @@ FAST_ITERS = 3  # a step is cheap with at most this many Newton iterations
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Time-step policy.
+class Run:
+    """March initial under schedule to T, snapshotting at sample_times (T
+    alone when None), with target step dt: halved on a failed step, doubled
+    back after cheap steps, never above dt_cap (default dt).  T, the sample
+    times and the schedule's fit to initial are checked when the run starts."""
 
-    dt is the target step; the adaptive policy halves it on a failed step
-    (up to MAX_HALVINGS) and doubles it back after STREAK_TO_GROW consecutive
-    successes that each needed at most FAST_ITERS Newton iterations, never
-    exceeding dt_cap (defaults to the target dt).
-    """
-
+    initial: ConformalState
+    schedule: BoundarySchedule
     dt: float
+    T: float
+    sample_times: Sequence[float] | None = None
     dt_cap: float | None = None
 
     def __post_init__(self):
@@ -122,10 +123,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.dt_cap is not None and self.dt_cap < self.dt:
             raise ValueError("dt_cap must not undercut dt")
-
-    @property
-    def effective_cap(self) -> float:
-        return self.dt if self.dt_cap is None else self.dt_cap
 
 
 @dataclass(frozen=True)
@@ -334,10 +331,11 @@ def _check_schedule_consistency(initial: ConformalState, schedule: BoundarySched
             )
 
 
-def _march(initial, schedule, config, T, sample_times=None):
+def _march(run: Run):
     """One run as a generator: yields each step attempt as
     (u, (w_in, w_out), dt), is sent back (u_new, Newton iterations) or has
     the step's StepFailure thrown in, and returns the Trajectory."""
+    initial, schedule, T, sample_times = run.initial, run.schedule, run.T, run.sample_times
     t0 = initial.time
     if T <= t0:
         raise ValueError("T must exceed the initial time")
@@ -355,11 +353,11 @@ def _march(initial, schedule, config, T, sample_times=None):
         if not targets or abs(targets[-1] - T) > 1e-12 * max(1.0, T):
             targets.append(T)
 
-    cap = config.effective_cap
+    cap = run.dt if run.dt_cap is None else run.dt_cap
     snapshots = [initial]
     u = initial.values
     t = t0
-    dt_cur = config.dt
+    dt_cur = run.dt
     streak = 0
     nsteps = 0
     newton_total = 0
@@ -376,15 +374,10 @@ def _march(initial, schedule, config, T, sample_times=None):
                 except StepFailure as exc:
                     halvings += 1
                     if halvings > MAX_HALVINGS:
-                        partial = Trajectory(
-                            states=tuple(snapshots),
-                            nsteps=nsteps,
-                            newton_iters=newton_total,
-                        )
                         raise RunError(
                             f"step at t={t:g} failed after {MAX_HALVINGS} halvings "
                             f"(last residual {exc.residual:g})",
-                            partial,
+                            Trajectory(tuple(snapshots), nsteps, newton_total),
                         ) from exc
                     dt_try *= 0.5
                     streak = 0
@@ -403,16 +396,11 @@ def _march(initial, schedule, config, T, sample_times=None):
         t = target  # land exactly, clearing accumulated roundoff
         snapshots.append(ConformalState(initial.grid, u.copy(), t))
 
-    return Trajectory(
-        states=tuple(snapshots),
-        nsteps=nsteps,
-        newton_iters=newton_total,
-    )
+    return Trajectory(tuple(snapshots), nsteps, newton_total)
 
 
-def evolve_many(runs) -> list:
-    """Advance many runs at once; each run is (initial, schedule, config, T)
-    or (initial, schedule, config, T, sample_times), as for evolve.
+def evolve_many(runs: Sequence[Run]) -> list:
+    """Advance many Runs at once.
 
     Runs step in lockstep: every round, each live run attempts its next step
     and one Newton solve serves them all, with one dgtsv call per iteration.
@@ -422,7 +410,7 @@ def evolve_many(runs) -> list:
     others.
     """
     out = [None] * len(runs)
-    marches = [_march(*run) for run in runs]
+    marches = [_march(run) for run in runs]
     asks = {}  # run index -> its pending step attempt
 
     def resume(i, outcome):
@@ -446,7 +434,7 @@ def evolve_many(runs) -> list:
         group = list(asks)
         if group != lay_for:
             # rebuilt only when the set of live runs changes
-            lay, lay_for = _Layout([runs[i][0].grid.nodes for i in group]), group
+            lay, lay_for = _Layout([runs[i].initial.grid.nodes for i in group]), group
         values, bounds, dts = zip(*[asks[i] for i in group])
         w, iters, errors = _newton_solve(lay, values, bounds, dts)
         if errors:
@@ -461,20 +449,15 @@ def evolve_many(runs) -> list:
     return out
 
 
-def evolve(
-    initial: ConformalState,
-    schedule: BoundarySchedule,
-    config: SolverConfig,
-    T: float,
-    sample_times: Sequence[float] | None = None,
-) -> Trajectory:
-    """March from initial.time to T, snapshotting at the sample times.
+def evolve(run: Run) -> Trajectory:
+    """March run.initial from its time to run.T, snapshotting at the sample
+    times.
 
     Steps land exactly on every sample time.  On a failed step dt is halved
     and the step retried (MAX_HALVINGS times); sustained cheap steps let dt
     grow back toward the cap.  This is evolve_many with one run.
     """
-    (out,) = evolve_many([(initial, schedule, config, T, sample_times)])
+    (out,) = evolve_many([run])
     if isinstance(out, Exception):
         raise out
     return out

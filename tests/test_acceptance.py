@@ -20,7 +20,7 @@ from logdiff.experiments import (
     run_uniqueness_experiment,
 )
 from logdiff.geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_state
-from logdiff.solver import BoundarySchedule, SolverConfig, Trajectory, evolve
+from logdiff.solver import BoundarySchedule, Run, Trajectory, evolve
 from logdiff import estimates as est
 
 
@@ -94,7 +94,7 @@ def test_criterion_04_barrier_and_pointwise_bounds():
             inner=lambda t, k=k: max(u_in, k * t),
             outer=lambda t: max(u_out, t * two_H_out),
         )
-        traj = evolve(st0, sched, SolverConfig(dt=1e-3), 0.1, sample_times=ts)
+        traj = evolve(Run(st0, sched, 1e-3, 0.1, sample_times=ts))
         barrier = min(r.margin for r in est.lower_barrier_check(traj))  # all nodes, all snapshots
         worst_barrier = min(worst_barrier, barrier)
         ok &= barrier >= -1e-8
@@ -162,10 +162,10 @@ def test_criterion_08_volume_excess_on_crossing_pair():
             outer=lambda t: u_out,
         )
 
-    cfg = SolverConfig(dt=1e-3)
+    dt = 1e-3
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    a = evolve(st0, swap(k1, k2), cfg, T, sample_times=ts)
-    b = evolve(st0, swap(k2, k1), cfg, T, sample_times=ts)
+    a = evolve(Run(st0, swap(k1, k2), dt, T, sample_times=ts))
+    b = evolve(Run(st0, swap(k2, k1), dt, T, sample_times=ts))
     crossed = not est.check_order_preservation(a, b).ordered
     rows = est.volume_excess_verify(a, b, CutoffSpec(0.55, math.exp(-0.18), 0.25))
     ok = crossed and all(r.margin >= 0.0 for r in rows)
@@ -175,13 +175,8 @@ def test_criterion_08_volume_excess_on_crossing_pair():
 def test_criterion_09_damped_factor_monotone():
     g = LogPolarGrid.uniform(0.1, 6.0, 101)
     st0 = model_state(FlatDisc, g)
-    traj = evolve(
-        st0,
-        BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max),
-        SolverConfig(dt=0.02),
-        0.3,
-        sample_times=[0.1, 0.2, 0.3],
-    )
+    traj = evolve(Run(st0, BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max), 0.02, 0.3,
+                      sample_times=[0.1, 0.2, 0.3]))
     rows_flat, _ = est.curvature_monotonicity_check(traj, "damped-monotone")
     # curvature gate needs K >= -1: holds for the expanding factor once t >= 1/2
     tb, _ = _exact_pair(LogPolarGrid.uniform(0.5, 3.0, 4001), (0.5, 0.75, 1.0))

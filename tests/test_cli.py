@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from logdiff import estimates
 from logdiff.cli import main
-from logdiff.config import ExperimentConfig
+from logdiff.config import ExperimentConfig, parse_config
 from logdiff.snapshots import load_trajectory
 from artifact_io import read_rows_csv, write_ini
 
@@ -403,6 +404,48 @@ def test_shipped_config_note_only_on_mismatch(tmp_path, capsys):
         assert list(traj.times) == [0.0, 0.02, 0.04, 0.06, 0.08, 0.1]
     assert main(["q-sweep", "--config", lo, "--out", str(tmp_path / "q")]) == 0
     assert "note: config says experiment=simulate, running q-sweep" in capsys.readouterr().err
+
+
+def test_verify_names_djdt_gated_without_an_interior_sample_time(tmp_path, capsys):
+    # the shipped pair sampled at t = 0.1 alone: dJ/dt needs a time between
+    # the first and the last, so verify says it wrote no djdt-identity rows
+    for run in ("lo", "hi"):
+        cfg = replace(parse_config(CONFIGS / f"exhaustion_{run}.ini"), sample_times=(0.1,))
+        write_ini(cfg, tmp_path / f"{run}.ini")
+        assert main(["simulate", "--config", str(tmp_path / f"{run}.ini"),
+                     "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "lo" / "snap_manifest.csv"),
+                 str(tmp_path / "hi" / "snap_manifest.csv"),
+                 "--config", str(tmp_path / "lo.ini"), "--out", str(tmp_path / "ver")]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("  12 inequality rows")
+    err = captured.err.splitlines()
+    assert err[0] == "note: djdt-identity gated off, no rows: no sample time between t=0 and t=0.1"
+    assert [line.split(": K_min = ")[0] for line in err[1:]] == [
+        "note: damped-monotone-g gated off, no rows", "note: damped-monotone-G gated off, no rows"]
+    rows = read_rows_csv(tmp_path / "ver" / "verify_report.csv")
+    assert len(rows) == 12 and "djdt-identity" not in {r["inequality"] for r in rows}
+
+
+def test_boundary_layer_names_the_config_values_it_ignores(tmp_path, capsys):
+    # its grid, step and sample times are fixed: each config value among them
+    # that differs from the default gets a note, and the rows do not move
+    assert main(["boundary-layer", "--config", str(CONFIGS / "uniqueness_small.ini"),
+                 "--out", str(tmp_path / "small")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    fixed = "; it runs its fixed grid, step and sample times"
+    assert err == ["note: config says experiment=uniqueness, running boundary-layer",
+                   "note: boundary-layer ignores n = 161" + fixed,
+                   "note: boundary-layer ignores ratio = 1.04" + fixed,
+                   "note: boundary-layer ignores sample_times = 0.05, 0.1" + fixed]
+    # a config of the two values it reads gets no note, and the same rows
+    path = tmp_path / "ramps.ini"
+    write_ini(ExperimentConfig(experiment="boundary-layer", ramps=(100.0, 1000.0)), path)
+    assert main(["boundary-layer", "--config", str(path), "--out", str(tmp_path / "ramps")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (read_rows_csv(tmp_path / "small" / "boundary_layer.csv")
+            == read_rows_csv(tmp_path / "ramps" / "boundary_layer.csv"))
 
 
 @pytest.fixture(scope="module")

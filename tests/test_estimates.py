@@ -14,7 +14,7 @@ from logdiff.geometry import (
     gauss_curvature,
     model_state,
 )
-from logdiff.solver import BoundarySchedule, SolverConfig, Trajectory, evolve
+from logdiff.solver import NEWTON_TOL, BoundarySchedule, Run, Trajectory, evolve
 from logdiff import estimates as est
 from logdiff.snapshots import load_trajectory, save_trajectory
 from oracle_support import pair_flux_rate_reference
@@ -58,10 +58,10 @@ def exhaust_pair(exhaust_spec):
     # cut-off dead zone
     g = LogPolarGrid.graded(exhaust_spec.S / 4.0, 8.0, 261, ratio=1.02)
     st0 = model_state(FlatDisc, g)
-    cfg = SolverConfig(dt=1e-3)
+    dt = 1e-3
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    lo = evolve(st0, BoundarySchedule.ramp(st0, 1e2), cfg, 0.1, sample_times=ts)
-    hi = evolve(st0, BoundarySchedule.ramp(st0, 1e3), cfg, 0.1, sample_times=ts)
+    lo = evolve(Run(st0, BoundarySchedule.ramp(st0, 1e2), dt, 0.1, sample_times=ts))
+    hi = evolve(Run(st0, BoundarySchedule.ramp(st0, 1e3), dt, 0.1, sample_times=ts))
     return lo, hi
 
 
@@ -82,10 +82,10 @@ def crossing_pair(exhaust_spec):
 
         return BoundarySchedule(inner=inner, outer=lambda t: u_out)
 
-    cfg = SolverConfig(dt=1e-3)
+    dt = 1e-3
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    a = evolve(st0, swap_schedule(k1, k2), cfg, T, sample_times=ts)
-    b = evolve(st0, swap_schedule(k2, k1), cfg, T, sample_times=ts)
+    a = evolve(Run(st0, swap_schedule(k1, k2), dt, T, sample_times=ts))
+    b = evolve(Run(st0, swap_schedule(k2, k1), dt, T, sample_times=ts))
     return a, b
 
 
@@ -427,7 +427,7 @@ def test_curvature_check_flat_static():
     g = LogPolarGrid.uniform(0.1, 6.0, 101)
     st0 = model_state(FlatDisc, g)
     sched = BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max)
-    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
+    traj = evolve(Run(st0, sched, 0.02, 0.3, sample_times=[0.1, 0.2, 0.3]))
     (row,), why = est.curvature_monotonicity_check(traj, "damped-monotone-g")  # gate passed
     assert why is None
     assert (row.time, row.inequality) == (0.3, "damped-monotone-g")
@@ -441,7 +441,7 @@ def test_curvature_check_fails_when_damped_factor_rises():
     g = LogPolarGrid.uniform(0.1, 6.0, 101)
     st0 = model_state(FlatDisc, g)
     sched = BoundarySchedule.from_model(FlatDisc, g.s_min, g.s_max)
-    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
+    traj = evolve(Run(st0, sched, 0.02, 0.3, sample_times=[0.1, 0.2, 0.3]))
     last = traj.states[-1]
     bumped = Trajectory(states=traj.states[:-1] + (ConformalState(g, 1.5 * last.values, last.time),))
     (row,), why = est.curvature_monotonicity_check(bumped, "damped-monotone-g")
@@ -463,6 +463,44 @@ def test_curvature_gate_blocks_early_bigbang():
     rows, why = est.curvature_monotonicity_check(tb, "damped-monotone-g")
     assert rows == () and why.startswith("K_min = ")
     assert min(float(np.min(gauss_curvature(st))) for st in tb.states) < -2.0
+
+
+def _flat_profile(grid, peak):
+    # peak e^{-2 (s - s_min)}: log-linear, so its discrete K is 0 up to roundoff
+    return peak * np.exp(-2.0 * (grid.nodes - grid.s_min))
+
+
+@pytest.mark.parametrize("peak", [4.0, 0.25])
+def test_order_tolerance(peak):
+    # ordered means U_a <= U_b + 10 NEWTON_TOL max(1, max U at the last
+    # sample time): one crossing inside that tolerance, one outside it
+    g = LogPolarGrid.uniform(0.1, 2.0, 41)
+    base = _flat_profile(g, peak)
+    tol = 10.0 * NEWTON_TOL * max(1.0, peak)
+    lower = Trajectory(states=(ConformalState(g, base, 0.0), ConformalState(g, base, 0.1)))
+    for excess, ordered in ((tol / 3.0, True), (3.0 * tol, False)):
+        above = base.copy()
+        above[20] += excess
+        upper = Trajectory(states=(lower.states[0], ConformalState(g, above, 0.1)))
+        rep = est.check_order_preservation(upper, lower)
+        assert rep.ordered == ordered
+        assert rep.max_violation == pytest.approx(excess, rel=1e-6)
+
+
+@pytest.mark.parametrize("peak", [4.0, 0.25])
+def test_damped_monotone_tolerance(peak):
+    # the damped factor e^{-2t} U may rise by 10 NEWTON_TOL max(1, max U(0));
+    # U(t) = e^{2t} (1 + eps) U(0) raises it by eps peak, at s_min
+    g = LogPolarGrid.uniform(0.1, 2.0, 41)
+    base = _flat_profile(g, peak)
+    tol = 10.0 * NEWTON_TOL * max(1.0, peak)
+    for excess, holds in ((tol / 3.0, True), (3.0 * tol, False)):
+        later = math.exp(0.2) * (1.0 + excess / peak) * base
+        traj = Trajectory(states=(ConformalState(g, base, 0.0), ConformalState(g, later, 0.1)))
+        (row,), why = est.curvature_monotonicity_check(traj, "damped-monotone-g")
+        assert why is None and row.rhs == tol
+        assert row.lhs == pytest.approx(excess, rel=1e-5)
+        assert (row.margin >= 0.0) == holds
 
 
 def test_curvature_gate_slack():
@@ -566,10 +604,10 @@ def test_full_report_dominating_ramps_all_pass(exhaust_spec):
     g = LogPolarGrid.graded(exhaust_spec.S / 4.0, 8.0, 261, ratio=1.02)
     st0 = model_state(FlatDisc, g)
     two_H = 2.0 / math.sinh(g.s_min) ** 2
-    cfg = SolverConfig(dt=1e-3)
+    dt = 1e-3
     ts = [0.02, 0.04, 0.06, 0.08, 0.1]
-    lo = evolve(st0, BoundarySchedule.ramp(st0, 2.0 * two_H), cfg, 0.1, sample_times=ts)
-    hi = evolve(st0, BoundarySchedule.ramp(st0, 10.0 * two_H), cfg, 0.1, sample_times=ts)
+    lo = evolve(Run(st0, BoundarySchedule.ramp(st0, 2.0 * two_H), dt, 0.1, sample_times=ts))
+    hi = evolve(Run(st0, BoundarySchedule.ramp(st0, 10.0 * two_H), dt, 0.1, sample_times=ts))
     rep = est.full_report(lo, hi, exhaust_spec)
     assert rep.passed
     # barrier holds, so the bound is asserted at every sample time but t = 0,

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from logdiff import estimates, experiments
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.experiments import (
     matched_truncation_gauge,
@@ -167,6 +169,24 @@ class TestUniqueness:
         cfg = ExperimentConfig(ramps=(1e2, 1e3), R_list=(0.92, 0.95), r0=0.75)
         with pytest.raises(ValueError, match="3 R values"):
             run_uniqueness_experiment(cfg)
+
+    def test_each_pair_order_checked_once(self, monkeypatch):
+        # a pair's order does not depend on gamma: with three gammas, the
+        # shipped config's 3 R x 1 ramp pair are 3 order checks, not 9
+        calls = []
+        real = estimates.check_order_preservation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "check_order_preservation", counted)
+        monkeypatch.setattr(estimates, "check_order_preservation", counted)
+        cfg = replace(parse_config(CONFIGS / "uniqueness_small.ini"), gamma_list=(0.15, 0.25, 0.35))
+        res = run_uniqueness_experiment(cfg)
+        assert len(calls) == 3
+        # 3 R x 1 pair x 3 gamma x 2 sample times
+        assert len(res.rows) == 18 and not res.failures
 
     def test_csv_outputs(self, tmp_path):
         cfg = small_uniqueness_config()

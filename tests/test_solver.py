@@ -18,8 +18,8 @@ from logdiff.geometry import (
 )
 from logdiff.solver import (
     BoundarySchedule,
+    Run,
     RunError,
-    SolverConfig,
     StepFailure,
     Trajectory,
     evolve,
@@ -66,12 +66,12 @@ def test_flatdisc_is_discrete_fixed_point():
 def test_step_rejects_bad_dt_and_schedule():
     g, st0, sched = flat_setup()
     with pytest.raises(ValueError, match="dt must be positive"):
-        SolverConfig(dt=-0.1)
+        Run(st0, sched, -0.1, 0.05)
     # consistent with the initial data, nonpositive at the first step
     u_in, u_out = float(st0.values[0]), float(st0.values[-1])
     bad = BoundarySchedule(inner=lambda t: u_in if t == 0.0 else -1.0, outer=lambda t: u_out)
     with pytest.raises(ValueError, match="nonpositive"):
-        evolve(st0, bad, SolverConfig(dt=0.01), 0.05)
+        evolve(Run(st0, bad, 0.01, 0.05))
 
 
 def test_step_failure_carries_residual(monkeypatch):
@@ -146,7 +146,7 @@ def test_evolve_leaves_inputs_and_cached_coeffs_untouched(monkeypatch):
     st0 = model_state(FlatDisc, g, 0.0)
     before = st0.values.copy()
     sched = BoundarySchedule.ramp(st0, 1e6)
-    traj = evolve(st0, sched, SolverConfig(dt=0.01), 0.05)
+    traj = evolve(Run(st0, sched, 0.01, 0.05))
     assert traj.nsteps >= 5
     assert np.array_equal(st0.values, before)
     (live, saved), = made
@@ -182,7 +182,7 @@ def test_singular_jacobian_fails_step_then_run(monkeypatch):
     calls.clear()
     monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
     with pytest.raises(RunError, match="after 3 halvings") as exc:
-        evolve(st0, sched, SolverConfig(dt=0.01), 0.05)
+        evolve(Run(st0, sched, 0.01, 0.05))
     assert len(calls) == 3 + 1
     assert exc.value.partial.nsteps == 0
 
@@ -233,7 +233,7 @@ def test_spatial_richardson_order_two():
         ds = g.nodes[1] - g.nodes[0]
         st0 = model_state(BigBang, g, 0.5)
         sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
-        traj = evolve(st0, sched, SolverConfig(dt=0.25 * ds * ds), 1.0)
+        traj = evolve(Run(st0, sched, 0.25 * ds * ds, 1.0))
         exact = model_state(BigBang, g, 1.0).values
         errs.append(float(np.max(np.abs(traj.states[-1].values - exact) / exact)))
     assert errs[0] == pytest.approx(1.485e-3, rel=1e-2)
@@ -251,7 +251,7 @@ def test_temporal_order_by_successive_differences():
     sched = BoundarySchedule.from_model(Cusp, g.s_min, g.s_max)
     finals = []
     for dt in (0.05, 0.025, 0.0125, 0.00625):
-        traj = evolve(st0, sched, SolverConfig(dt=dt), 1.0)
+        traj = evolve(Run(st0, sched, dt, 1.0))
         finals.append(traj.states[-1].values)
     diffs = [float(np.max(np.abs(a - b))) for a, b in zip(finals, finals[1:])]
     orders = [math.log2(d1 / d2) for d1, d2 in zip(diffs, diffs[1:])]
@@ -263,7 +263,7 @@ def test_temporal_order_by_successive_differences():
 
 def test_evolve_flat_static_run():
     g, st0, sched = flat_setup()
-    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.3, sample_times=[0.1, 0.2, 0.3])
+    traj = evolve(Run(st0, sched, 0.02, 0.3, sample_times=[0.1, 0.2, 0.3]))
     assert [st.time for st in traj.states] == pytest.approx([0.0, 0.1, 0.2, 0.3])
     for st in traj.states:
         assert np.max(np.abs(st.values - st0.values)) < 1e-10
@@ -273,7 +273,7 @@ def test_evolve_bigbang_exact_schedule():
     g = LogPolarGrid.graded(0.1, 6.0, 301, ratio=1.02)
     st0 = model_state(BigBang, g, 0.1)
     sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
-    traj = evolve(st0, sched, SolverConfig(dt=5e-3), 1.0, sample_times=[0.55, 1.0])
+    traj = evolve(Run(st0, sched, 5e-3, 1.0, sample_times=[0.55, 1.0]))
     exact = model_state(BigBang, g, 1.0).values
     rel = np.max(np.abs(traj.states[-1].values - exact) / exact)
     assert rel < 2e-4  # measured 6.4e-5 at this resolution
@@ -283,8 +283,8 @@ def test_evolve_is_deterministic():
     g = LogPolarGrid.graded(0.05, 8.0, 141, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
     sched = BoundarySchedule.ramp(st0, 1e3)
-    a = evolve(st0, sched, SolverConfig(dt=2e-3), 0.1, sample_times=[0.05, 0.1])
-    b = evolve(st0, sched, SolverConfig(dt=2e-3), 0.1, sample_times=[0.05, 0.1])
+    a = evolve(Run(st0, sched, 2e-3, 0.1, sample_times=[0.05, 0.1]))
+    b = evolve(Run(st0, sched, 2e-3, 0.1, sample_times=[0.05, 0.1]))
     assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
     assert a.nsteps == b.nsteps and a.newton_iters == b.newton_iters
 
@@ -292,18 +292,21 @@ def test_evolve_is_deterministic():
 def test_evolve_validates_times_and_consistency():
     g, st0, sched = flat_setup()
     with pytest.raises(ValueError):
-        evolve(st0, sched, SolverConfig(dt=0.01), T=0.0)
+        evolve(Run(st0, sched, 0.01, T=0.0))
     with pytest.raises(ValueError, match="sample times"):
-        evolve(st0, sched, SolverConfig(dt=0.01), T=0.1, sample_times=[0.2])
+        evolve(Run(st0, sched, 0.01, T=0.1, sample_times=[0.2]))
     bad = BoundarySchedule(inner=lambda t: 42.0, outer=sched.outer)
     with pytest.raises(ValueError, match="inconsistent"):
-        evolve(st0, bad, SolverConfig(dt=0.01), T=0.1)
+        evolve(Run(st0, bad, 0.01, T=0.1))
 
 
 def test_adaptive_doubling_reduces_step_count():
     g, st0, sched = flat_setup()
-    traj = evolve(st0, sched, SolverConfig(dt=1e-3, dt_cap=8e-3), 0.1)
-    assert traj.nsteps < 40  # fixed dt would take 100
+    traj = evolve(Run(st0, sched, 1e-3, 0.1, dt_cap=8e-3))
+    # fixed dt would take 100.  Every step takes one Newton iteration, so dt
+    # doubles after each STREAK_TO_GROW = 3 steps: 3 steps each at 1e-3,
+    # 2e-3 and 4e-3, then 10 at the cap 8e-3 (the last one cut short)
+    assert traj.nsteps == traj.newton_iters == 19
 
 
 def test_run_error_carries_partial_trajectory(monkeypatch):
@@ -313,7 +316,7 @@ def test_run_error_carries_partial_trajectory(monkeypatch):
     st0 = model_state(BigBang, g, 0.2)
     sched = BoundarySchedule.from_model(BigBang, g.s_min, g.s_max)
     with pytest.raises(RunError) as exc:
-        evolve(st0, sched, SolverConfig(dt=0.05), 0.5)
+        evolve(Run(st0, sched, 0.05, 0.5))
     partial = exc.value.partial
     assert isinstance(partial, Trajectory)
     assert partial.states[-1].time < 0.5
@@ -331,8 +334,8 @@ def test_trajectory_lookup_and_validation():
 def test_evolve_trajectory_pickles():
     # plain data: a run can be stored or sent whole
     g, st0, _ = flat_setup()
-    traj = evolve(st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=0.02), 0.1,
-                  sample_times=[0.05, 0.1])
+    traj = evolve(Run(st0, BoundarySchedule.ramp(st0, 1e3), 0.02, 0.1,
+                      sample_times=[0.05, 0.1]))
     back = pickle.loads(pickle.dumps(traj))
     assert (back.nsteps, back.newton_iters) == (traj.nsteps, traj.newton_iters)
     assert np.array_equal(back.grid.nodes, traj.grid.nodes)
@@ -341,11 +344,13 @@ def test_evolve_trajectory_pickles():
         assert np.array_equal(a.values, b.values)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=1e-2, dt_cap=1e-3)
+def test_run_validation():
+    g, st0, sched = flat_setup()
+    with pytest.raises(ValueError, match="dt must be positive"):
+        Run(st0, sched, 0.0, 0.1)
+    with pytest.raises(ValueError, match="undercut"):
+        Run(st0, sched, 1e-2, 0.1, dt_cap=1e-3)
+    assert Run(st0, sched, 1e-2, 0.1, dt_cap=1e-2).dt_cap == 1e-2
 
 
 def test_schedule_constructors_validate():
@@ -368,22 +373,21 @@ def _mixed_runs():
     runs = []
     g = LogPolarGrid.graded(0.05, 8.0, 141, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    runs.append((st0, BoundarySchedule.ramp(st0, 1e3), SolverConfig(dt=2e-3), 0.1, [0.05, 0.1]))
+    runs.append(Run(st0, BoundarySchedule.ramp(st0, 1e3), 2e-3, 0.1, [0.05, 0.1]))
     g = LogPolarGrid.graded(0.01, 8.0, 241, ratio=1.02)
     st0 = model_state(FlatDisc, g, 0.0)
-    runs.append((st0, BoundarySchedule.ramp(st0, 1e4), SolverConfig(dt=1e-4), 0.01, None))
+    runs.append(Run(st0, BoundarySchedule.ramp(st0, 1e4), 1e-4, 0.01))
     _, st0, sched = flat_setup()
-    runs.append((st0, sched, SolverConfig(dt=1e-3, dt_cap=8e-3), 0.1, [0.03, 0.07]))
+    runs.append(Run(st0, sched, 1e-3, 0.1, [0.03, 0.07], dt_cap=8e-3))
     g = LogPolarGrid.uniform(0.5, 3.0, 65)
-    runs.append((model_state(Cusp, g, 0.5), BoundarySchedule.from_model(Cusp, 0.5, 3.0),
-                 SolverConfig(dt=0.0125), 1.0, [0.6, 0.75]))
+    runs.append(Run(model_state(Cusp, g, 0.5), BoundarySchedule.from_model(Cusp, 0.5, 3.0),
+                    0.0125, 1.0, [0.6, 0.75]))
     g = LogPolarGrid.uniform(0.3, 4.0, 81)
-    runs.append((model_state(BigBang, g, 0.2), BoundarySchedule.from_model(BigBang, 0.3, 4.0),
-                 SolverConfig(dt=0.05), 0.5, [0.3, 0.45]))
+    runs.append(Run(model_state(BigBang, g, 0.2), BoundarySchedule.from_model(BigBang, 0.3, 4.0),
+                    0.05, 0.5, [0.3, 0.45]))
     g = LogPolarGrid.graded(0.05, 8.0, 121, ratio=1.04)
     st0 = model_state(FlatDisc, g, 0.0)
-    runs.append((st0, BoundarySchedule.ramp(st0, 1e6),
-                 SolverConfig(dt=0.002, dt_cap=0.02), 0.05, None))
+    runs.append(Run(st0, BoundarySchedule.ramp(st0, 1e6), 0.002, 0.05, dt_cap=0.02))
     return runs
 
 
@@ -403,7 +407,7 @@ def test_evolve_many_members_equal_their_solo_runs(monkeypatch):
     # the mix has halvings (more steps than T/dt) and lockstep riders
     assert batch[4].nsteps > 6 and batch[5].nsteps > 5
     for run, got in zip(runs, batch):
-        _assert_same_run(got, evolve(*run))
+        _assert_same_run(got, evolve(run))
 
 
 def _singular_when_n(n_fail, calls):
@@ -425,23 +429,23 @@ def _singular_when_n(n_fail, calls):
 
 def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     runs = _mixed_runs()[:4]
-    solo = [evolve(*run) for run in runs]
+    solo = [evolve(run) for run in runs]
     g = LogPolarGrid.uniform(0.1, 6.0, 77)
     st0 = model_state(FlatDisc, g, 0.0)
     flat = BoundarySchedule.from_model(FlatDisc, 0.1, 6.0)  # both grids span [0.1, 6]
-    singular = (st0, flat, SolverConfig(dt=0.01), 0.05)
+    singular = Run(st0, flat, 0.01, 0.05)
     st1 = model_state(FlatDisc, LogPolarGrid.uniform(0.1, 6.0, 61), 0.0)
     v_in, v_out = float(st1.values[0]), float(st1.values[-1])
     dips = BoundarySchedule(inner=lambda t: v_in if t < 0.03 else -1.0, outer=lambda t: v_out)
-    nonpositive = (st1, dips, SolverConfig(dt=0.01), 0.05)
-    too_short = (st1, flat, SolverConfig(dt=0.01), 0.0)
+    nonpositive = Run(st1, dips, 0.01, 0.05)
+    too_short = Run(st1, flat, 0.01, 0.0)
 
     calls = []
     monkeypatch.setattr(solver, "MAX_HALVINGS", 3)
     monkeypatch.setattr(solver, "dgtsv", _singular_when_n(77, calls))
     batch = solver.evolve_many(runs[:2] + [singular, nonpositive] + runs[2:] + [too_short])
     with pytest.raises(RunError) as alone:
-        evolve(*singular)
+        evolve(singular)
     assert isinstance(batch[2], RunError)
     assert str(batch[2]) == str(alone.value)
     assert str(batch[2]).startswith("step at t=0 failed after 3 halvings")
@@ -450,7 +454,7 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     assert isinstance(batch[3], ValueError)
     assert str(batch[3]) == "schedule produced a nonpositive boundary value"
     with pytest.raises(ValueError, match="nonpositive"):
-        evolve(*nonpositive)
+        evolve(nonpositive)
     assert isinstance(batch[6], ValueError) and "T must exceed" in str(batch[6])
     for got, want in zip(batch[:2] + batch[4:6], solo):
         _assert_same_run(got, want)
@@ -460,9 +464,10 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
 # -------------------------------------------------------------- exhaustion
 
 
-def _ramp_family(st0, ks, cfg, T, sample_times=None):
+def _ramp_family(st0, ks, dt, T, sample_times=None):
     # the standard exhaustion family: one ramp per k from shared data, one batch
-    trajs = solver.evolve_many([(st0, BoundarySchedule.ramp(st0, k), cfg, T, sample_times) for k in ks])
+    trajs = solver.evolve_many([Run(st0, BoundarySchedule.ramp(st0, k), dt, T, sample_times)
+                                for k in ks])
     assert all(isinstance(traj, Trajectory) for traj in trajs)
     return trajs
 
@@ -471,7 +476,7 @@ def test_exhaust_spec_family_is_monotone():
     # discrete comparison principle: larger ramp, larger solution, every node
     g = LogPolarGrid.graded(0.05, 8.0, 201, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    trajs = _ramp_family(st0, [10.0, 1e2, 1e3, 1e4], SolverConfig(dt=2e-3), 0.1,
+    trajs = _ramp_family(st0, [10.0, 1e2, 1e3, 1e4], 2e-3, 0.1,
                          sample_times=[0.05, 0.1])
     assert len(trajs) == 4
     for lo, hi in zip(trajs, trajs[1:]):
@@ -485,7 +490,7 @@ def test_exhaust_supdiffs_decay_for_deep_ramps():
     # the difference: sup-differences on D_{r0} shrink as k grows
     g = LogPolarGrid.graded(0.05, 8.0, 201, ratio=1.03)
     st0 = model_state(FlatDisc, g, 0.0)
-    trajs = _ramp_family(st0, [1e2, 1e3, 1e4, 1e5], SolverConfig(dt=2e-3), 0.1)
+    trajs = _ramp_family(st0, [1e2, 1e3, 1e4, 1e5], 2e-3, 0.1)
     mask = g.nodes >= -math.log(0.75)
     finals = [traj.states[-1].values[mask] for traj in trajs]
     sup_diffs = [float(np.max(np.abs(b - a))) for a, b in zip(finals, finals[1:])]
@@ -496,7 +501,7 @@ def test_exhaust_supdiffs_decay_for_deep_ramps():
 def test_exhaust_equal_ramps_identical():
     g = LogPolarGrid.uniform(0.1, 6.0, 81)
     st0 = model_state(FlatDisc, g, 0.0)
-    a, b = _ramp_family(st0, [50.0, 50.0], SolverConfig(dt=5e-3), 0.05)
+    a, b = _ramp_family(st0, [50.0, 50.0], 5e-3, 0.05)
     assert check_order_preservation(a, b).max_violation == 0.0
     assert all(np.array_equal(x.values, y.values) for x, y in zip(a.states, b.states))
 
@@ -506,7 +511,7 @@ def test_exhaust_equal_ramps_identical():
 
 def test_order_preservation_identical_is_tight():
     g, st0, sched = flat_setup()
-    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.1)
+    traj = evolve(Run(st0, sched, 0.02, 0.1))
     rep = check_order_preservation(traj, traj)
     assert rep.ordered and rep.max_violation == 0.0
 
@@ -514,29 +519,23 @@ def test_order_preservation_identical_is_tight():
 def test_order_preservation_model_pair():
     # 2t/sinh^2 <= 2t/s^2 pointwise, preserved along the numerical flow
     g = LogPolarGrid.uniform(0.3, 5.0, 201)
-    cfg = SolverConfig(dt=5e-3)
-    lo = evolve(
-        model_state(BigBang, g, 0.2),
-        BoundarySchedule.from_model(BigBang, g.s_min, g.s_max),
-        cfg, 0.6, sample_times=[0.4, 0.6],
-    )
-    hi = evolve(
-        model_state(Cusp, g, 0.2),
-        BoundarySchedule.from_model(Cusp, g.s_min, g.s_max),
-        cfg, 0.6, sample_times=[0.4, 0.6],
-    )
+    dt = 5e-3
+    lo, hi = (evolve(Run(model_state(model, g, 0.2),
+                         BoundarySchedule.from_model(model, g.s_min, g.s_max),
+                         dt, 0.6, sample_times=[0.4, 0.6]))
+              for model in (BigBang, Cusp))
     rep = check_order_preservation(lo, hi)
     assert rep.ordered
 
 
 def test_order_preservation_incompatibility_errors():
     g, st0, sched = flat_setup()
-    traj = evolve(st0, sched, SolverConfig(dt=0.02), 0.1)
+    traj = evolve(Run(st0, sched, 0.02, 0.1))
     g2 = LogPolarGrid.uniform(0.1, 6.0, 51)
-    other = evolve(model_state(FlatDisc, g2, 0.0), sched, SolverConfig(dt=0.02), 0.1)
+    other = evolve(Run(model_state(FlatDisc, g2, 0.0), sched, 0.02, 0.1))
     with pytest.raises(ValueError, match="incompatible"):
         check_order_preservation(traj, other)
-    shifted = evolve(st0, sched, SolverConfig(dt=0.02), 0.12)
+    shifted = evolve(Run(st0, sched, 0.02, 0.12))
     with pytest.raises(ValueError, match="mismatched"):
         check_order_preservation(traj, shifted)
 
@@ -547,7 +546,7 @@ def test_ordered_ramps_give_ordered_flows(k1, factor):
     k2 = k1 * factor
     g = LogPolarGrid.graded(0.1, 6.0, 61, ratio=1.05)
     st0 = model_state(FlatDisc, g, 0.0)
-    cfg = SolverConfig(dt=2e-3)
-    lo = evolve(st0, BoundarySchedule.ramp(st0, k1), cfg, 0.02)
-    hi = evolve(st0, BoundarySchedule.ramp(st0, k2), cfg, 0.02)
+    dt = 2e-3
+    lo = evolve(Run(st0, BoundarySchedule.ramp(st0, k1), dt, 0.02))
+    hi = evolve(Run(st0, BoundarySchedule.ramp(st0, k2), dt, 0.02))
     assert check_order_preservation(lo, hi).ordered

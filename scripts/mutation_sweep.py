@@ -8,16 +8,15 @@ copy with `-x`; a mutant that no test fails survives.  The sweep exits 1 if a
 survivor is missing from ALLOWED, which names each expected survivor with its
 reason, and 0 otherwise.
 
-    python3 scripts/mutation_sweep.py [--workdir DIR] [--module NAME ...]
-                                      [--timeout S] [--list]
+    python3 scripts/mutation_sweep.py
 
 A mutant is named by its module, its source line (stripped) and which
 comparison of that line it flips, so ALLOWED survives edits elsewhere in the
-file.  A suite run that exceeds --timeout counts as killing its mutant.
+file.  A suite run that exceeds TIMEOUT seconds counts as killing its mutant.
+The copy lives in a temporary directory, removed when the sweep ends.
 Stdlib only; the suite needs what tier-1 needs (pytest, hypothesis, mpmath).
 """
 
-import argparse
 import io
 import os
 import shutil
@@ -31,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 SKIP = {"cli"}  # the front end: its comparisons format output and parse argv
+TIMEOUT = 600.0  # seconds per suite run
 
 # (module, stripped source line, index of the comparison in that line) -> reason
 _IN_RANGE = "return 0.35 <= self.exponent <= 0.65"
@@ -57,46 +57,20 @@ def mutants(module: str, text: str):
         yield (module, line.strip(), index), row, mutated
 
 
-def run_suite(tree: Path, timeout: float) -> bool:
+def run_suite(tree: Path) -> bool:
     """True if tier-1 passes on tree (the mutant survives)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workdir", help="where the mutated copy lives (default: a temp dir)")
-    ap.add_argument("--module", action="append", help="sweep only these modules")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
-    ap.add_argument("--list", action="store_true", help="list the mutants, run nothing")
-    args = ap.parse_args()
-
-    sources = sorted(p for p in (ROOT / "src" / "logdiff").glob("*.py")
-                     if p.stem not in SKIP and (not args.module or p.stem in args.module))
-    todo = [(path, *m) for path in sources for m in mutants(path.stem, path.read_text())]
-    if args.list:
-        for path, key, row, _ in todo:
-            print(f"{path.stem}.py:{row} #{key[2]}  {key[1]}")
-        print(f"{len(todo)} mutants")
-        return 0
-
-    work = Path(args.workdir or tempfile.mkdtemp(prefix="mutation_sweep_"))
-    tree = work / "tree"
-    if tree.exists():
-        shutil.rmtree(tree)
-    skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
-    for part in ("src", "tests", "configs"):
-        shutil.copytree(ROOT / part, tree / part, ignore=skip)
-    if not run_suite(tree, args.timeout):
-        print("the unmutated suite fails; nothing to measure", file=sys.stderr)
-        return 2
-
+def sweep(tree: Path, todo) -> list:
+    """Run the suite on tree once per mutant; the keys of the survivors."""
     survivors = []
     started = time.time()
     for n, (path, key, row, mutated) in enumerate(todo, 1):
@@ -104,26 +78,39 @@ def main() -> int:
         original = target.read_text()
         target.write_text(mutated)
         try:
-            survived = run_suite(tree, args.timeout)
+            survived = run_suite(tree)
         finally:
             target.write_text(original)
         if survived:
             survivors.append(key)
         print(f"[{n}/{len(todo)}] {'SURVIVED' if survived else 'killed  '} "
               f"{path.stem}.py:{row} #{key[2]}  {key[1]}", flush=True)
+    print(f"{len(todo)} mutants, {len(todo) - len(survivors)} killed, "
+          f"{len(survivors)} survived, {time.time() - started:.0f} s")
+    return survivors
+
+
+def main() -> int:
+    sources = sorted(p for p in (ROOT / "src" / "logdiff").glob("*.py") if p.stem not in SKIP)
+    todo = [(path, *m) for path in sources for m in mutants(path.stem, path.read_text())]
+    with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as work:
+        tree = Path(work)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for part in ("src", "tests", "configs"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        if not run_suite(tree):
+            print("the unmutated suite fails; nothing to measure", file=sys.stderr)
+            return 2
+        survivors = sweep(tree, todo)
 
     unexpected = [key for key in survivors if key not in ALLOWED]
-    print(f"{len(todo)} mutants, {len(todo) - len(survivors)} killed, "
-          f"{len(survivors)} survived ({len(survivors) - len(unexpected)} allowed), "
-          f"{time.time() - started:.0f} s")
     for key in survivors:
         if key in ALLOWED:
             print(f"  allowed: {key[0]}.py #{key[2]}  {key[1]}  ({ALLOWED[key]})")
     for key in unexpected:
         print(f"  UNEXPECTED: {key[0]}.py #{key[2]}  {key[1]}")
-    swept = {path.stem for path in sources}
     for key in ALLOWED:
-        if key[0] in swept and key not in survivors:
+        if key not in survivors:
             print(f"  note: allowed mutant no longer survives: {key[0]}.py #{key[2]}  {key[1]}")
     return 1 if unexpected else 0
 

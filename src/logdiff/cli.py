@@ -22,6 +22,7 @@ from .config import INI_KEYS, ConfigError, ExperimentConfig, parse_config
 from .cutoff import CutoffSpec
 from .estimates import full_report
 from .experiments import (
+    LAYER_FIXED_FIELDS,
     exhaustion_member,
     run_boundary_layer_experiment,
     run_exact_solution_suite,
@@ -106,8 +107,8 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_boundary_layer(args) -> int:
     cfg = _load_config(args, "boundary-layer")
-    # its grid, step and sample times are fixed; each field's INI key is its lowercase name
-    for name in ("s_max", "n", "ratio", "T", "dt", "sample_times") if cfg else ():
+    # each field's INI key is its lowercase name
+    for name in LAYER_FIXED_FIELDS if cfg else ():
         value = getattr(cfg, name)
         if value != getattr(ExperimentConfig(), name):
             shown = ", ".join(map(str, value)) if isinstance(value, tuple) else value

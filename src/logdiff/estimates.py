@@ -239,13 +239,17 @@ def _djdt_terms(st_g, st_G, cutoff: CutoffSpec) -> tuple:
 
 
 def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, Js) -> tuple:
-    """djdt-identity rows, one per interior sample time t: lhs = |centered
-    difference of Js (the pair's J_samples) - _djdt_terms at t| against
-    rhs = 0.05 scale + 0.5 |fwd - bwd| + 1e-8, scale the sum of the three
-    terms' sizes and fwd, bwd the one-sided slopes of J at t."""
+    """(rows, why).  rows holds the djdt-identity rows, one per interior
+    sample time t: lhs = |centered difference of Js (the pair's J_samples)
+    - _djdt_terms at t| against rhs = 0.05 scale + 0.5 |fwd - bwd| + 1e-8,
+    scale the sum of the three terms' sizes and fwd, bwd the one-sided
+    slopes of J at t.  A pair with no interior sample time gets no rows,
+    and why says so; otherwise why is None."""
     _check_pair(traj_g, traj_G)
     times = [float(st.time) for st in traj_g.states]
     _check_J_table(times, Js)
+    if len(times) < 3:
+        return (), f"no sample time between t={times[0]:g} and t={times[-1]:g}"
     rows = []
     for k in range(1, len(times) - 1):
         t = times[k]
@@ -258,7 +262,7 @@ def djdt_identity_check(traj_g, traj_G, cutoff: CutoffSpec, Js) -> tuple:
         bwd = (Js[k] - Js[k - 1]) / (t - times[k - 1])
         budget = 0.05 * scale + 0.5 * abs(fwd - bwd) + 1e-8
         rows.append(InequalityRow(t, "djdt-identity", abs(fd - (phi2 + boundary)), budget))
-    return tuple(rows)
+    return tuple(rows), None
 
 
 # ------------------------------------------------------------ barrier bounds
@@ -445,9 +449,8 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     A pair given larger flow first raises ValueError: read as a crossing
     pair it would drop the ordered certificates and pass on a volume excess
     that is zero by construction.  The 1/U bound, curvature monotonicity and
-    the dJ/dt identity (it needs a sample time between the first and the
-    last) add rows only when their preconditions hold; report.gated names each
-    family that wrote no rows and why.  A pair with fewer than two
+    the dJ/dt identity add rows only when their preconditions hold;
+    report.gated names each family that wrote no rows and why.  A pair with fewer than two
     sample times raises ValueError: it holds no evolved state to certify.
     J, Q and the pair's order are computed once per report; the checks
     share them.
@@ -487,9 +490,10 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     rows += gate_rows
     if why:
         gated["u-inverse-bound"] = why
-    rows += djdt_identity_check(traj_g, traj_G, cutoff, Js)
-    if len(times) < 3:
-        gated["djdt-identity"] = f"no sample time between t={times[0]:g} and t={times[-1]:g}"
+    gate_rows, why = djdt_identity_check(traj_g, traj_G, cutoff, Js)
+    rows += gate_rows
+    if why:
+        gated["djdt-identity"] = why
 
     for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
         gate_rows, why = curvature_monotonicity_check(traj, label)

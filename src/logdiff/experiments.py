@@ -42,6 +42,7 @@ __all__ = [
     "run_uniqueness_experiment",
     "matched_truncation_gauge",
     "BoundaryLayerResult",
+    "LAYER_FIXED_FIELDS",
     "run_boundary_layer_experiment",
 ]
 
@@ -474,6 +475,8 @@ class BoundaryLayerResult:
 
 
 _LAYER_SAMPLES = 9
+# config fields run_boundary_layer_experiment never reads: it fixes them below
+LAYER_FIXED_FIELDS = ("s_max", "n", "ratio", "T", "dt", "sample_times")
 
 
 def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerResult:

@@ -157,7 +157,8 @@ def test_djdt_identity_on_model_pair(model_pair):
     tg, tG = model_pair
     spec = case_a_spec()
     Js = est.J_samples(tg, tG, spec)
-    rows = est.djdt_identity_check(tg, tG, spec, Js)
+    rows, why = est.djdt_identity_check(tg, tG, spec, Js)
+    assert why is None
     # one row at each interior sample time
     assert [(r.time, r.inequality) for r in rows] == [
         (0.3, "djdt-identity"), (0.4, "djdt-identity"), (0.5, "djdt-identity")]
@@ -178,9 +179,16 @@ def test_djdt_identity_on_model_pair(model_pair):
 def test_djdt_identity_trivial_for_identical_pair(model_pair):
     tg, _ = model_pair
     spec = case_a_spec()
-    rows = est.djdt_identity_check(tg, tg, spec, est.J_samples(tg, tg, spec))
+    rows, _ = est.djdt_identity_check(tg, tg, spec, est.J_samples(tg, tg, spec))
     assert len(rows) == 3 and all(r.lhs == 0.0 for r in rows)
     assert est._djdt_terms(tg.states[2], tg.states[2], spec) == (0.0, 0.0)
+
+
+def test_djdt_identity_gated_without_an_interior_sample_time(model_pair):
+    tg, tG = exact_pair(model_pair[0].grid, (0.2, 0.4))
+    spec = case_a_spec()
+    assert est.djdt_identity_check(tg, tG, spec, est.J_samples(tg, tG, spec)) == (
+        (), "no sample time between t=0.2 and t=0.4")
 
 
 def test_djdt_rejects_mismatched_times(model_pair):

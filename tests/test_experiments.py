@@ -234,6 +234,15 @@ class TestBoundaryLayer:
         assert small.rows != layer.rows
         assert small.width_monotone
 
+    def test_fixed_fields_do_not_move_the_rows(self, layer):
+        # cli notes these fields as ignored: a config changing every one of
+        # them, with the default ramp and s_min, must give the default rows
+        changed = {"s_max": 6.0, "n": 121, "ratio": 1.05, "T": 0.05, "dt": 5e-4,
+                   "sample_times": (0.01,)}
+        assert set(changed) == set(experiments.LAYER_FIXED_FIELDS)
+        cfg = ExperimentConfig(experiment="boundary-layer", ramps=(1e3, 3e5), **changed)
+        assert run_boundary_layer_experiment(cfg).rows == layer.rows
+
     def test_csv(self, tmp_path):
         run_boundary_layer_experiment(out_dir=tmp_path)
         rows = read_rows_csv(tmp_path / "boundary_layer.csv")

@@ -11,26 +11,35 @@ Exit codes: 0 all certificates pass, 2 some certificate fails,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
 
 # set before numpy loads: numpy's and scipy's OpenBLAS thread pools slow start-up, get no work
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .config import INI_KEYS, ConfigError, ExperimentConfig, parse_config
-from .cutoff import CutoffSpec
-from .estimates import full_report
-from .experiments import (
-    LAYER_FIXED_FIELDS,
-    exhaustion_member,
-    run_boundary_layer_experiment,
-    run_exact_solution_suite,
-    run_q_sweep,
-    run_uniqueness_experiment,
-)
-from .snapshots import load_trajectory, save_trajectory
-from .solver import RunError, evolve
+# the imported modules' ~50k objects live until exit: no collection walks
+# them while they load, and once frozen none walks them again, at exit either
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .config import INI_KEYS, ConfigError, ExperimentConfig, parse_config
+    from .cutoff import CutoffSpec
+    from .estimates import full_report
+    from .experiments import (
+        LAYER_FIXED_FIELDS,
+        exhaustion_member,
+        run_boundary_layer_experiment,
+        run_exact_solution_suite,
+        run_q_sweep,
+        run_uniqueness_experiment,
+    )
+    from .snapshots import load_trajectory, save_trajectory
+    from .solver import RunError, evolve
+    gc.freeze()
+finally:
+    if _gc_was_enabled:
+        gc.enable()
 
 EXIT_PASS = 0
 EXIT_CERT_FAIL = 2

@@ -8,7 +8,7 @@ error text always cites the same invariant the library enforces.
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .cutoff import CutoffSpec
 

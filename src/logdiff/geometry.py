@@ -10,7 +10,7 @@ explicit 2*pi because all states are rotationally symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -253,12 +253,15 @@ def test_bare_import_loads_no_runner_and_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _fresh_interpreter(module, **env):
-    # imports module in a new process with OPENBLAS_NUM_THREADS unset unless
-    # given; prints the variable and the thread count (None without /proc)
-    code = (f"import os, {module}; task = '/proc/self/task'; "
+def _fresh_interpreter(module, setup="pass", **env):
+    # runs setup, then imports module in a new process with
+    # OPENBLAS_NUM_THREADS unset unless given; prints the variable, the thread
+    # count (None without /proc), the collector's frozen-object count and
+    # whether the collector is on
+    code = (f"import gc, os; {setup}; import {module}; task = '/proc/self/task'; "
             "print(os.environ.get('OPENBLAS_NUM_THREADS'), "
-            "len(os.listdir(task)) if os.path.isdir(task) else None)")
+            "len(os.listdir(task)) if os.path.isdir(task) else None, "
+            "gc.get_freeze_count(), gc.isenabled())")
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**child_env, **env})
@@ -267,7 +270,7 @@ def _fresh_interpreter(module, **env):
 
 
 def test_cli_import_starts_no_openblas_worker_threads():
-    variable, threads = _fresh_interpreter("logdiff.cli")
+    variable, threads, *_ = _fresh_interpreter("logdiff.cli")
     assert variable == "1"
     assert threads in ("1", "None")
 
@@ -278,6 +281,24 @@ def test_cli_import_keeps_a_callers_openblas_setting():
 
 def test_bare_import_leaves_openblas_setting_alone():
     assert _fresh_interpreter("logdiff")[0] == "None"
+
+
+def test_cli_import_freezes_its_modules_and_keeps_the_collector_on():
+    *_, frozen, enabled = _fresh_interpreter("logdiff.cli")
+    assert int(frozen) > 0
+    assert enabled == "True"
+
+
+@pytest.mark.parametrize("module", ["logdiff", "logdiff.solver"])
+def test_bare_import_leaves_the_collector_alone(module):
+    *_, frozen, enabled = _fresh_interpreter(module)
+    assert frozen == "0"
+    assert enabled == "True"
+
+
+def test_cli_import_keeps_a_callers_collector_off():
+    *_, enabled = _fresh_interpreter("logdiff.cli", setup="gc.disable()")
+    assert enabled == "False"
 
 
 def test_missing_manifest_exits_three(tmp_path):

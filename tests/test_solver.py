@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -298,6 +299,39 @@ def test_evolve_validates_times_and_consistency():
     bad = BoundarySchedule(inner=lambda t: 42.0, outer=sched.outer)
     with pytest.raises(ValueError, match="inconsistent"):
         evolve(Run(st0, bad, 0.01, T=0.1))
+
+
+@pytest.mark.parametrize("side", ["inner", "outer"])
+def test_schedule_consistency_tolerance(side):
+    # the schedule must match the initial data at t0 to rel_tol 1e-6: an
+    # end value off by 3e-7 relative runs, one off by 3e-6 is refused
+    _, st0, sched = flat_setup()
+
+    def off_by(rel):
+        moved = getattr(sched, side)
+        return dataclasses.replace(sched, **{side: lambda t: moved(t) * (1.0 + rel)})
+
+    solver._check_schedule_consistency(st0, off_by(3e-7))
+    with pytest.raises(ValueError, match=f"{side} .* inconsistent"):
+        solver._check_schedule_consistency(st0, off_by(3e-6))
+
+
+def test_failed_step_retries_at_half_dt(monkeypatch):
+    # no shipped run halves: force one StepFailure on the first solve
+    dts = []
+    real_solve = solver._newton_solve
+
+    def fail_once(lay, values, bounds, step_dts):
+        dts.append(step_dts[0])
+        if len(dts) == 1:
+            return None, None, {0: StepFailure("forced", 1.0)}
+        return real_solve(lay, values, bounds, step_dts)
+
+    monkeypatch.setattr(solver, "_newton_solve", fail_once)
+    _, st0, sched = flat_setup()
+    traj = evolve(Run(st0, sched, 0.01, 0.05))
+    assert dts[:2] == [0.01, 0.005]
+    assert traj.states[-1].time == 0.05
 
 
 def test_adaptive_doubling_reduces_step_count():

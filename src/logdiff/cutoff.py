@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "CutoffSpec",
@@ -51,9 +50,7 @@ _SERIES_CUT = 1e-4
 def _excess_ratio_series(x):
     """log_excess(x)/x^2 = 1/2 - x/6 + x^2/12 - x^3/20 + x^4/30, for |x| < 1e-4.
 
-    Plain arithmetic, so the one set of coefficients serves Python floats
-    (the QUADPACK callbacks) and numpy arrays (log_excess) alike; the next
-    term x^5/42 is below 1e-22 relative at the cut.
+    The next term, x^5/42, is below 1e-21 relative at the cut.
     """
     return 0.5 + x * (-1.0 / 6.0 + x * (1.0 / 12.0 + x * (-1.0 / 20.0 + x / 30.0)))
 
@@ -64,8 +61,9 @@ def log_excess(x):
     Alternating series sum_{n>=2} (-1)^n x^n / (n(n-1)) takes over for
     |x| < 1e-4 where the direct formula loses all significant digits.
     The flux numerator sigma log(sigma/a) - (sigma - a) equals
-    a * log_excess(sigma/a - 1), which is how the Q integrand stays finite
-    through adaptive quadrature sampling arbitrarily close to the endpoint.
+    a * log_excess(sigma/a - 1).  The Q integrands sum a series of their
+    own (_q_smooth): just above the cut the direct formula is still off by
+    up to 5e-12 relative.
     """
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _SERIES_CUT
@@ -258,66 +256,126 @@ class QReport:
             raise ValueError("Q integrals must be nonnegative")
 
 
-def _q_smooth(beta: float, gamma: float) -> float:
+# compute_Q splits the beta integral at e^2
+_E2 = math.exp(2.0)
+
+# Both sums are in u = log beta, with positive terms for beta > 1:
+#   beta log beta - beta + 1 = u^2 sum_{j>=0} (j+1) u^j / (j+2)!,
+#   beta - 1                 = u   sum_{j>=0}       u^j / (j+1)!.
+# Below are the coefficients of u^1 .. u^39; the constant terms are 1/2 and 1.
+# For 0 <= u <= 7 the first omitted term is below 1e-17 of its sum.
+_N_TERMS = 40
+_EXCESS_SERIES = np.array([(j + 1) / math.factorial(j + 2) for j in range(1, _N_TERMS)])
+_EXPREL_SERIES = np.array([1.0 / math.factorial(j + 1) for j in range(1, _N_TERMS)])
+
+
+def _q_smooth(beta, gamma: float):
     """beta^{gamma-1} ((beta log beta - beta + 1)/(beta-1)^2)^{-gamma}: the
     integrand with its (beta-1)^{-2 gamma} endpoint factor divided out.
 
-    The ratio log_excess(x)/x^2, x = beta - 1, is computed inline (it tends
-    to 1/2 as x -> 0), so a sample off the series range is one Python frame.
+    The excess beta log beta - beta + 1 and beta - 1 both come from the
+    series above, so no digit cancels near beta = 1, where the direct form
+    (1+x) log1p(x) - x with x = beta - 1 loses up to 5e-12 relative just
+    above log_excess's series cut.  Their ratio tends to 1/2 at beta = 1,
+    where the factor is 2^gamma.  Vectorized over beta.
     """
-    x = beta - 1.0
-    if abs(x) < _SERIES_CUT:
-        ratio = _excess_ratio_series(x)
-    else:
-        ratio = ((1.0 + x) * math.log1p(x) - x) / (x * x)
-    return beta ** (gamma - 1.0) * ratio ** (-gamma)
+    u = np.log(beta)
+    powers = np.multiply.accumulate(np.broadcast_to(u, (_N_TERMS - 1, *np.shape(u))), axis=0)
+    excess = 0.5 + _EXCESS_SERIES @ powers  # (beta log beta - beta + 1)/u^2
+    exprel = 1.0 + _EXPREL_SERIES @ powers  # (beta - 1)/u
+    return np.exp((gamma - 1.0) * u) * (excess / (exprel * exprel)) ** -gamma
 
 
-def _q_direct(beta: float, gamma: float) -> float:
-    """beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}, the full integrand,
-    with log_excess(beta - 1) computed inline like the ratio in _q_smooth."""
-    x = beta - 1.0
-    if abs(x) < _SERIES_CUT:
-        excess = x * x * _excess_ratio_series(x)
-    else:
-        excess = (1.0 + x) * math.log1p(x) - x
-    return beta ** (gamma - 1.0) * excess ** (-gamma)
+@lru_cache(maxsize=None)
+def _jacobi_rule(gamma: float, n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss rule on [-1, 1] for the weight
+    (1+t)^{-2 gamma}, by Golub and Welsch (Math. Comp. 23, 1969): the nodes
+    are the eigenvalues of the Jacobi matrix of the monic Jacobi recurrence,
+    and each weight is mu0 = int (1+t)^{-2 gamma} dt times the square of the
+    first component of its unit eigenvector.  gamma = 0 gives the
+    Gauss-Legendre rule, several times sooner than numpy's leggauss, which
+    polishes its nodes in Python."""
+    b = -2.0 * gamma
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + b
+    diag = np.concatenate(([b / (b + 2.0)], b * b / (s * (s + 2.0))))
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (b + 1.0) / (b + 1.0) * vectors[0] ** 2
+
+
+# n of the rule pairs (n, n + n/2) that _gauss tries in turn
+_RULE_SIZES = (20, 40, 80, 160)
+
+
+def _gauss(rule, f, tol: float) -> tuple:
+    """(value, error) of sum_i w_i f(t_i) over the Gauss rules rule(n).
+
+    The n- and (n + n/2)-point rules are sampled in one call of f.  The
+    larger rule's sum is the value and its gap to the smaller one the error
+    estimate.  The first n of _RULE_SIZES whose gap is within tol, absolute
+    or relative, gives the result; if none does, ValueError.
+    """
+    for n in _RULE_SIZES:
+        (t_lo, w_lo), (t_hi, w_hi) = rule(n), rule(n + n // 2)
+        y = f(np.concatenate((t_lo, t_hi)))
+        coarse, fine = w_lo @ y[:n], w_hi @ y[n:]
+        err = abs(fine - coarse)
+        if err <= tol * max(1.0, abs(fine)):
+            return float(fine), float(err)
+    raise ValueError(f"Gauss rules missed tolerance {tol:g}: "
+                     f"gap {err:.3g} at {n + n // 2} points")
+
+
+def _near_integral(gamma: float, b_hi: float, g, tol: float) -> tuple:
+    """(value, error) of int_1^{b_hi} (beta-1)^{-2 gamma} g(beta) dbeta by
+    Gauss-Jacobi rules in beta = 1 + h (1+t), h = (b_hi-1)/2, which carry
+    the endpoint singularity in their weights."""
+    h = 0.5 * (b_hi - 1.0)
+    scale = h ** (1.0 - 2.0 * gamma)
+    return _gauss(partial(_jacobi_rule, gamma), lambda t: scale * g(1.0 + h * (1.0 + t)), tol)
 
 
 def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12) -> tuple:
-    """int_{b_lo}^{b_hi} beta^{gamma-1} (beta log beta - beta + 1)^{-gamma} dbeta.
+    """(value, error) of int_{b_lo}^{b_hi} beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}.
 
     The integrand blows up like 2^gamma (beta-1)^{-2 gamma} at beta = 1, so
-    from b_lo = 1 the singular factor is handed to the quadrature routine as
-    an algebraic weight and only the bounded remainder _q_smooth is sampled.
-    QUADPACK calls the integrands with one Python float at a time, so both
-    are scalar code (math.log1p and the shared series below |x| = 1e-4)
-    rather than the vectorized log_excess, and each callback is a single
-    Python frame except on the series range.  Every call integrates afresh;
-    compute_Q reuses the gamma-only near part through _q_near.
+    from b_lo = 1 Gauss-Jacobi rules take that factor as their weight and
+    sample only the bounded remainder _q_smooth.  From b_lo > 1 the range
+    is mapped to u = log beta, where the integrand is the smooth
+    (u - 1 + e^{-u})^{-gamma}, and Gauss-Legendre rules (_jacobi_rule at
+    gamma = 0) sample it.  Callers start that range at (1 + e^2)/2 or
+    above, where u - 1 + e^{-u} > 0.6 has no cancellation.  Every call
+    integrates afresh; compute_Q reuses the near part through _q_near.
     """
     if b_hi <= b_lo:
         return 0.0, 0.0
     if b_lo == 1.0:
-        return integrate.quad(_q_smooth, b_lo, b_hi, args=(gamma,), weight="alg",
-                              wvar=(-2.0 * gamma, 0.0), epsabs=tol, epsrel=tol, limit=200)
-    return integrate.quad(_q_direct, b_lo, b_hi, args=(gamma,),
-                          epsabs=tol, epsrel=tol, limit=200)
+        return _near_integral(gamma, b_hi, lambda b: _q_smooth(b, gamma), tol)
+    # half the range in u, without the cancellation of log(b_hi) - log(b_lo)
+    lo, half = math.log(b_lo), 0.5 * math.log1p((b_hi - b_lo) / b_lo)
+
+    def far(t):
+        u = lo + half * (1.0 + t)
+        return half * (u - 1.0 + np.exp(-u)) ** -gamma
+
+    return _gauss(partial(_jacobi_rule, 0.0), far, tol)
 
 
 @lru_cache(maxsize=None)
-def _q_near(gamma: float) -> tuple:
-    """(value, error) of the near part int_1^{e^2} of the beta integral.
+def _q_near(gamma: float, b_hi: float = _E2) -> tuple:
+    """(value, error) of the near part int_1^{b_hi} of the beta integral,
+    b_hi <= e^2: compute_Q's split point by default.
 
-    It depends on gamma alone, so a sweep over R integrates it once per
-    gamma per process.
+    It depends on gamma and b_hi alone, so a sweep over R integrates it once
+    per gamma per process.
     """
-    return _q_integral_beta(gamma, 1.0, math.exp(2.0))
+    return _q_integral_beta(gamma, 1.0, b_hi)
 
 
 def compute_Q(spec: CutoffSpec) -> QReport:
-    """Adaptive quadrature of Q with the substitution beta = sigma/a, to
-    absolute and relative tolerance 1e-12.
+    """Q by Gauss rules with the substitution beta = sigma/a, to absolute and
+    relative tolerance 1e-12 in each part's error estimate.
 
     In beta coordinates Q = (2/s0) (-log a)^{-1} int_1^{1/a} beta^{gamma-1}
     (beta log beta - beta + 1)^{-gamma} dbeta, which removes every power of a
@@ -327,16 +385,15 @@ def compute_Q(spec: CutoffSpec) -> QReport:
     with Q1 = 0.  The near part does not involve a, so it comes from the
     per-process cache _q_near: integrated once per gamma.  Only the
     far part and the single-range integral are computed per call; the
-    q-sweep cross-check of the split is a separate whole-range quadrature
-    that never goes through the cache.
+    q-sweep cross-check of the split integrates on its own partition.
     """
     a, gamma = spec.a, spec.gamma
     prefactor = (2.0 / spec.s0) / (-math.log(a))
     b_max = 1.0 / a
-    split = math.exp(2.0) * a < 1.0
+    split = _E2 * a < 1.0
     if split:
         near, err_near = _q_near(gamma)
-        far, err_far = _q_integral_beta(gamma, math.exp(2.0), b_max)
+        far, err_far = _q_integral_beta(gamma, _E2, b_max)
         q2 = prefactor * near
         q1 = prefactor * far
         q = q1 + q2
@@ -357,11 +414,7 @@ def compute_Q(spec: CutoffSpec) -> QReport:
 @lru_cache(maxsize=None)
 def _i2(gamma: float) -> float:
     """int_1^{e^2} beta^gamma (beta-1)^{-2 gamma} dbeta, finite for gamma < 1/2."""
-    val, _ = integrate.quad(
-        lambda b: b ** gamma, 1.0, math.exp(2.0),
-        weight="alg", wvar=(-2.0 * gamma, 0.0), epsabs=1e-13, epsrel=1e-13, limit=200,
-    )
-    return val
+    return _near_integral(gamma, _E2, lambda b: b ** gamma, 1e-13)[0]
 
 
 @lru_cache(maxsize=None)

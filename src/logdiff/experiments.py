@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .config import ExperimentConfig
-from .cutoff import CutoffSpec, _q_integral_beta, compute_Q
+from .cutoff import CutoffSpec, _q_integral_beta, _q_near, compute_Q
 from .estimates import check_order_preservation, interior_area_verify
 from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
 from .snapshots import write_rows_csv
@@ -199,6 +199,9 @@ def run_exact_solution_suite(out_dir=None) -> ExactSuiteResult:
 _Q_R0S = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
 _Q_GAMMAS = (0.05, 0.15, 0.25, 0.35, 0.45)
 _Q_N_R = 6
+# where the split check divides [1, 1/a]: not at compute_Q's e^2, so that a
+# wrong near or far part of Q shows as a gap
+_Q_CHECK_SPLIT = 0.5 * (1.0 + math.exp(2.0))
 
 
 def _q_task(point):
@@ -214,11 +217,12 @@ def _q_task(point):
                    bound=rep.analytic_bound, ratio=rep.Q / rep.analytic_bound,
                    quad_error=rep.quadrature_error, split=int(rep.split_applied))
         if rep.split_applied:
-            # independent single-range quadrature as a cross-check on the split
-            whole, err_whole = _q_integral_beta(gamma, 1.0, 1.0 / spec.a)
+            # the whole range again, split elsewhere, as a cross-check on the split
+            near, err_near = _q_near(gamma, _Q_CHECK_SPLIT)
+            far, err_far = _q_integral_beta(gamma, _Q_CHECK_SPLIT, 1.0 / spec.a)
             pref = (2.0 / spec.s0) / (-math.log(spec.a))
-            row["split_gap"] = abs(pref * whole - (rep.Q1 + rep.Q2))
-            row["split_budget"] = pref * err_whole + rep.quadrature_error + 1e-13
+            row["split_gap"] = abs(pref * (near + far) - (rep.Q1 + rep.Q2))
+            row["split_budget"] = pref * (err_near + err_far) + rep.quadrature_error + 1e-13
     except Exception as exc:  # quadrature failures recorded per row
         row["status"] = f"failed: {exc}"
     return row

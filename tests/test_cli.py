@@ -208,6 +208,22 @@ def test_repeated_ramp_in_uniqueness_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: ramps must be strictly increasing\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[experiment]\nid = banana\n",
+     "experiment id 'banana' not one of ('uniqueness', 'q-sweep', 'boundary-layer', 'simulate')"),
+    ("[grid]\nn = 15\n", "grid n must be at least 16"),
+    ("[grid]\nratio = 0.99\n", "grid ratio must be >= 1"),
+    ("[flow]\nramps = 0, 100\n", "ramps must be positive"),
+], ids=["experiment-id", "n", "ratio", "ramp"])
+def test_each_invalid_value_exits_three_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, config, edit, keys", [
     ("simulate", "uniqueness_small.ini", None, ["r", "ramps"]),
     ("simulate", "exhaustion_lo.ini", ("gamma = 0.25\n", "gamma = 0.25, 0.4\n"), ["gamma"]),

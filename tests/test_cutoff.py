@@ -19,7 +19,7 @@ from logdiff.cutoff import (
 )
 from logdiff.cutoff import _f1, _i2  # branch internals are part of the contract here
 from logdiff import cutoff
-from logdiff.cutoff import _q_direct, _q_integral_beta, _q_near, _q_smooth
+from logdiff.cutoff import _jacobi_rule, _q_integral_beta, _q_near, _q_smooth
 
 # [frozen] mpmath dps=40 values, computed before the implementation existed.
 Q_CASE_A = 10.18574547976275190944  # r0=e^{-1/2}, R=e^{-1/10}, gamma=1/4 (single range)
@@ -82,16 +82,19 @@ KERNEL_XS = [-0.5, -0.1, -1.0001e-4, -1e-4, -9.999e-5, -1e-8, -1e-12,
 
 @pytest.mark.parametrize("x", KERNEL_XS)
 def test_scalar_excess_kernels_match_vectorized(x):
-    # the QUADPACK callbacks compute log_excess inline; the vectorized
-    # log_excess is the reference, at the x = beta - 1 they actually see
+    # the near kernel at the x = beta - 1 it is given, alone and inside one
+    # vectorized call over every x, against the 40-digit excess; just above
+    # log_excess's series cut its direct form is off by up to 5e-12 here
+    import mpmath as mp
+    from oracle_support import mp_excess
+
     gamma = 0.3
     beta = 1.0 + x
-    xb = beta - 1.0
-    ref = float(log_excess(np.array([xb]))[0])
-    lead = beta ** (gamma - 1.0)
-    assert _q_direct(beta, gamma) == pytest.approx(lead * ref ** (-gamma), rel=1e-15, abs=0.0)
-    assert _q_smooth(beta, gamma) == pytest.approx(lead * (ref / (xb * xb)) ** (-gamma),
-                                                   rel=1e-15, abs=0.0)
+    xb = mp.mpf(beta) - 1
+    ref = float(mp.mpf(beta) ** (gamma - 1) * (mp_excess(xb) / xb**2) ** (-gamma))
+    together = _q_smooth(1.0 + np.array(KERNEL_XS), gamma)[KERNEL_XS.index(x)]
+    assert _q_smooth(beta, gamma) == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert together == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 def test_scalar_excess_ratio_limit_at_zero():
@@ -100,11 +103,21 @@ def test_scalar_excess_ratio_limit_at_zero():
         assert _q_smooth(1.0, gamma) == 0.5 ** -gamma
 
 
-@pytest.mark.parametrize("beta", [1.0 + 1e-12, 1.0 + 5e-5, 1.5, math.exp(2.0), 40.0])
-def test_q_integrands_return_plain_float(beta):
-    # a numpy scalar here would mean the callback went back through numpy
-    for fn in (_q_smooth, _q_direct):
-        assert type(fn(beta, 0.3)) is float
+@pytest.mark.parametrize("gamma", [0.05, 0.45])
+def test_jacobi_rule_exact_to_degree_2n_minus_1(gamma):
+    # the n-point rule integrates t^k (1+t)^{-2 gamma} exactly for k < 2n,
+    # to a rounding allowance of 512 ulp of mu0; at n = 20, t^{2n} misses by more
+    from oracle_support import jacobi_moment_reference
+
+    mu0 = 2.0 ** (1.0 - 2.0 * gamma) / (1.0 - 2.0 * gamma)
+    tol = 512 * np.finfo(float).eps * mu0
+    for n in (20, 30):
+        t, w = _jacobi_rule(gamma, n)
+        assert float(np.sum(w)) == pytest.approx(mu0, rel=1e-14)
+        for k in range(2 * n):
+            assert abs(w @ t**k - float(jacobi_moment_reference(k, gamma))) <= tol, (n, k)
+    t, w = _jacobi_rule(gamma, 20)
+    assert abs(w @ t**40 - float(jacobi_moment_reference(40, gamma))) > tol
 
 
 # ----------------------------------------------------------------- flux profile
@@ -311,9 +324,9 @@ def test_compute_q_matches_reference(r0, R, gamma, split):
     rep = compute_Q(spec)
     assert rep.split_applied == split
     q, q1, q2 = (float(v) for v in q_reference(spec.s0, spec.S, gamma, split=True))
-    assert rep.Q == pytest.approx(q, rel=1e-12)
-    assert rep.Q1 == pytest.approx(q1, rel=1e-12, abs=0.0)
-    assert rep.Q2 == pytest.approx(q2, rel=1e-12)
+    assert rep.Q == pytest.approx(q, rel=1e-13)
+    assert rep.Q1 == pytest.approx(q1, rel=1e-13, abs=0.0)
+    assert rep.Q2 == pytest.approx(q2, rel=1e-13)
 
 
 def test_i2_frozen_table():
@@ -341,27 +354,34 @@ def test_q_bound_constant_matches_reference():
 
 
 def test_q_stable_under_tolerance_halving():
-    # every range compute_Q integrates, at two tolerances looser than its own
+    # every range compute_Q and the q-sweep split check integrate, at two
+    # tolerances looser than their own: each result stays within the error
+    # estimate of the looser one, and so does the result at the default 1e-12
+    mid = 0.5 * (1.0 + math.exp(2.0))
     for spec in (spec_case_a(), spec_case_b()):
         b_max, e2 = 1.0 / spec.a, math.exp(2.0)
-        ranges = [(1.0, b_max)] + ([(1.0, e2), (e2, b_max)] if e2 < b_max else [])
+        ranges = [(1.0, min(b_max, e2))]
+        if e2 < b_max:
+            ranges += [(e2, b_max), (1.0, mid), (mid, b_max)]
         for lo, hi in ranges:
             loose = _q_integral_beta(spec.gamma, lo, hi, tol=1e-8)
             tight = _q_integral_beta(spec.gamma, lo, hi, tol=5e-9)
+            default = _q_integral_beta(spec.gamma, lo, hi)
             assert abs(tight[0] - loose[0]) <= loose[1] + 1e-15
+            assert abs(default[0] - loose[0]) <= loose[1] + 1e-15
 
 
-class _CountingIntegrate:
-    """Stands in for scipy.integrate inside logdiff.cutoff and records the
-    integrand and range of every quad call."""
+class _Counting:
+    """Stands in for a function of logdiff.cutoff and records the arguments
+    of every call."""
 
-    def __init__(self, module):
-        self.module = module
+    def __init__(self, func):
+        self.func = func
         self.calls = []
 
-    def quad(self, func, a, b, *args, **kwargs):
-        self.calls.append((func, a, b))
-        return self.module.quad(func, a, b, *args, **kwargs)
+    def __call__(self, *args):
+        self.calls.append(args)
+        return self.func(*args)
 
 
 def _split_specs(r0=0.55, gamma=0.3):
@@ -374,13 +394,20 @@ def _split_specs(r0=0.55, gamma=0.3):
 
 def test_q_near_part_integrated_once_per_gamma(monkeypatch):
     _q_near.cache_clear()
-    counter = _CountingIntegrate(cutoff.integrate)
-    monkeypatch.setattr(cutoff, "integrate", counter)
-    reports = [compute_Q(spec) for spec in _split_specs()]
+    integrals = _Counting(_q_integral_beta)
+    kernel = _Counting(_q_smooth)
+    monkeypatch.setattr(cutoff, "_q_integral_beta", integrals)
+    monkeypatch.setattr(cutoff, "_q_smooth", kernel)
+    specs = _split_specs()
+    reports = [compute_Q(spec) for spec in specs]
     assert all(rep.split_applied for rep in reports)
-    # the bound constant's I2(gamma) shares the near range, not the integrand
-    assert [c for c in counter.calls if c[0] is _q_smooth] == [(_q_smooth, 1.0, math.exp(2.0))]
-    assert sum(c[0] is _q_direct for c in counter.calls) == 6  # one far part per point
+    near = [c for c in integrals.calls if c[1] == 1.0]
+    far = [c for c in integrals.calls if c[1] != 1.0]
+    assert near == [(0.3, 1.0, math.exp(2.0))]
+    assert far == [(0.3, math.exp(2.0), 1.0 / spec.a) for spec in specs]  # one per point
+    # the near rule's kernel ran once, on the nodes of the first rule pair,
+    # which meets the tolerance
+    assert [(len(c[0]), c[1]) for c in kernel.calls] == [(20 + 30, 0.3)]
 
 
 def test_q_cold_and_warm_cache_agree_bitwise():
@@ -408,6 +435,43 @@ def test_q_sweep_rows_do_not_depend_on_the_near_cache(monkeypatch):
     uncached = run_q_sweep(cfg).rows
     assert any(row["split"] == 1 for row in cached)
     assert uncached == cached
+
+
+def test_q_sweep_split_check_catches_a_wrong_near_part(monkeypatch):
+    # one Jacobi rule of 30 points over all of [1, 49] is off by 1.1e-7
+    # relative; the same error in compute_Q's near part must fail the split
+    # check, which integrates the whole range on a partition of its own
+    from logdiff.config import ExperimentConfig
+    from logdiff.experiments import run_q_sweep
+
+    s0 = -math.log(0.55)
+    cfg = ExperimentConfig(experiment="q-sweep", r0=0.55, gamma_list=(0.1, 0.3),
+                           R_list=tuple(math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j) for j in range(6)))
+    exact = _q_near.__wrapped__
+    monkeypatch.setattr(cutoff, "_q_near", lambda gamma: (exact(gamma)[0] * (1.0 + 1.1e-7),
+                                                          exact(gamma)[1]))
+    result = run_q_sweep(cfg)
+    split = [row for row in result.rows if row["split"] == 1]
+    assert split and all(row["split_gap"] > row["split_budget"] for row in split)
+    assert not result.split_consistent and not result.passed
+
+
+def test_unmet_tolerance_raises_and_fails_its_q_sweep_rows(monkeypatch):
+    # rules of 4 and 6 points cannot reach 1e-12: every integral raises, and
+    # the q-sweep records each of its rows as failed instead of passing
+    from logdiff.config import ExperimentConfig
+    from logdiff.experiments import run_q_sweep
+
+    monkeypatch.setattr(cutoff, "_RULE_SIZES", (4,))
+    with pytest.raises(ValueError, match="missed tolerance 1e-12: gap .* at 6 points"):
+        _q_integral_beta(0.3, 1.0, 5.0)
+    cfg = ExperimentConfig(experiment="q-sweep", r0=0.55, gamma_list=(0.3,),
+                           R_list=(0.86, 0.995))
+    result = run_q_sweep(cfg)
+    assert len(result.rows) == 2
+    assert all(row["status"].startswith("failed: Gauss rules missed tolerance 1e-12")
+               for row in result.rows)
+    assert not result.passed
 
 
 @given(

@@ -65,6 +65,25 @@ class TestExactSuite:
         assert len(exact_suite.rows) == 21
         assert all(r["status"] == "ok" for r in exact_suite.rows)
 
+    def test_a_failed_row_fails_the_suite(self, exact_suite):
+        failed = dict(exact_suite.rows[0], status="failed: Newton damping exhausted")
+        assert not replace(exact_suite, rows=exact_suite.rows + (failed,)).passed
+
+    @pytest.mark.parametrize("drift, passed", [(1e-10, True), (3e-10, False)])
+    def test_flat_drift_above_1e_10_fails_the_suite(self, exact_suite, drift, passed):
+        assert replace(exact_suite, flat_max_error=drift).passed is passed
+
+    @pytest.mark.parametrize("kind, slope, passed", [
+        ("spatial", 1.7, True), ("spatial", 2.3, True),
+        ("spatial", 1.69, False), ("spatial", 2.31, False),
+        ("temporal", 0.8, True), ("temporal", 1.2, True),
+        ("temporal", 0.79, False), ("temporal", 1.21, False),
+    ])
+    def test_order_outside_its_window_fails_the_suite(self, exact_suite, kind, slope, passed):
+        # spatial orders must lie in [1.7, 2.3], temporal ones in [0.8, 1.2]
+        key = next(key for key in exact_suite.orders if key[1] == kind)
+        assert replace(exact_suite, orders={**exact_suite.orders, key: slope}).passed is passed
+
     def test_runtime_budget(self, exact_suite):
         assert exact_suite.elapsed < 120.0
 

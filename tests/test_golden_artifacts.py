@@ -13,12 +13,17 @@ before numpy, as the console script does, so they run with the CLI's
 start-up settings (single-threaded OpenBLAS), as users do. A profiler
 records every function they call, and the guard fails on any def in
 `logdiff` they never call, save a short list of error paths: code only
-tests run belongs in tests/. Both tests read that one run.
+tests run belongs in tests/. A third test checks that the run never
+loaded `scipy.integrate`. All three read that one run.
+
+When a change moves bytes on purpose, `artifact_io.artifact_changes` on the
+old and new trees names each moved column with the size of its change.
 """
 
 import ast
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +34,7 @@ import pytest
 import scipy
 
 import logdiff
+from artifact_io import artifact_changes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
@@ -48,13 +54,13 @@ GOLDEN = {
     "hi/snap_004.txt": "9080c2965f94521701564225d2ff7acdd4b6cbec90c47d9ffb1ff75cf2224334",
     "hi/snap_005.txt": "077ef0ce254d8ceaa87337d55b413ca78dc86904fb50d98deacc7e6236a4dd21",
     "hi/snap_manifest.csv": "e8476656da33eaf950546213a06b1264519a4baee8dc09373ca528a7ecc5ee28",
-    "verify/verify_report.csv": "0a565bdb52ad953d0a4aea55036eb3bdceb3e830da74c177bfc42aa696ff809f",
+    "verify/verify_report.csv": "d20e83e6e6c38a0360517f4c19bba324b08013f41e948b3469e786759793d72a",
     "exact/exact_suite.csv": "2317d9d100eed57dea7c7beb0946a33357ce4ccaab5ca7a0ceba01cf202810ed",
-    "q/q_sweep.csv": "45a8e36f8f1d8b5d7655080eeeea71134a9ed4e9a07d1a88381d246d15684aed",
-    "qc/q_sweep.csv": "c0d5614b13012a4fd873694d15cd2e7047daf2a7460ead422db12e01989496ba",
-    "u/uniqueness.csv": "6d644cccda0000295dc7dd60d905565e251996b4d909823e9f8f7aaa295d9932",
+    "q/q_sweep.csv": "1b34b48d58fdfe3481144ff9a64afa5beb76c3a0f92a9a42451ef653d748c8a8",
+    "qc/q_sweep.csv": "20b6ec140dfdb274b411f9ecf50488445d7a6bd09064c8286871c82c76635254",
+    "u/uniqueness.csv": "9cba6c9b37976551f4afa6121f978fc97cd0fc72926e1d37a511fa5b48c8105c",
     "u/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
-    "us/uniqueness.csv": "6d644cccda0000295dc7dd60d905565e251996b4d909823e9f8f7aaa295d9932",
+    "us/uniqueness.csv": "9cba6c9b37976551f4afa6121f978fc97cd0fc72926e1d37a511fa5b48c8105c",
     "us/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
     "bl/boundary_layer.csv": "dcd9a227c9b595422fe2a18a45541f0cadc57b108e66e3ac48a8da73bfc6ab3b",
 }
@@ -78,7 +84,8 @@ def _commands(out):
 
 # runs the commands given as JSON in argv[1] under a profiler that records
 # every Python function called; prints (module, first line) of each function
-# of the logdiff package that ran, then main's exit codes, one per command
+# of the logdiff package that ran, then the scipy modules loaded at the end,
+# then main's exit codes, one per command
 _RUN_PROFILED = """\
 import json, os, sys
 called = set()
@@ -89,25 +96,27 @@ sys.setprofile(None)
 package = os.path.dirname(os.path.realpath(sys.modules["logdiff"].__file__))
 print(json.dumps(sorted({(os.path.basename(c.co_filename)[:-3], c.co_firstlineno) for c in called
                          if os.path.dirname(os.path.realpath(c.co_filename)) == package})))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 print(json.dumps(codes))
 """
 
 
 @pytest.fixture(scope="module")
 def shipped(tmp_path_factory):
-    """(out, called): the commands run once, writing under out, each checked
-    to exit 0, and the (module, first line) of every package function they
-    called.  A fresh interpreter, because lru_cache'd functions called
-    earlier in this process would not run again."""
+    """(out, called, scipy_modules): the commands run once, writing under
+    out, each checked to exit 0; the (module, first line) of every package
+    function they called; and the scipy modules loaded when they were done.
+    A fresh interpreter, because lru_cache'd functions called earlier in
+    this process would not run again, and modules imported stay loaded."""
     out = tmp_path_factory.mktemp("shipped")
     commands = _commands(out)
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run([sys.executable, "-c", _RUN_PROFILED, json.dumps(commands)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    *_, called, codes = proc.stdout.splitlines()
+    *_, called, loaded, codes = proc.stdout.splitlines()
     assert json.loads(codes) == [0] * len(commands)
-    return out, {tuple(key) for key in json.loads(called)}
+    return out, {tuple(key) for key in json.loads(called)}, set(json.loads(loaded))
 
 
 def test_shipped_artifacts_match_recorded_digests(shipped):
@@ -115,7 +124,7 @@ def test_shipped_artifacts_match_recorded_digests(shipped):
     if versions != RECORDED_WITH:
         pytest.skip(f"digests recorded with numpy {RECORDED_WITH[0]} / scipy "
                     f"{RECORDED_WITH[1]}; this is numpy {versions[0]} / scipy {versions[1]}")
-    out, _ = shipped
+    out, _, _ = shipped
     written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert written == set(GOLDEN)
     moved = sorted(name for name, digest in GOLDEN.items()
@@ -153,7 +162,37 @@ def _defs():
     return found
 
 
+def test_shipped_commands_never_import_scipy_integrate(shipped):
+    # Q and I2(gamma) come from numpy Gauss rules; scipy.integrate would add
+    # about a quarter second to every command's start-up
+    _, _, loaded = shipped
+    assert "scipy.linalg" in loaded  # the solver's LAPACK: the list is real
+    assert sorted(m for m in loaded if m.startswith("scipy.integrate")) == []
+
+
 def test_shipped_commands_reach_every_def(shipped):
-    _, called = shipped
+    _, called, _ = shipped
     unreached = sorted(name for key, name in _defs().items() if key not in called)
     assert unreached == sorted(UNREACHED_ON_PURPOSE)
+
+
+def test_artifact_changes_name_file_column_and_size(tmp_path):
+    # a re-baseline reports what moved: a one-ulp edit of one number by file,
+    # column and size, a changed text cell verbatim, identical files not at all
+    old, new = tmp_path / "old", tmp_path / "new"
+    q = 4.894180228406698
+    table = ("# config-hash=abc\nR,Q,status\n0.9,{q!r},ok\n0.95,1.5,{status}\n")
+    snapshot = "# logdiff-state t=0.02 n=2\n0.045,39.4796\n0.05,37.3\n"
+    for root, value, status in ((old, q, "ok"), (new, math.nextafter(q, 2.0 * q), "failed: x")):
+        (root / "q").mkdir(parents=True)
+        (root / "q" / "q_sweep.csv").write_text(table.format(q=value, status=status))
+        (root / "q" / "snap_000.txt").write_text(snapshot)
+    ulp = math.ulp(q)
+    assert artifact_changes(old, new) == [
+        "q/q_sweep.csv row 2 status: 'ok' -> 'failed: x'",
+        f"q/q_sweep.csv Q: 1 cells, largest change {ulp:.3g} absolute, {ulp / q:.3g} relative",
+    ]
+    (new / "q" / "snap_000.txt").write_text(snapshot.replace("37.3", "37.4"))
+    assert artifact_changes(old, new)[-1] == (
+        f"q/snap_000.txt column 2: 1 cells, largest change {37.4 - 37.3:.3g} absolute, "
+        f"{(37.4 - 37.3) / 37.3:.3g} relative")

@@ -334,6 +334,34 @@ def test_failed_step_retries_at_half_dt(monkeypatch):
     assert traj.states[-1].time == 0.05
 
 
+@pytest.mark.parametrize("growth, whole", [(1e-12 / 3.0, True), (3e-12, False)])
+def test_line_search_slack(monkeypatch, growth, whole):
+    # a Newton step is taken whole when it lets the residual grow by at most
+    # 1e-12 relative (roundoff near convergence) and halved when it grows it
+    # more.  One interior node on s = 0, 1, 2 with dt = 1 and w = 0 at both
+    # ends has residual F(w) = e^w - e + 2w, which is 2 at the start w = 1;
+    # a planted solver step lands where F = -2 (1 + growth).
+    s, dt, u = np.array([0.0, 1.0, 2.0]), 1.0, math.e
+    cl, cc, cr = (float(c[0]) for c in solver._d2_coeffs(s))
+    w0 = float(np.log(np.array([u]))[0])
+
+    def residual(w):  # the kernel's arithmetic, node by node
+        return float(np.exp(np.array([w]))[0] - u - dt * (cl * 0.0 + cc * w + cr * 0.0))
+
+    lo, hi = -1.0, w0  # F increases with w: bisect for F(w) = -F(w0) (1 + growth)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if residual(mid) < -residual(w0) * (1.0 + growth) else (lo, mid)
+    step = hi - w0
+    assert (abs(residual(w0 + step)) <= abs(residual(w0)) * (1.0 + 1e-12)) is whole
+    monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, np.array([step]), 0))
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
+    w, _, errors = solver._newton_solve(solver._Layout([s]), [np.array([1.0, u, 1.0])],
+                                        [(0.0, 0.0)], (dt,))
+    assert str(errors[0]).startswith("Newton iteration budget exhausted")
+    assert w[1] == w0 + (step if whole else 0.5 * step)
+
+
 def test_adaptive_doubling_reduces_step_count():
     g, st0, sched = flat_setup()
     traj = evolve(Run(st0, sched, 1e-3, 0.1, dt_cap=8e-3))

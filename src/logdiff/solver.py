@@ -28,15 +28,41 @@ No randomness anywhere: identical inputs produce bitwise-identical runs.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .geometry import ConformalState, LogPolarGrid, model_factor
+
+
+def _load_dgtsv(search):
+    """LAPACK dgtsv from scipy.linalg._flapack, found in the directories
+    search and loaded without the scipy.linalg package, whose init imports
+    most of numpy (about 0.2 s and 20 MB); a later import of scipy.linalg
+    shares the module.  Where it is not found (an editable scipy build,
+    say), the public scipy.linalg.lapack.dgtsv."""
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(name, search)
+    if spec is None:
+        from scipy.linalg.lapack import dgtsv
+        return dgtsv
+    if name not in sys.modules:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].dgtsv
+
+
+# the one seam through which every Newton iteration solves; tests patch it
+dgtsv = _load_dgtsv([os.path.join(path, "linalg") for path in scipy.__path__])
 
 __all__ = [
     "BoundarySchedule",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from logdiff import estimates
+from logdiff import estimates, experiments
 from logdiff.cli import main
 from logdiff.config import ExperimentConfig, parse_config
 from logdiff.snapshots import load_trajectory
@@ -80,6 +80,29 @@ def test_q_sweep_config_driven(tmp_path, capsys):
     rows = [ln for ln in (tmp_path / "q_sweep.csv").read_text().splitlines()
             if ln and not ln.startswith("#")]
     assert len(rows) == 1 + 3  # header + one row per R
+
+
+@pytest.mark.parametrize("growth, monotone", [(1e-12 / 3.0, True), (3e-12, False)])
+def test_q_rising_with_R_fails_the_q_sweep(tmp_path, capsys, monkeypatch, growth, monotone):
+    # Q may rise with R inside one (r0, gamma) group by 1e-12 relative
+    # (roundoff) and no more.  Planted Q values rise by growth at each R.
+    Rs = (0.85, 0.9, 0.95)
+    cfg = ExperimentConfig(experiment="q-sweep", r0=0.6, R_list=Rs, gamma_list=(0.25,))
+    path = tmp_path / "q.ini"
+    write_ini(cfg, path)
+    real = experiments._q_task
+
+    def rising(point):
+        return dict(real(point), Q=(1.0 + growth) ** Rs.index(point[1]))
+
+    monkeypatch.setattr(experiments, "_q_task", rising)
+    result = experiments.run_q_sweep(cfg)
+    assert (result.monotone_in_R, result.passed) == (monotone, monotone)
+    rc = main(["q-sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == (0 if monotone else 2)
+    out = capsys.readouterr().out
+    assert f"monotone={monotone} " in out
+    assert ("q-sweep: PASS" if monotone else "q-sweep: FAIL") in out
 
 
 def test_simulate_verify_roundtrip_passes(tmp_path, capsys):
@@ -267,6 +290,18 @@ def test_bare_import_loads_no_runner_and_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_lapack_without_the_scipy_linalg_package():
+    # the solver loads scipy's compiled LAPACK wrapper on its own: the
+    # scipy.linalg package init would import numpy.f2py, numpy.testing and
+    # more, about 0.2 s of every command's start-up
+    names = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+             "scipy.linalg._flapack")
+    code = f"import sys, logdiff.cli; print([m for m in {names!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['scipy.linalg._flapack']"
 
 
 def _fresh_interpreter(module, setup="pass", **env):

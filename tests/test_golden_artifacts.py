@@ -164,9 +164,11 @@ def _defs():
 
 def test_shipped_commands_never_import_scipy_integrate(shipped):
     # Q and I2(gamma) come from numpy Gauss rules; scipy.integrate would add
-    # about a quarter second to every command's start-up
+    # about a quarter second to every command's start-up.  The solver loads
+    # LAPACK's compiled wrapper alone, without the scipy.linalg package
     _, _, loaded = shipped
-    assert "scipy.linalg" in loaded  # the solver's LAPACK: the list is real
+    assert "scipy.linalg._flapack" in loaded  # the solver's LAPACK: the list is real
+    assert "scipy.linalg" not in loaded
     assert sorted(m for m in loaded if m.startswith("scipy.integrate")) == []
 
 

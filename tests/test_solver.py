@@ -362,6 +362,34 @@ def test_line_search_slack(monkeypatch, growth, whole):
     assert w[1] == w0 + (step if whole else 0.5 * step)
 
 
+def test_uphill_step_exhausts_the_damping(monkeypatch):
+    # the line search halves a step 30 times before it gives up.  On the
+    # node of test_line_search_slack, F(w) = e^w - e + 2w is 2 at w0 = 1 and
+    # increases with w, so a planted positive step raises |F| at every scale
+    s, dt, u = np.array([0.0, 1.0, 2.0]), 1.0, math.e
+    monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, np.array([1.0]), 0))
+    w, done, errors = solver._newton_solve(solver._Layout([s]), [np.array([1.0, u, 1.0])],
+                                           [(0.0, 0.0)], (dt,))
+    assert list(errors) == [0] and done == [None]
+    assert isinstance(errors[0], StepFailure)
+    assert str(errors[0]) == "Newton damping exhausted"
+    assert errors[0].residual == pytest.approx(2.0)
+    assert w[1] == float(np.log(np.array([u]))[0])
+
+
+def test_dgtsv_is_scipys_routine_from_one_module():
+    # the solver loads scipy.linalg._flapack without the scipy.linalg
+    # package; importing the package afterwards reuses that module
+    import scipy.linalg.lapack
+    assert solver.dgtsv is scipy.linalg.lapack.dgtsv
+
+
+def test_dgtsv_loader_falls_back_to_the_public_import():
+    # where the compiled wrapper is not found, the public name serves
+    import scipy.linalg.lapack
+    assert solver._load_dgtsv([]) is scipy.linalg.lapack.dgtsv
+
+
 def test_adaptive_doubling_reduces_step_count():
     g, st0, sched = flat_setup()
     traj = evolve(Run(st0, sched, 1e-3, 0.1, dt_cap=8e-3))

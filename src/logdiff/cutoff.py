@@ -44,34 +44,34 @@ __all__ = [
 INV_SQUARE_CONSTANT = 9.0 / (32.0 * math.log(2.0) ** 2)
 
 
-_SERIES_CUT = 1e-4
+# The excess beta log beta - beta + 1 = (1+x) log1p(x) - x and beta - 1 = x
+# as sums in u = log beta = log1p(x), with positive terms for u > 0:
+#   beta log beta - beta + 1 = u^2 sum_{j>=0} (j+1) u^j / (j+2)!,
+#   beta - 1                 = u   sum_{j>=0}       u^j / (j+1)!.
+# Below are the coefficients of u^1 .. u^39; the constant terms are 1/2 and 1.
+# For 0 <= u <= 7 the first omitted term is below 1e-17 of its sum.
+_N_TERMS = 40
+_EXCESS_SERIES = np.array([(j + 1) / math.factorial(j + 2) for j in range(1, _N_TERMS)])
+_EXPREL_SERIES = np.array([1.0 / math.factorial(j + 1) for j in range(1, _N_TERMS)])
 
 
-def _excess_ratio_series(x):
-    """log_excess(x)/x^2 = 1/2 - x/6 + x^2/12 - x^3/20 + x^4/30, for |x| < 1e-4.
-
-    The next term, x^5/42, is below 1e-21 relative at the cut.
-    """
-    return 0.5 + x * (-1.0 / 6.0 + x * (1.0 / 12.0 + x * (-1.0 / 20.0 + x / 30.0)))
+def _powers(u):
+    """u^1 .. u^39 stacked along a new first axis, for the series above."""
+    return np.multiply.accumulate(np.broadcast_to(u, (_N_TERMS - 1, *np.shape(u))), axis=0)
 
 
 def log_excess(x):
-    """(1+x) log(1+x) - x, stable near x = 0.
+    """(1+x) log1p(x) - x for x >= 0, with no digit lost to cancellation.
 
-    Alternating series sum_{n>=2} (-1)^n x^n / (n(n-1)) takes over for
-    |x| < 1e-4 where the direct formula loses all significant digits.
-    The flux numerator sigma log(sigma/a) - (sigma - a) equals
-    a * log_excess(sigma/a - 1).  The Q integrands sum a series of their
-    own (_q_smooth): just above the cut the direct formula is still off by
-    up to 5e-12 relative.
+    Up to u = log1p(x) = 7 it is the excess series above; beyond, it is
+    x (u - 1) + u, whose terms are positive.  The flux numerator
+    sigma log(sigma/a) - (sigma - a) is a * log_excess((sigma - a)/a), and
+    the Q integrands (_q_smooth) sum the same series.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    xs = np.where(small, x, 0.0)
-    series = xs * xs * _excess_ratio_series(xs)
-    xl = np.where(small, 1.0, x)
-    direct = (1.0 + xl) * np.log1p(xl) - xl
-    out = np.where(small, series, direct)
+    u = np.log1p(x)
+    series = u * u * (0.5 + _EXCESS_SERIES @ _powers(u))
+    out = np.where(u <= 7.0, series, x * (u - 1.0) + u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,7 +159,7 @@ def _flux_piecewise(a: float, sigma, order: int):
     if np.any(core):
         sc = sigma[core]
         if order == 0:
-            out[core] = a * log_excess(sc / a - 1.0) / neg_log_a
+            out[core] = a * log_excess((sc - a) / a) / neg_log_a
         elif order == 1:
             out[core] = np.log(sc / a) / neg_log_a
         else:
@@ -177,8 +177,9 @@ def _flux_piecewise(a: float, sigma, order: int):
 def flux_value(a: float, sigma):
     """The C1 flux function: 0 below a, closed form on [a,1], concave filler, then 1.
 
-    On [a,1] the numerator sigma log(sigma/a) - (sigma - a) is evaluated via
-    log_excess, which keeps f >= 0 exact through roundoff at sigma ~ a.
+    On [a,1] the numerator sigma log(sigma/a) - (sigma - a) is
+    a * log_excess((sigma - a)/a): a sum of positive terms, so f >= 0 holds
+    through roundoff and no digit cancels at sigma ~ a.
     """
     return _flux_piecewise(a, sigma, 0)
 
@@ -259,28 +260,17 @@ class QReport:
 # compute_Q splits the beta integral at e^2
 _E2 = math.exp(2.0)
 
-# Both sums are in u = log beta, with positive terms for beta > 1:
-#   beta log beta - beta + 1 = u^2 sum_{j>=0} (j+1) u^j / (j+2)!,
-#   beta - 1                 = u   sum_{j>=0}       u^j / (j+1)!.
-# Below are the coefficients of u^1 .. u^39; the constant terms are 1/2 and 1.
-# For 0 <= u <= 7 the first omitted term is below 1e-17 of its sum.
-_N_TERMS = 40
-_EXCESS_SERIES = np.array([(j + 1) / math.factorial(j + 2) for j in range(1, _N_TERMS)])
-_EXPREL_SERIES = np.array([1.0 / math.factorial(j + 1) for j in range(1, _N_TERMS)])
-
-
 def _q_smooth(beta, gamma: float):
     """beta^{gamma-1} ((beta log beta - beta + 1)/(beta-1)^2)^{-gamma}: the
     integrand with its (beta-1)^{-2 gamma} endpoint factor divided out.
 
     The excess beta log beta - beta + 1 and beta - 1 both come from the
-    series above, so no digit cancels near beta = 1, where the direct form
-    (1+x) log1p(x) - x with x = beta - 1 loses up to 5e-12 relative just
-    above log_excess's series cut.  Their ratio tends to 1/2 at beta = 1,
-    where the factor is 2^gamma.  Vectorized over beta.
+    series in u = log beta that log_excess sums, over one table of powers of
+    u, so no digit cancels near beta = 1.  Their ratio tends to 1/2 at
+    beta = 1, where the factor is 2^gamma.  Vectorized over beta.
     """
     u = np.log(beta)
-    powers = np.multiply.accumulate(np.broadcast_to(u, (_N_TERMS - 1, *np.shape(u))), axis=0)
+    powers = _powers(u)
     excess = 0.5 + _EXCESS_SERIES @ powers  # (beta log beta - beta + 1)/u^2
     exprel = 1.0 + _EXPREL_SERIES @ powers  # (beta - 1)/u
     return np.exp((gamma - 1.0) * u) * (excess / (exprel * exprel)) ** -gamma

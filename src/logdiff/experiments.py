@@ -228,6 +228,10 @@ def _q_task(point):
     return row
 
 
+def _nonincreasing(vals, rel=1e-9, floor=1e-12) -> bool:
+    return all(b <= a * (1.0 + rel) + floor for a, b in zip(vals, vals[1:]))
+
+
 @dataclass(frozen=True)
 class QSweepResult:
     rows: tuple
@@ -265,14 +269,11 @@ def run_q_sweep(config=None, out_dir=None) -> QSweepResult:
 
     ok_rows = [r for r in rows if r["status"] == "ok"]
     all_bounded = all(r["ratio"] <= 1.0 for r in ok_rows)
-    monotone = True
-    for r0 in r0_values:
-        for gamma in gamma_values:
-            qs = [r["Q"] for r in ok_rows
-                  if r["r0"] == r0 and r["gamma"] == gamma]
-            # rows were generated with R increasing inside each group
-            if any(b > a * (1.0 + 1e-12) for a, b in zip(qs, qs[1:])):
-                monotone = False
+    # rows were generated with R increasing inside each (r0, gamma) group
+    monotone = all(
+        _nonincreasing([r["Q"] for r in ok_rows if (r["r0"], r["gamma"]) == (r0, gamma)],
+                       rel=1e-12, floor=0.0)
+        for r0 in r0_values for gamma in gamma_values)
     split_ok = all(r["split_gap"] <= r["split_budget"]
                    for r in ok_rows if r["split"] == 1)
     result = QSweepResult(rows=tuple(rows), all_bounded=all_bounded,
@@ -306,10 +307,6 @@ class UniquenessResult:
                 and self.sup_monotone_in_R and not self.failures and self.gauge["passed"])
 
 
-def _nonincreasing(vals, rel=1e-9, floor=1e-12) -> bool:
-    return all(b <= a * (1.0 + rel) + floor for a, b in zip(vals, vals[1:]))
-
-
 def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> UniquenessResult:
     """Interior differences between exhaustion ramps, per truncation R.
 
@@ -325,18 +322,11 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
         raise ValueError("uniqueness experiment needs at least 3 R values")
     Rs = sorted(config.R_list)
 
-    # one evolve_many run per (R, ramp), keyed (R, ramp index) and replaced
-    # by its Trajectory or its error; a run that cannot even be built fails
-    # with the same text as one that fails while stepping
-    members = {}
-    for R in Rs:
-        for j, k in enumerate(config.ramps):
-            try:
-                members[(R, j)] = exhaustion_member(config, R, k)
-            except ValueError as exc:
-                members[(R, j)] = exc
-    built = [key for key, run in members.items() if not isinstance(run, Exception)]
-    members.update(zip(built, evolve_many([members[key] for key in built])))
+    # one evolve_many run per (R, ramp), keyed (R, ramp index): its
+    # Trajectory or the error that ended it
+    keys = [(R, j) for R in Rs for j in range(len(config.ramps))]
+    members = dict(zip(keys, evolve_many([exhaustion_member(config, R, config.ramps[j])
+                                          for R, j in keys])))
     failures = [f"R={R:g} k={float(config.ramps[j]):g}: {run}"
                 for (R, j), run in members.items() if not isinstance(run, Trajectory)]
 

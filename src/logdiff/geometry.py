@@ -93,9 +93,12 @@ class LogPolarGrid:
             raise ValueError("ratio must be positive")
         if abs(ratio - 1.0) < 1e-12:
             return cls.uniform(s_min, s_max, n)
-        steps = ratio ** np.arange(n - 1)
-        pos = np.concatenate([[0.0], np.cumsum(steps)])
-        pos *= (s_max - s_min) / pos[-1]
+        # a ratio too steep for n overflows to nodes that are not finite,
+        # which the constructor refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = ratio ** np.arange(n - 1)
+            pos = np.concatenate([[0.0], np.cumsum(steps)])
+            pos *= (s_max - s_min) / pos[-1]
         return cls(s_min + pos)
 
     def refine(self) -> "LogPolarGrid":
@@ -203,19 +206,21 @@ def model_state(model, grid: LogPolarGrid, t: float = 0.0) -> ConformalState:
     return ConformalState(grid, model_factor(model, grid.nodes, t), t)
 
 
-def _second_difference(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Three-point second derivative of node samples on a nonuniform grid."""
+def _d2_coeffs(s: np.ndarray):
+    # second-difference weights on a nonuniform grid, one row per interior node
     hm = s[1:-1] - s[:-2]
     hp = s[2:] - s[1:-1]
-    return 2.0 * (hm * w[2:] - (hm + hp) * w[1:-1] + hp * w[:-2]) / (hm * hp * (hm + hp))
+    cl = 2.0 / (hm * (hm + hp))
+    cc = -2.0 / (hm * hp)
+    cr = 2.0 / (hp * (hm + hp))
+    return cl, cc, cr
 
 
 def gauss_curvature(state: ConformalState) -> np.ndarray:
     """K = -(log U)''/(2U) at interior nodes; endpoints carry no stencil and are excluded."""
-    if state.grid.n < 3:
-        raise ValueError("need at least 3 nodes")
-    d2w = _second_difference(state.grid.nodes, state.log_values)
-    return -d2w / (2.0 * state.values[1:-1])
+    cl, cc, cr = _d2_coeffs(state.grid.nodes)
+    w = state.log_values
+    return -(cl * w[:-2] + cc * w[1:-1] + cr * w[2:]) / (2.0 * state.values[1:-1])
 
 
 def _trapezoid_between(s: np.ndarray, u: np.ndarray, s_lo: float, s_hi: float) -> float:

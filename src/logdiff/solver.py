@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy
 
-from .geometry import ConformalState, LogPolarGrid, model_factor
+from .geometry import ConformalState, LogPolarGrid, _d2_coeffs, model_factor
 
 
 def _load_dgtsv(search):
@@ -178,16 +178,6 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([st.time for st in self.states])
-
-
-def _d2_coeffs(s: np.ndarray):
-    # second-difference weights on a nonuniform grid, one row per interior node
-    hm = s[1:-1] - s[:-2]
-    hp = s[2:] - s[1:-1]
-    cl = 2.0 / (hm * (hm + hp))
-    cc = -2.0 / (hm * hp)
-    cr = 2.0 / (hp * (hm + hp))
-    return cl, cc, cr
 
 
 class _Layout:

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from logdiff import solver
-from logdiff.solver import StepFailure, _d2_coeffs
+from logdiff.geometry import _d2_coeffs
+from logdiff.solver import StepFailure
 
 mp.mp.dps = 40
 
@@ -91,38 +92,40 @@ def bigbang_disc_area_reference(r0, t):
     return 4 * mp.pi * mp.mpf(t) * (mp.coth(s0) - 1)
 
 
+def mp_flux(a, sigma):
+    """The flux function f(sigma) of logdiff.cutoff at 40 digits, every piece."""
+    a, sigma = mp.mpf(a), mp.mpf(sigma)
+    f1 = 1 - (1 - a) / (-mp.log(a))
+    if sigma <= a:
+        return mp.mpf(0)
+    if sigma < 1:
+        return a * mp_excess(sigma / a - 1) / (-mp.log(a))
+    if f1 > mp.mpf(2) / 3:
+        knot = 3 - 2 * f1
+        if sigma < knot:
+            tau = sigma - 1
+            return f1 + tau - tau**2 / (4 * (1 - f1))
+        return mp.mpf(1)
+    if f1 >= mp.mpf(1) / 3:
+        if sigma < 2:
+            tau = sigma - 1
+            return f1 + tau + (1 - 3 * f1) * tau**2 + (2 * f1 - 1) * tau**3
+        return mp.mpf(1)
+    knot = 2 - 2 * f1
+    if sigma < knot:
+        return f1 + (sigma - 1)
+    if sigma < 2:
+        return 1 - (2 - sigma) ** 2 / (4 * f1)
+    return mp.mpf(1)
+
+
 def pair_flux_rate_reference(s0, S, s_max):
     """4 pi int (1/s^2 - 1/sinh^2 s) phi ds over [S, s_max]: dJ/dt of the model pair."""
     s0, S, s_max = mp.mpf(s0), mp.mpf(S), mp.mpf(s_max)
     a = 2 * S / s0
-    f1 = 1 - (1 - a) / (-mp.log(a))
-
-    def f(sigma):
-        sigma = mp.mpf(sigma)
-        if sigma <= a:
-            return mp.mpf(0)
-        if sigma < 1:
-            return a * mp_excess(sigma / a - 1) / (-mp.log(a))
-        if f1 > mp.mpf(2) / 3:
-            knot = 3 - 2 * f1
-            if sigma < knot:
-                tau = sigma - 1
-                return f1 + tau - tau**2 / (4 * (1 - f1))
-            return mp.mpf(1)
-        if f1 >= mp.mpf(1) / 3:
-            if sigma < 2:
-                tau = sigma - 1
-                return f1 + tau + (1 - 3 * f1) * tau**2 + (2 * f1 - 1) * tau**3
-            return mp.mpf(1)
-        knot = 2 - 2 * f1
-        if sigma < knot:
-            return f1 + (sigma - 1)
-        if sigma < 2:
-            return 1 - (2 - sigma) ** 2 / (4 * f1)
-        return mp.mpf(1)
 
     def integrand(s):
-        return (1 / s**2 - 1 / mp.sinh(s) ** 2) * f(2 * s / s0)
+        return (1 / s**2 - 1 / mp.sinh(s) ** 2) * mp_flux(a, 2 * s / s0)
 
     knots = sorted({S, s0 / 2, s0, s_max})
     return 4 * mp.pi * mp.quad(integrand, knots)

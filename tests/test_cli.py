@@ -105,6 +105,22 @@ def test_q_rising_with_R_fails_the_q_sweep(tmp_path, capsys, monkeypatch, growth
     assert ("q-sweep: PASS" if monotone else "q-sweep: FAIL") in out
 
 
+def test_certificate_that_raises_fails_uniqueness(tmp_path, capsys, monkeypatch):
+    # a pair whose certificate cannot be computed is a failure named by its
+    # R, pair and gamma, never a pass
+    def broken(*args, **kwargs):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(experiments, "interior_area_verify", broken)
+    config = CONFIGS / "uniqueness_small.ini"
+    cfg = parse_config(config)
+    result = experiments.run_uniqueness_experiment(cfg)
+    assert result.failures == tuple(f"R={R:g} pair=0 gamma=0.25: planted" for R in sorted(cfg.R_list))
+    assert (result.all_certified, result.passed, result.rows) == (False, False, ())
+    assert main(["uniqueness", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "uniqueness: FAIL" in capsys.readouterr().out
+
+
 def test_simulate_verify_roundtrip_passes(tmp_path, capsys):
     # ramps at 2x and 10x the barrier rate 2H(s_min): every certificate holds
     two_H = 2.0 / math.sinh(0.045) ** 2
@@ -269,6 +285,27 @@ def test_several_values_of_a_member_key_exit_three(shipped_pair, tmp_path, capsy
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert re.findall(r"takes one value of (\w+), got \d+", err) == keys
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print more lines
+@pytest.mark.parametrize("command, config", [
+    ("uniqueness", "uniqueness_small.ini"), ("simulate", "exhaustion_lo.ini")])
+@pytest.mark.parametrize("pattern, replacement, reason", [
+    (r"\[grid\]\n", "[grid]\ns_min = 9\n", "on [9, 8]: need 0 < s_min < s_max"),
+    (r"ratio = \S+", "ratio = 30", ": nodes must be "),
+], ids=["s_min-beyond-s_max", "ratio-too-steep"])
+def test_config_whose_grid_cannot_be_built_exits_three(tmp_path, capsys, command, config,
+                                                       pattern, replacement, reason):
+    # s_max derives to 8 here; ratio 30 leaves cells below the resolution of
+    # s, or overflows
+    path = tmp_path / config
+    path.write_text(re.sub(pattern, replacement, (CONFIGS / config).read_text()))
+    rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: grid at R=")
+    assert reason in err
     assert not (tmp_path / "out").exists()
 
 

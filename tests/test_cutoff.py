@@ -61,10 +61,27 @@ def test_inv_square_constant_closed_form():
 
 
 def test_log_excess_series_matches_reference():
+    # the series up to u = log1p(x) = 7 and x (u - 1) + u beyond, at
+    # x = e^7 - 1 = 1095.6 on both sides
     from oracle_support import mp_excess
 
-    for x in [1e-12, 1e-7, 9.9e-5, 1.01e-4, 0.3, 4.0]:
-        assert log_excess(x) == pytest.approx(float(mp_excess(x)), rel=1e-13)
+    for x in [1e-12, 1e-7, 9.9e-5, 1.01e-4, 0.3, 4.0, 1095.0, 1097.0, 1e6]:
+        assert log_excess(x) == pytest.approx(float(mp_excess(x)), rel=2e-15)
+
+
+@pytest.mark.parametrize("a", [2.0 / 3.0, 0.3, 1e-4])
+def test_flux_core_matches_40_digit_reference(a):
+    # f on [a, 1) at x = sigma/a - 1 from 1e-12 to 1/a - 1; at a = 1e-4 the
+    # core reaches u = log(1 + x) = 9.2, past the series' end at u = 7
+    from oracle_support import mp_flux
+
+    xs = np.logspace(-12, math.log10(1.0 / a - 1.0), 400)
+    if a < math.exp(-7.0):
+        xs = np.concatenate((xs, math.expm1(7.0) * (1.0 + np.linspace(-1e-3, 1e-3, 21))))
+    sigma = a * (1.0 + xs)
+    sigma = sigma[(sigma >= a) & (sigma < 1.0)]
+    ref = np.array([float(mp_flux(a, s)) for s in sigma])
+    assert flux_value(a, sigma) == pytest.approx(ref, rel=2e-15, abs=0.0)
 
 
 def test_log_excess_vectorized_and_nonnegative():
@@ -75,7 +92,7 @@ def test_log_excess_vectorized_and_nonnegative():
     assert np.all(np.diff(v) > 0.0)  # strictly increasing for x > 0
 
 
-# x on both sides of the 1e-4 series cut, the cut itself, and far out
+# x near 0 on both sides, around 1e-4, and far out
 KERNEL_XS = [-0.5, -0.1, -1.0001e-4, -1e-4, -9.999e-5, -1e-8, -1e-12,
              1e-12, 1e-8, 9.999e-5, 1e-4, 1.0001e-4, 0.3, 1.0, 4.0, 1e3]
 
@@ -83,8 +100,8 @@ KERNEL_XS = [-0.5, -0.1, -1.0001e-4, -1e-4, -9.999e-5, -1e-8, -1e-12,
 @pytest.mark.parametrize("x", KERNEL_XS)
 def test_scalar_excess_kernels_match_vectorized(x):
     # the near kernel at the x = beta - 1 it is given, alone and inside one
-    # vectorized call over every x, against the 40-digit excess; just above
-    # log_excess's series cut its direct form is off by up to 5e-12 here
+    # vectorized call over every x, against the 40-digit excess; the direct
+    # form (1+x) log1p(x) - x is off by up to 5e-12 just above x = 1e-4
     import mpmath as mp
     from oracle_support import mp_excess
 
@@ -495,7 +512,7 @@ def test_pointwise_numerator_bounds(a, frac):
     # the two lower bounds on P(sigma) = sigma log(sigma/a) - sigma + a behind
     # the near/far split of the Q estimate
     sigma = a + (1.0 - a) * frac
-    P = a * log_excess(sigma / a - 1.0)
+    P = a * log_excess((sigma - a) / a)
     assert P >= (sigma - a) ** 2 / (2.0 * sigma) - 1e-15
     if sigma >= math.exp(2.0) * a:
         assert P >= 0.5 * sigma * math.log(sigma / a) - 1e-15

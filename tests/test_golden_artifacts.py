@@ -54,7 +54,7 @@ GOLDEN = {
     "hi/snap_004.txt": "9080c2965f94521701564225d2ff7acdd4b6cbec90c47d9ffb1ff75cf2224334",
     "hi/snap_005.txt": "077ef0ce254d8ceaa87337d55b413ca78dc86904fb50d98deacc7e6236a4dd21",
     "hi/snap_manifest.csv": "e8476656da33eaf950546213a06b1264519a4baee8dc09373ca528a7ecc5ee28",
-    "verify/verify_report.csv": "d20e83e6e6c38a0360517f4c19bba324b08013f41e948b3469e786759793d72a",
+    "verify/verify_report.csv": "63352861a730f1823f6fe6776baaffe14179040b26309e5fab94f2218e874989",
     "exact/exact_suite.csv": "2317d9d100eed57dea7c7beb0946a33357ce4ccaab5ca7a0ceba01cf202810ed",
     "q/q_sweep.csv": "1b34b48d58fdfe3481144ff9a64afa5beb76c3a0f92a9a42451ef653d748c8a8",
     "qc/q_sweep.csv": "20b6ec140dfdb274b411f9ecf50488445d7a6bd09064c8286871c82c76635254",

@@ -14,6 +14,7 @@ from logdiff.geometry import (
     Cusp,
     FlatDisc,
     LogPolarGrid,
+    _d2_coeffs,
     model_factor,
     model_state,
 )
@@ -122,7 +123,7 @@ def _kernel_case(name):
 )
 def test_newton_kernel_matches_solve_banded_reference(name):
     s, u, w_in, w_out, dt = _kernel_case(name)
-    coeffs = solver._d2_coeffs(s)
+    coeffs = _d2_coeffs(s)
     u_before = u.copy()
     w, iters = _newton_one(s, u, w_in, w_out, dt)
     w_ref, iters_ref = newton_solve_reference(s, u, w_in, w_out, dt, coeffs)
@@ -342,7 +343,7 @@ def test_line_search_slack(monkeypatch, growth, whole):
     # ends has residual F(w) = e^w - e + 2w, which is 2 at the start w = 1;
     # a planted solver step lands where F = -2 (1 + growth).
     s, dt, u = np.array([0.0, 1.0, 2.0]), 1.0, math.e
-    cl, cc, cr = (float(c[0]) for c in solver._d2_coeffs(s))
+    cl, cc, cr = (float(c[0]) for c in _d2_coeffs(s))
     w0 = float(np.log(np.array([u]))[0])
 
     def residual(w):  # the kernel's arithmetic, node by node

@@ -1,9 +1,8 @@
 """Experiment configuration: flat INI sections, validated before any run.
 
 Validation is collect-all: a bad file reports every problem at once instead
-of failing on the first. Range checks are delegated to CutoffSpec, and each
-run's grid is built by LogPolarGrid.graded, so the error text always cites
-the same invariant the library enforces.
+of failing on the first. Range checks are delegated to CutoffSpec so the
+error text always cites the same invariant the library enforces.
 """
 
 import configparser
@@ -12,7 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .cutoff import CutoffSpec
-from .geometry import LogPolarGrid
 
 __all__ = ["ConfigError", "ExperimentConfig", "INI_KEYS", "parse_config"]
 
@@ -102,28 +100,17 @@ def validate(cfg: ExperimentConfig) -> list:
             errors.append(f"cutoff {name} list must not be empty")
         elif len(set(values)) < len(values):
             errors.append(f"cutoff {name} values must be distinct")
-    # range checks by the library itself, so messages cite its invariants;
-    # a message shared by several R or gamma is reported once
+    # range checks via CutoffSpec so messages cite the library invariant
     seen = set()
-
-    def check(label, build, *args):
-        try:
-            build(*args)
-        except ValueError as exc:
-            if str(exc) not in seen:
-                errors.append(f"{label}: {exc}")
-                seen.add(str(exc))
-
     for R in cfg.R_list:
         for gamma in cfg.gamma_list:
-            check(f"cutoff (r0={cfg.r0:g}, R={R:g}, gamma={gamma:g})",
-                  CutoffSpec, cfg.r0, R, gamma)
-    # each R's grid, as its runs build it, once every field it reads is valid
-    if not errors:
-        for R in cfg.R_list:
-            lo, hi = cfg.grid_bounds(R)
-            check(f"grid at R={R:g} on [{lo:g}, {hi:g}]",
-                  LogPolarGrid.graded, lo, hi, cfg.n, cfg.ratio)
+            try:
+                CutoffSpec(cfg.r0, R, gamma)
+            except ValueError as exc:
+                msg = f"cutoff (r0={cfg.r0:g}, R={R:g}, gamma={gamma:g}): {exc}"
+                if str(exc) not in seen:
+                    errors.append(msg)
+                    seen.add(str(exc))
     return errors
 
 

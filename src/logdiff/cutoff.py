@@ -69,8 +69,11 @@ def log_excess(x):
     the Q integrands (_q_smooth) sum the same series.
     """
     x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        # for u < 0 the series alternates and loses digits
+        raise ValueError("log_excess needs x >= 0")
     u = np.log1p(x)
-    series = u * u * (0.5 + _EXCESS_SERIES @ _powers(u))
+    series = u * u * (0.5 + np.tensordot(_EXCESS_SERIES, _powers(u), axes=1))
     out = np.where(u <= 7.0, series, x * (u - 1.0) + u)
     return float(out) if out.ndim == 0 else out
 

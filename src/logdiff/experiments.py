@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .cutoff import CutoffSpec, _q_integral_beta, _q_near, compute_Q
 from .estimates import check_order_preservation, interior_area_verify
 from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
@@ -60,10 +60,18 @@ def flat_start_run(grid, k, dt, T, sample_times=None, dt_cap=None) -> Run:
 def exhaustion_member(config: ExperimentConfig, R: float, k: float) -> Run:
     """One exhaustion member: the flat-start run on the graded window of
     cut-off radius R at slope k, sampled at config.sample_times or, when
-    none are given, at five equal steps up to T."""
-    grid = LogPolarGrid.graded(*config.grid_bounds(R), config.n, config.ratio)
+    none are given, at five equal steps up to T.
+
+    A window that cannot carry the grid or the flat start (s_min beyond
+    s_max, a ratio too steep for n, a factor that underflows far out) is a
+    ConfigError, as a bad field is."""
+    lo, hi = config.grid_bounds(R)
     samples = config.sample_times or tuple((j + 1) * config.T / 5.0 for j in range(5))
-    return flat_start_run(grid, k, config.dt, config.T, samples)
+    try:
+        grid = LogPolarGrid.graded(lo, hi, config.n, config.ratio)
+        return flat_start_run(grid, k, config.dt, config.T, samples)
+    except ValueError as exc:
+        raise ConfigError([f"grid at R={R:g} on [{lo:g}, {hi:g}]: {exc}"]) from None
 
 
 # ---------------------------------------------------------- exact solutions

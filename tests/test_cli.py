@@ -294,11 +294,12 @@ def test_several_values_of_a_member_key_exit_three(shipped_pair, tmp_path, capsy
 @pytest.mark.parametrize("pattern, replacement, reason", [
     (r"\[grid\]\n", "[grid]\ns_min = 9\n", "on [9, 8]: need 0 < s_min < s_max"),
     (r"ratio = \S+", "ratio = 30", ": nodes must be "),
-], ids=["s_min-beyond-s_max", "ratio-too-steep"])
+    (r"\[grid\]\n", "[grid]\ns_max = 400\n", ": conformal factor must be positive"),
+], ids=["s_min-beyond-s_max", "ratio-too-steep", "flat-start-underflows"])
 def test_config_whose_grid_cannot_be_built_exits_three(tmp_path, capsys, command, config,
                                                        pattern, replacement, reason):
     # s_max derives to 8 here; ratio 30 leaves cells below the resolution of
-    # s, or overflows
+    # s, or overflows; the flat factor underflows to 0 well before s = 400
     path = tmp_path / config
     path.write_text(re.sub(pattern, replacement, (CONFIGS / config).read_text()))
     rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
@@ -307,6 +308,19 @@ def test_config_whose_grid_cannot_be_built_exits_three(tmp_path, capsys, command
     assert len(err.splitlines()) == 1 and err.startswith("config error: grid at R=")
     assert reason in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("boundary-layer", "uniqueness_small.ini"), ("q-sweep", "q_sweep_custom.ini")])
+def test_commands_without_exhaustion_grids_run_any_grid(tmp_path, capsys, command, config):
+    # neither command builds a grid from n, ratio and s_max, so a ratio no
+    # grid can take does not stop them; boundary-layer notes that it ignores it
+    path = tmp_path / config
+    path.write_text(re.sub(r"ratio = \S+", "ratio = 30", (CONFIGS / config).read_text()))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    assert ("note: boundary-layer ignores ratio = 30" in err) == (command == "boundary-layer")
+    assert "error" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "uniqueness"])

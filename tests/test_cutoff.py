@@ -90,6 +90,14 @@ def test_log_excess_vectorized_and_nonnegative():
     assert v.shape == x.shape
     assert np.all(v >= 0.0)
     assert np.all(np.diff(v) > 0.0)  # strictly increasing for x > 0
+    # any shape, elementwise up to the order of the series' sum; 0 at x = 0;
+    # no x < 0, where the series alternates
+    grid = np.array([[0.0, 1e-12, 0.3], [4.0, 1097.0, 1e6]])
+    assert log_excess(grid) == pytest.approx(np.vectorize(log_excess)(grid), rel=1e-15, abs=0.0)
+    assert log_excess(0.0) == 0.0
+    for bad in (-1e-12, [0.3, -0.5]):
+        with pytest.raises(ValueError, match="x >= 0"):
+            log_excess(bad)
 
 
 # x near 0 on both sides, around 1e-4, and far out

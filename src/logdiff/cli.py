@@ -18,7 +18,7 @@ import sys
 
 # set before numpy loads: numpy's and scipy's OpenBLAS thread pools slow start-up, get no work
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-# the imported modules' ~35k objects live until exit: no collection walks
+# the imported modules' ~34k objects live until exit: no collection walks
 # them while they load, and once frozen none walks them again, at exit either
 _gc_was_enabled = gc.isenabled()
 gc.disable()

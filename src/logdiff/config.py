@@ -6,15 +6,25 @@ error text always cites the same invariant the library enforces.
 """
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass, fields
 
 from .cutoff import CutoffSpec
 
+try:  # CPython's built-in SHA-1, which hashlib falls back to, without loading OpenSSL
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
+
 __all__ = ["ConfigError", "ExperimentConfig", "INI_KEYS", "parse_config"]
 
 _EXPERIMENTS = ("uniqueness", "q-sweep", "boundary-layer", "simulate")
+
+
+def _short_sha1(text: str) -> str:
+    """The first 12 hex digits of the SHA-1 of text's UTF-8 bytes."""
+    return sha1(text.encode()).hexdigest()[:12]
+
 
 class ConfigError(ValueError):
     """Carries the full list of validation problems in .errors."""
@@ -49,7 +59,7 @@ class ExperimentConfig:
         parts = []
         for f in fields(self):
             parts.append(f"{f.name}={getattr(self, f.name)!r}")
-        return hashlib.sha1("|".join(parts).encode()).hexdigest()[:12]
+        return _short_sha1("|".join(parts))
 
     def grid_bounds(self, R: float) -> tuple:
         """(s_min, s_max) for a run at cut-off radius R, deriving the default

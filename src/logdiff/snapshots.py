@@ -15,12 +15,12 @@ header. Loaders never modify files in place.
 """
 
 import csv
-import hashlib
 import os
 import re
 
 import numpy as np
 
+from .config import _short_sha1
 from .geometry import ConformalState, LogPolarGrid
 from .solver import Trajectory
 
@@ -41,7 +41,7 @@ _STEM = "snap"  # a trajectory's files are snap_NNN.txt and snap_manifest.csv
 def hash_comment(payload: str) -> str:
     """Comment row recording the config hash; identical inputs give identical
     artifacts, which is what makes re-runs byte-for-byte reproducible."""
-    return "# config-hash=" + hashlib.sha1(payload.encode()).hexdigest()[:12]
+    return "# config-hash=" + _short_sha1(payload)
 
 
 def write_atomic(path, write) -> None:

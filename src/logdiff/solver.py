@@ -38,31 +38,37 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
 
 from .geometry import ConformalState, LogPolarGrid, _d2_coeffs, model_factor
 
 
 def _load_dgtsv(search):
     """LAPACK dgtsv from scipy.linalg._flapack, found in the directories
-    search and loaded without the scipy.linalg package, whose init imports
-    most of numpy (about 0.2 s and 20 MB); a later import of scipy.linalg
-    shares the module.  Where it is not found (an editable scipy build,
-    say), the public scipy.linalg.lapack.dgtsv."""
+    search and loaded without the scipy package init (ten modules, among them
+    subprocess) or the scipy.linalg one, which imports most of numpy (about
+    0.2 s and 20 MB); a later import of scipy.linalg shares the module.
+    Where it is not found (an editable scipy build, say), or fails to load
+    without scipy's init (a wheel whose bundled libraries that init puts on
+    the library path, say), the public scipy.linalg.lapack.dgtsv."""
     name = "scipy.linalg._flapack"
     spec = importlib.machinery.PathFinder.find_spec(name, search)
+    if spec is not None and name not in sys.modules:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except (ImportError, OSError):
+            spec = None
+        else:
+            sys.modules[name] = module
     if spec is None:
         from scipy.linalg.lapack import dgtsv
         return dgtsv
-    if name not in sys.modules:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
     return sys.modules[name].dgtsv
 
 
 # the one seam through which every Newton iteration solves; tests patch it
-dgtsv = _load_dgtsv([os.path.join(path, "linalg") for path in scipy.__path__])
+dgtsv = _load_dgtsv([os.path.join(path, "linalg")
+                     for path in importlib.util.find_spec("scipy").submodule_search_locations])
 
 __all__ = [
     "BoundarySchedule",

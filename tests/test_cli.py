@@ -346,13 +346,27 @@ def test_bare_import_loads_no_runner_and_no_scipy():
 def test_cli_import_loads_lapack_without_the_scipy_linalg_package():
     # the solver loads scipy's compiled LAPACK wrapper on its own: the
     # scipy.linalg package init would import numpy.f2py, numpy.testing and
-    # more, about 0.2 s of every command's start-up
-    names = ("scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
-             "scipy.linalg._flapack")
+    # more, about 0.2 s of every command's start-up, and the scipy package
+    # init subprocess among ten modules; the config hash's SHA-1 is the
+    # built-in one, not OpenSSL's _hashlib
+    names = ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+             "subprocess", "_hashlib", "scipy.linalg._flapack")
     code = f"import sys, logdiff.cli; print([m for m in {names!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['scipy.linalg._flapack']"
+
+
+def test_config_hash_without_the_builtin_sha1():
+    # where the interpreter has no built-in _sha1, hashlib's SHA-1 gives the
+    # same config hash
+    path = CONFIGS / "uniqueness_small.ini"
+    code = ("import sys; sys.modules['_sha1'] = None; import logdiff.cli; "
+            "from logdiff.config import parse_config; "
+            f"print(parse_config({str(path)!r}).config_hash, 'hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [parse_config(path).config_hash, "True"]
 
 
 def _fresh_interpreter(module, setup="pass", **env):

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.geometry import BigBang, LogPolarGrid, model_state
 from logdiff.snapshots import (
+    hash_comment,
     load_state,
     load_trajectory,
     save_state,
@@ -14,6 +18,8 @@ from logdiff.snapshots import (
 )
 from logdiff.solver import Trajectory
 from artifact_io import read_rows_csv, write_ini
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL = """\
 [experiment]
@@ -132,6 +138,23 @@ class TestParseConfig:
         a = ExperimentConfig()
         b = ExperimentConfig(n=301)
         assert a.config_hash != b.config_hash
+
+    @pytest.mark.parametrize("kwargs", [{}, {"n": 301}, {"T": 0.2, "sample_times": (0.05, 0.1)}])
+    def test_hash_is_sha1_of_the_fields(self, kwargs):
+        # the config hash is SHA-1 however it is computed: every artifact
+        # written so far records it
+        cfg = ExperimentConfig(**kwargs)
+        text = "|".join(f"{f.name}={getattr(cfg, f.name)!r}" for f in dataclasses.fields(cfg))
+        assert cfg.config_hash == hashlib.sha1(text.encode()).hexdigest()[:12]
+
+    def test_hash_of_a_shipped_config_is_pinned(self):
+        assert parse_config(CONFIGS / "uniqueness_small.ini").config_hash == "6aff5a801ca5"
+
+
+@pytest.mark.parametrize("payload", ["demo", "", "6aff5a801ca5", "γ = 0.25, R ≈ 0.835 · e^{-s}"])
+def test_hash_comment_is_sha1_of_the_utf8_payload(payload):
+    digest = hashlib.sha1(payload.encode("utf-8")).hexdigest()[:12]
+    assert hash_comment(payload) == "# config-hash=" + digest
 
 
 class TestSnapshots:

@@ -13,8 +13,9 @@ before numpy, as the console script does, so they run with the CLI's
 start-up settings (single-threaded OpenBLAS), as users do. A profiler
 records every function they call, and the guard fails on any def in
 `logdiff` they never call, save a short list of error paths: code only
-tests run belongs in tests/. A third test checks that the run never
-loaded `scipy.integrate`. All three read that one run.
+tests run belongs in tests/. A third test checks that the run loaded no
+scipy module but the solver's LAPACK wrapper, and not OpenSSL's `_hashlib`.
+All three read that one run.
 
 When a change moves bytes on purpose, `artifact_io.artifact_changes` on the
 old and new trees names each moved column with the size of its change.
@@ -84,8 +85,8 @@ def _commands(out):
 
 # runs the commands given as JSON in argv[1] under a profiler that records
 # every Python function called; prints (module, first line) of each function
-# of the logdiff package that ran, then the scipy modules loaded at the end,
-# then main's exit codes, one per command
+# of the logdiff package that ran, then the scipy modules and _hashlib if
+# loaded at the end, then main's exit codes, one per command
 _RUN_PROFILED = """\
 import json, os, sys
 called = set()
@@ -96,16 +97,17 @@ sys.setprofile(None)
 package = os.path.dirname(os.path.realpath(sys.modules["logdiff"].__file__))
 print(json.dumps(sorted({(os.path.basename(c.co_filename)[:-3], c.co_firstlineno) for c in called
                          if os.path.dirname(os.path.realpath(c.co_filename)) == package})))
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "_hashlib"))))
 print(json.dumps(codes))
 """
 
 
 @pytest.fixture(scope="module")
 def shipped(tmp_path_factory):
-    """(out, called, scipy_modules): the commands run once, writing under
-    out, each checked to exit 0; the (module, first line) of every package
-    function they called; and the scipy modules loaded when they were done.
+    """(out, called, loaded): the commands run once, writing under out, each
+    checked to exit 0; the (module, first line) of every package function
+    they called; and the scipy modules, and _hashlib if it was, loaded when
+    they were done.
     A fresh interpreter, because lru_cache'd functions called earlier in
     this process would not run again, and modules imported stay loaded."""
     out = tmp_path_factory.mktemp("shipped")
@@ -165,11 +167,11 @@ def _defs():
 def test_shipped_commands_never_import_scipy_integrate(shipped):
     # Q and I2(gamma) come from numpy Gauss rules; scipy.integrate would add
     # about a quarter second to every command's start-up.  The solver loads
-    # LAPACK's compiled wrapper alone, without the scipy.linalg package
+    # LAPACK's compiled wrapper alone, without the scipy or scipy.linalg
+    # package, and the config hash's SHA-1 does without OpenSSL
     _, _, loaded = shipped
-    assert "scipy.linalg._flapack" in loaded  # the solver's LAPACK: the list is real
-    assert "scipy.linalg" not in loaded
-    assert sorted(m for m in loaded if m.startswith("scipy.integrate")) == []
+    assert "_hashlib" not in loaded
+    assert loaded == {"scipy.linalg._flapack"}
 
 
 def test_shipped_commands_reach_every_def(shipped):

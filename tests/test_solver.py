@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -389,6 +390,18 @@ def test_dgtsv_loader_falls_back_to_the_public_import():
     # where the compiled wrapper is not found, the public name serves
     import scipy.linalg.lapack
     assert solver._load_dgtsv([]) is scipy.linalg.lapack.dgtsv
+
+
+@pytest.mark.parametrize("error", ["ImportError", "OSError"])
+def test_dgtsv_loader_falls_back_when_the_wrapper_fails_to_load(tmp_path, monkeypatch, error):
+    # a wrapper that needs scipy's init to find its libraries fails to load
+    # alone; the public name serves, and no half-loaded module stays behind
+    import scipy.linalg.lapack
+    name = "scipy.linalg._flapack"
+    (tmp_path / "_flapack.py").write_text(f"raise {error}('cannot open shared object file')\n")
+    monkeypatch.delitem(sys.modules, name)
+    assert solver._load_dgtsv([str(tmp_path)]) is scipy.linalg.lapack.dgtsv
+    assert name not in sys.modules
 
 
 def test_adaptive_doubling_reduces_step_count():

@@ -347,8 +347,8 @@ def test_cli_import_loads_lapack_without_the_scipy_linalg_package():
     # the solver loads scipy's compiled LAPACK wrapper on its own: the
     # scipy.linalg package init would import numpy.f2py, numpy.testing and
     # more, about 0.2 s of every command's start-up, and the scipy package
-    # init subprocess among ten modules; the config hash's SHA-1 is the
-    # built-in one, not OpenSSL's _hashlib
+    # init ten modules, subprocess among them.  The config hash's SHA-1 is
+    # the built-in one, not OpenSSL's _hashlib
     names = ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
              "subprocess", "_hashlib", "scipy.linalg._flapack")
     code = f"import sys, logdiff.cli; print([m for m in {names!r} if m in sys.modules])"

@@ -93,7 +93,8 @@ def _cmd_exact_suite(args) -> int:
 def _cmd_q_sweep(args) -> int:
     cfg = _load_config(args, "q-sweep")
     result = run_q_sweep(cfg, out_dir=args.out)
-    worst = max(r["ratio"] for r in result.rows if r["status"] == "ok")
+    # nan when every row failed: the run is then a FAIL, not an error
+    worst = max((r["ratio"] for r in result.rows if r["status"] == "ok"), default=math.nan)
     print(f"  {len(result.rows)} rows, worst Q/bound ratio {worst:.4f}")
     print(f"  bounded={result.all_bounded} monotone={result.monotone_in_R} "
           f"split={result.split_consistent}")
@@ -141,7 +142,6 @@ def _cmd_simulate(args) -> int:
     R, k = cfg.R_list[0], cfg.ramps[0]
     traj = evolve(exhaustion_member(cfg, R, k))
     s_lo, s_hi = cfg.grid_bounds(R)
-    os.makedirs(args.out, exist_ok=True)
     manifest = save_trajectory(traj, args.out, cfg.config_hash)
     print(f"  {len(traj.states)} snapshots (k={k:g}, window [{s_lo:.4g}, {s_hi:.4g}])")
     print(f"  manifest: {manifest}")
@@ -156,7 +156,6 @@ def _cmd_verify(args) -> int:
     traj_G = load_trajectory(args.manifest_G)
     cutoff = CutoffSpec(cfg.r0, cfg.R_list[0], cfg.gamma_list[0])
     report = full_report(traj_g, traj_G, cutoff)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify_report.csv")
     report.write_csv(path)
     for family, why in report.gated.items():

@@ -32,6 +32,7 @@ __all__ = [
     "flux_second_deriv",
     "flux_knots",
     "compute_Q",
+    "q_split_check",
     "q_analytic_bound",
     "q_bound_constant",
     "log_excess",
@@ -299,6 +300,8 @@ def _jacobi_rule(gamma: float, n: int) -> tuple:
 
 # n of the rule pairs (n, n + n/2) that _gauss tries in turn
 _RULE_SIZES = (20, 40, 80, 160)
+# absolute and relative tolerance of each Q part's error estimate
+_Q_TOL = 1e-12
 
 
 def _gauss(rule, f, tol: float) -> tuple:
@@ -329,22 +332,12 @@ def _near_integral(gamma: float, b_hi: float, g, tol: float) -> tuple:
     return _gauss(partial(_jacobi_rule, gamma), lambda t: scale * g(1.0 + h * (1.0 + t)), tol)
 
 
-def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12) -> tuple:
-    """(value, error) of int_{b_lo}^{b_hi} beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}.
-
-    The integrand blows up like 2^gamma (beta-1)^{-2 gamma} at beta = 1, so
-    from b_lo = 1 Gauss-Jacobi rules take that factor as their weight and
-    sample only the bounded remainder _q_smooth.  From b_lo > 1 the range
-    is mapped to u = log beta, where the integrand is the smooth
-    (u - 1 + e^{-u})^{-gamma}, and Gauss-Legendre rules (_jacobi_rule at
-    gamma = 0) sample it.  Callers start that range at (1 + e^2)/2 or
-    above, where u - 1 + e^{-u} > 0.6 has no cancellation.  Every call
-    integrates afresh; compute_Q reuses the near part through _q_near.
-    """
-    if b_hi <= b_lo:
-        return 0.0, 0.0
-    if b_lo == 1.0:
-        return _near_integral(gamma, b_hi, lambda b: _q_smooth(b, gamma), tol)
+def _q_far(gamma: float, b_lo: float, b_hi: float) -> tuple:
+    """(value, error) of int_{b_lo}^{b_hi} beta^{gamma-1} (beta log beta - beta + 1)^{-gamma}
+    dbeta by Gauss-Legendre rules (_jacobi_rule at gamma = 0) in u = log beta,
+    where the integrand is the smooth (u - 1 + e^{-u})^{-gamma}.  Callers
+    start the range at (1 + e^2)/2 or above, where u - 1 + e^{-u} > 0.6 has
+    no cancellation."""
     # half the range in u, without the cancellation of log(b_hi) - log(b_lo)
     lo, half = math.log(b_lo), 0.5 * math.log1p((b_hi - b_lo) / b_lo)
 
@@ -352,56 +345,72 @@ def _q_integral_beta(gamma: float, b_lo: float, b_hi: float, tol: float = 1e-12)
         u = lo + half * (1.0 + t)
         return half * (u - 1.0 + np.exp(-u)) ** -gamma
 
-    return _gauss(partial(_jacobi_rule, 0.0), far, tol)
+    return _gauss(partial(_jacobi_rule, 0.0), far, _Q_TOL)
 
 
 @lru_cache(maxsize=None)
-def _q_near(gamma: float, b_hi: float = _E2) -> tuple:
-    """(value, error) of the near part int_1^{b_hi} of the beta integral,
-    b_hi <= e^2: compute_Q's split point by default.
+def _q_near(gamma: float, b_hi: float) -> tuple:
+    """(value, error) of the same integral over [1, b_hi].  It blows up like
+    2^gamma (beta-1)^{-2 gamma} at beta = 1, so Gauss-Jacobi rules take that
+    factor as their weight and sample only the bounded remainder _q_smooth.
 
-    It depends on gamma and b_hi alone, so a sweep over R integrates it once
-    per gamma per process.
+    Cached: compute_Q's near part [1, e^2] and q_split_check's [1, (1+e^2)/2]
+    depend on gamma alone, so a sweep over R integrates each once per gamma
+    per process.  compute_Q's single range [1, 1/a] changes with every row
+    and goes through _q_near.__wrapped__, uncached.
     """
-    return _q_integral_beta(gamma, 1.0, b_hi)
+    return _near_integral(gamma, b_hi, lambda b: _q_smooth(b, gamma), _Q_TOL)
+
+
+def _q_prefactor(spec: CutoffSpec) -> float:
+    # Q = (2/s0) (-log a)^{-1} times the beta integral over [1, 1/a]
+    return (2.0 / spec.s0) / (-math.log(spec.a))
 
 
 def compute_Q(spec: CutoffSpec) -> QReport:
     """Q by Gauss rules with the substitution beta = sigma/a, to absolute and
-    relative tolerance 1e-12 in each part's error estimate.
+    relative tolerance _Q_TOL in each part's error estimate.
 
     In beta coordinates Q = (2/s0) (-log a)^{-1} int_1^{1/a} beta^{gamma-1}
     (beta log beta - beta + 1)^{-gamma} dbeta, which removes every power of a
     from the integrand.  When e^2 a < 1 the integral is split at beta = e^2
     into the near part Q2 (sigma of order a) and the far part Q1, mirroring
     the two-regime estimate; otherwise the single-range value is reported
-    with Q1 = 0.  The near part does not involve a, so it comes from the
-    per-process cache _q_near: integrated once per gamma.  Only the
-    far part and the single-range integral are computed per call; the
-    q-sweep cross-check of the split integrates on its own partition.
+    as Q2 with Q1 = 0.  The split's near part does not involve a, so it is
+    integrated once per gamma; only the far part and the single range are
+    computed per call.
     """
     a, gamma = spec.a, spec.gamma
-    prefactor = (2.0 / spec.s0) / (-math.log(a))
     b_max = 1.0 / a
     split = _E2 * a < 1.0
     if split:
-        near, err_near = _q_near(gamma)
-        far, err_far = _q_integral_beta(gamma, _E2, b_max)
-        q2 = prefactor * near
-        q1 = prefactor * far
-        q = q1 + q2
-        err = prefactor * (err_near + err_far)
+        (near, err_near), (far, err_far) = _q_near(gamma, _E2), _q_far(gamma, _E2, b_max)
     else:
-        whole, err_whole = _q_integral_beta(gamma, 1.0, b_max)
-        q = prefactor * whole
-        q1, q2 = 0.0, q
-        err = prefactor * err_whole
+        (near, err_near), (far, err_far) = _q_near.__wrapped__(gamma, b_max), (0.0, 0.0)
+    prefactor = _q_prefactor(spec)
+    q1, q2 = prefactor * far, prefactor * near
     return QReport(
-        Q=q, Q1=q1, Q2=q2,
+        Q=q1 + q2, Q1=q1, Q2=q2,
         analytic_bound=q_analytic_bound(spec),
-        quadrature_error=err,
+        quadrature_error=prefactor * (err_near + err_far),
         split_applied=split,
     )
+
+
+# where q_split_check divides [1, 1/a]: not at compute_Q's e^2, so that a
+# wrong near or far part of Q shows as a gap
+_CHECK_SPLIT = 0.5 * (1.0 + _E2)
+
+
+def q_split_check(spec: CutoffSpec, report: QReport) -> tuple:
+    """(gap, budget) of a split report: Q integrated again over [1, 1/a],
+    split at (1 + e^2)/2 instead, against report.Q1 + report.Q2.  The budget
+    is both error estimates plus 1e-13; a gap above it means a wrong part."""
+    near, err_near = _q_near(spec.gamma, _CHECK_SPLIT)
+    far, err_far = _q_far(spec.gamma, _CHECK_SPLIT, 1.0 / spec.a)
+    prefactor = _q_prefactor(spec)
+    gap = abs(prefactor * (near + far) - (report.Q1 + report.Q2))
+    return gap, prefactor * (err_near + err_far) + report.quadrature_error + 1e-13
 
 
 @lru_cache(maxsize=None)

@@ -486,20 +486,15 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     rows += volume_excess_verify(traj_g, traj_G, cutoff)
     # the chain only consumes the barrier on the cut-off support [S, s_max]
     rows += lower_barrier_check(traj_g, s_from=cutoff.S)
-    gate_rows, why = pointwise_u_inverse_bound(traj_g)
-    rows += gate_rows
-    if why:
-        gated["u-inverse-bound"] = why
-    gate_rows, why = djdt_identity_check(traj_g, traj_G, cutoff, Js)
-    rows += gate_rows
-    if why:
-        gated["djdt-identity"] = why
-
-    for traj, label in ((traj_g, "damped-monotone-g"), (traj_G, "damped-monotone-G")):
-        gate_rows, why = curvature_monotonicity_check(traj, label)
+    # the gated families: each check returns its rows, or none and why
+    for family, (gate_rows, why) in (
+            ("u-inverse-bound", pointwise_u_inverse_bound(traj_g)),
+            ("djdt-identity", djdt_identity_check(traj_g, traj_G, cutoff, Js)),
+            ("damped-monotone-g", curvature_monotonicity_check(traj_g, "damped-monotone-g")),
+            ("damped-monotone-G", curvature_monotonicity_check(traj_G, "damped-monotone-G"))):
         rows += gate_rows
         if why:
-            gated[label] = why
+            gated[family] = why
 
     meta = {
         "r0": cutoff.r0,

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .cutoff import CutoffSpec, _q_integral_beta, _q_near, compute_Q
+from .cutoff import CutoffSpec, compute_Q, q_split_check
 from .estimates import check_order_preservation, interior_area_verify
 from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
 from .snapshots import write_rows_csv
@@ -195,7 +195,6 @@ def run_exact_solution_suite(out_dir=None) -> ExactSuiteResult:
     result = ExactSuiteResult(rows=tuple(rows), orders=orders,
                               flat_max_error=flat_max, elapsed=time.time() - started)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_rows_csv(os.path.join(out_dir, "exact_suite.csv"),
                        ["kind", "model", "level", "n", "dt", "h", "error", "order", "status"],
                        rows, f"exact-suite|{_SPATIAL_BASE}|{_TEMPORAL_DTS}|{_STATIC_NS}")
@@ -207,9 +206,6 @@ def run_exact_solution_suite(out_dir=None) -> ExactSuiteResult:
 _Q_R0S = (0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9)
 _Q_GAMMAS = (0.05, 0.15, 0.25, 0.35, 0.45)
 _Q_N_R = 6
-# where the split check divides [1, 1/a]: not at compute_Q's e^2, so that a
-# wrong near or far part of Q shows as a gap
-_Q_CHECK_SPLIT = 0.5 * (1.0 + math.exp(2.0))
 
 
 def _q_task(point):
@@ -225,12 +221,7 @@ def _q_task(point):
                    bound=rep.analytic_bound, ratio=rep.Q / rep.analytic_bound,
                    quad_error=rep.quadrature_error, split=int(rep.split_applied))
         if rep.split_applied:
-            # the whole range again, split elsewhere, as a cross-check on the split
-            near, err_near = _q_near(gamma, _Q_CHECK_SPLIT)
-            far, err_far = _q_integral_beta(gamma, _Q_CHECK_SPLIT, 1.0 / spec.a)
-            pref = (2.0 / spec.s0) / (-math.log(spec.a))
-            row["split_gap"] = abs(pref * (near + far) - (rep.Q1 + rep.Q2))
-            row["split_budget"] = pref * (err_near + err_far) + rep.quadrature_error + 1e-13
+            row["split_gap"], row["split_budget"] = q_split_check(spec, rep)
     except Exception as exc:  # quadrature failures recorded per row
         row["status"] = f"failed: {exc}"
     return row
@@ -287,7 +278,6 @@ def run_q_sweep(config=None, out_dir=None) -> QSweepResult:
     result = QSweepResult(rows=tuple(rows), all_bounded=all_bounded,
                           monotone_in_R=monotone, split_consistent=split_ok)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         payload = (config.config_hash if config is not None
                    else f"q-sweep|{_Q_R0S}|{_Q_GAMMAS}|{_Q_N_R}")
         write_rows_csv(os.path.join(out_dir, "q_sweep.csv"),
@@ -391,7 +381,6 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
                               all_certified=all_certified,
                               failures=tuple(failures))
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         write_rows_csv(os.path.join(out_dir, "uniqueness.csv"),
                        ["R", "S", "s_min", "r0", "gamma", "k_lo", "k_hi", "t",
                         "sup_diff", "area_diff", "envelope", "margin",
@@ -435,26 +424,24 @@ def matched_truncation_gauge() -> dict:
     depth_lo = math.asinh(math.sqrt(2.0 * A / k_lo))
     depth_hi = math.asinh(math.sqrt(2.0 * A / k_hi))
     base = LogPolarGrid.graded(depth_hi, 8.0, *_GAUGE_GRID).nodes
-    # the shallower depth becomes an exact node so the two windows share nodes
-    master = LogPolarGrid(np.sort(np.unique(np.concatenate([base, [depth_lo]]))))
-    sub = master.restrict(depth_lo)
-    # all three windows end at the same outer node, so they share the
+    # the shallower depth becomes node j, so the shallow window is master's
+    # nodes from j on; refine keeps master's nodes at the even positions.
+    # All three windows end at the same outer node, so they share the
     # pinned outer value
+    j = int(np.searchsorted(base, depth_lo))
+    master = LogPolarGrid(np.insert(base, j, depth_lo))
+    sub = LogPolarGrid(master.nodes[j:])
     fine = master.refine()
     hi, lo, hif = evolve_many([flat_start_run(grid, k, step, T) for grid, k, step in (
         (master, k_hi, dt), (sub, k_lo, dt), (fine, k_hi, 0.5 * dt))])
     for run in (hi, lo, hif):
         if isinstance(run, Exception):
             raise run
-    s0 = -math.log(r0)
-    on_sub = master.index_of(sub)
-    m_sub = sub.nodes >= s0
+    inside = master.nodes >= -math.log(r0)
     pair_diff = float(np.max(np.abs(
-        hi.states[-1].values[on_sub] - lo.states[-1].values)[m_sub]))
-    on_master = fine.index_of(master)
-    m_master = master.nodes >= s0
+        hi.states[-1].values[j:] - lo.states[-1].values)[inside[j:]]))
     refine_err = float(np.max(np.abs(
-        hif.states[-1].values[on_master] - hi.states[-1].values)[m_master]))
+        hif.states[-1].values[0::2] - hi.states[-1].values)[inside]))
     return {"r0": r0, "A": A, "k_lo": k_lo, "k_hi": k_hi,
             "depth_lo": depth_lo, "depth_hi": depth_hi, "t": T,
             "pair_diff": pair_diff, "refine_err": refine_err,
@@ -514,7 +501,6 @@ def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerRes
     result = BoundaryLayerResult(rows=tuple(rows), exponent=exponent,
                                  width_monotone=monotone)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
         payload = (config.config_hash if config is not None
                    else f"boundary-layer|k={k:g}|s_min={s_min:g}|{_LAYER_SAMPLES}")
         write_rows_csv(os.path.join(out_dir, "boundary_layer.csv"),

@@ -109,20 +109,6 @@ class LogPolarGrid:
         out[1::2] = mids
         return LogPolarGrid(out)
 
-    def restrict(self, s_from: float) -> "LogPolarGrid":
-        """Subgrid of nodes with s >= s_from - 1e-12 (node values preserved)."""
-        j = int(np.searchsorted(self.nodes, s_from - 1e-12))
-        if self.n - j < 3:
-            raise ValueError("restriction leaves fewer than 3 nodes")
-        return LogPolarGrid(self.nodes[j:].copy())
-
-    def index_of(self, other: "LogPolarGrid") -> np.ndarray:
-        """Positions of other's nodes inside self (exact match required)."""
-        idx = np.searchsorted(self.nodes, other.nodes)
-        if np.any(idx >= self.n) or not np.allclose(self.nodes[idx], other.nodes, rtol=0, atol=1e-13):
-            raise ValueError("grids do not share nodes")
-        return idx
-
 
 @dataclass(frozen=True)
 class ConformalState:
@@ -231,8 +217,6 @@ def _trapezoid_between(s: np.ndarray, u: np.ndarray, s_lo: float, s_hi: float) -
         raise ValueError("empty interval reversed")
     if s_lo < s[0] - 1e-12 or s_hi > s[-1] + 1e-12:
         raise ValueError("interval outside grid")
-    if s_hi == s_lo:
-        return 0.0
     u_lo = float(np.interp(s_lo, s, u))
     u_hi = float(np.interp(s_hi, s, u))
     inside = (s > s_lo) & (s < s_hi)

@@ -45,9 +45,10 @@ def hash_comment(payload: str) -> str:
 
 
 def write_atomic(path, write) -> None:
-    """Calls write(fh) on path + ".tmp" in the same directory, then renames
-    it over path; if write raises, the previous file at path is untouched
-    and the temporary file is removed."""
+    """Calls write(fh) on path + ".tmp" in the same directory, created if
+    missing, then renames it over path; if write raises, the previous file
+    at path is untouched and the temporary file is removed."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
@@ -101,7 +102,6 @@ def load_state(path) -> ConformalState:
 def save_trajectory(traj: Trajectory, out_dir, hash_payload: str) -> str:
     """Writes snap_NNN.txt per sample time plus snap_manifest.csv, whose hash
     comment records hash_payload. Returns the manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for i, state in enumerate(traj.states):
         name = f"{_STEM}_{i:03d}.txt"

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from logdiff import estimates, experiments
-from logdiff.cli import main
+from logdiff import cutoff, estimates, experiments
+from logdiff.cli import _default_uniqueness_config, main
 from logdiff.config import ExperimentConfig, parse_config
 from logdiff.snapshots import load_trajectory
+from logdiff.solver import RunError
 from artifact_io import read_rows_csv, write_ini
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -119,6 +120,92 @@ def test_certificate_that_raises_fails_uniqueness(tmp_path, capsys, monkeypatch)
     assert (result.all_certified, result.passed, result.rows) == (False, False, ())
     assert main(["uniqueness", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "uniqueness: FAIL" in capsys.readouterr().out
+
+
+def test_q_sweep_whose_every_row_failed_exits_two(tmp_path, capsys, monkeypatch):
+    # rules of 4 and 6 points cannot reach the Q tolerance, so no row has a
+    # ratio: the run is a FAIL with its failed rows written, not an error
+    monkeypatch.setattr(cutoff, "_RULE_SIZES", (4,))
+    path = tmp_path / "q.ini"
+    write_ini(ExperimentConfig(experiment="q-sweep", r0=0.55, R_list=(0.86, 0.995),
+                               gamma_list=(0.3,)), path)
+    assert main(["q-sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "  2 rows, worst Q/bound ratio nan\n" in out
+    assert out.endswith("q-sweep: FAIL\n") and err == ""
+    rows = read_rows_csv(tmp_path / "q_sweep.csv")
+    assert len(rows) == 2 and all(r["status"].startswith("failed: ") for r in rows)
+
+
+def _plant_run_error(monkeypatch, n_runs, index):
+    """experiments.evolve_many, except that in the call of n_runs runs the
+    run at index ends in a planted RunError."""
+    real = experiments.evolve_many
+
+    def planted(runs):
+        out = real(runs)
+        if len(runs) == n_runs:
+            out[index] = RunError("planted", None)
+        return out
+
+    monkeypatch.setattr(experiments, "evolve_many", planted)
+
+
+def test_uniqueness_skips_the_pair_of_a_failed_member(tmp_path, capsys, monkeypatch):
+    # the default config runs 3 R x 2 ramps; member 2 is the lower ramp at
+    # the middle R, whose one pair then has no rows and is a failure
+    cfg = _default_uniqueness_config()
+    Rs = sorted(cfg.R_list)
+    _plant_run_error(monkeypatch, 6, 2)
+    result = experiments.run_uniqueness_experiment(cfg)
+    assert result.failures == (f"R={Rs[1]:g} k=100: planted",)
+    assert {row["R"] for row in result.rows} == {Rs[0], Rs[2]}
+    assert not result.passed
+    assert main(["uniqueness", "--out", str(tmp_path)]) == 2
+    assert "uniqueness: FAIL" in capsys.readouterr().out
+    assert {float(r["R"]) for r in read_rows_csv(tmp_path / "uniqueness.csv")} == {Rs[0], Rs[2]}
+
+
+def test_failed_gauge_run_exits_three(tmp_path, capsys, monkeypatch):
+    # the gauge's three runs: a failed one has no terminal state to compare
+    _plant_run_error(monkeypatch, 3, 1)
+    assert main(["uniqueness", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "solver error: planted\n"
+
+
+def test_boundary_layer_without_a_layer_reports_nan(tmp_path, capsys):
+    # a ramp of 1e-3 never doubles the flat data: every width is 0, no
+    # exponent can be fitted, and the exploratory run still exits 0
+    path = tmp_path / "bl.ini"
+    write_ini(ExperimentConfig(experiment="boundary-layer", ramps=(0.001,)), path)
+    assert main(["boundary-layer", "--config", str(path), "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "fitted exponent p = nan (exploratory window [0.35, 0.65]: out of range)" in out
+    widths = [float(r["width"]) for r in read_rows_csv(tmp_path / "boundary_layer.csv")]
+    assert len(widths) == 9 and set(widths) == {0.0}
+
+
+def test_failed_exact_suite_run_fails_the_suite(tmp_path, capsys, monkeypatch):
+    # 17 runs in study order: run 0 is the first static level
+    _plant_run_error(monkeypatch, 17, 0)
+    assert main(["exact-suite", "--out", str(tmp_path)]) == 2
+    assert "exact-suite: FAIL" in capsys.readouterr().out
+    statuses = [r["status"] for r in read_rows_csv(tmp_path / "exact_suite.csv")]
+    assert statuses[0] == "failed: planted" and statuses.count("ok") == len(statuses) - 1
+
+
+@pytest.mark.parametrize("command", ["q-sweep", "simulate"])
+def test_out_naming_a_file_exits_three(tmp_path, capsys, command):
+    # the writer makes the artifact directory; an existing file is in the way
+    path = tmp_path / "cfg.ini"
+    write_ini(ExperimentConfig(experiment=command, r0=0.55, R_list=(0.86,), gamma_list=(0.3,),
+                               ramps=(100.0,), T=0.01, dt=1e-3, n=41), path)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert out.read_text() == "not a directory\n"
 
 
 def test_simulate_verify_roundtrip_passes(tmp_path, capsys):

@@ -288,6 +288,16 @@ class TestRowsCsv:
         write_rows_csv(tmp_path / "y.csv", ["a"], rows, "p")
         assert (tmp_path / "x.csv").read_text() == (tmp_path / "y.csv").read_text()
 
+    def test_write_creates_missing_parent_directories(self, tmp_path, monkeypatch):
+        nested = tmp_path / "a" / "b" / "t.csv"
+        write_rows_csv(nested, ["a"], [{"a": 1.5}], "p")
+        assert [float(r["a"]) for r in read_rows_csv(nested)] == [1.5]
+        assert sorted(f.name for f in nested.parent.iterdir()) == ["t.csv"]
+        # a bare file name has no directory part to create
+        monkeypatch.chdir(tmp_path)
+        write_rows_csv("bare.csv", ["a"], [{"a": 2.5}], "p")
+        assert [float(r["a"]) for r in read_rows_csv(tmp_path / "bare.csv")] == [2.5]
+
     def test_failed_write_keeps_previous_artifact(self, tmp_path):
         p = tmp_path / "t.csv"
         write_rows_csv(p, ["a"], [{"a": 1.5}], "old")

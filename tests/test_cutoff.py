@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from logdiff.cutoff import (
 )
 from logdiff.cutoff import _f1, _i2  # branch internals are part of the contract here
 from logdiff import cutoff
-from logdiff.cutoff import _jacobi_rule, _q_integral_beta, _q_near, _q_smooth
+from logdiff.cutoff import _jacobi_rule, _q_far, _q_near, _q_smooth
 
 # [frozen] mpmath dps=40 values, computed before the implementation existed.
 Q_CASE_A = 10.18574547976275190944  # r0=e^{-1/2}, R=e^{-1/10}, gamma=1/4 (single range)
@@ -378,20 +379,25 @@ def test_q_bound_constant_matches_reference():
         )
 
 
-def test_q_stable_under_tolerance_halving():
-    # every range compute_Q and the q-sweep split check integrate, at two
-    # tolerances looser than their own: each result stays within the error
-    # estimate of the looser one, and so does the result at the default 1e-12
+def test_q_stable_under_tolerance_halving(monkeypatch):
+    # every range compute_Q and q_split_check integrate, at two tolerances
+    # looser than _Q_TOL: each result stays within the error estimate of the
+    # looser one, and so does the result at _Q_TOL itself
     mid = 0.5 * (1.0 + math.exp(2.0))
+    tols = (1e-8, 5e-9, cutoff._Q_TOL)
+
+    def integral(tol, gamma, lo, hi):
+        monkeypatch.setattr(cutoff, "_Q_TOL", tol)
+        # uncached, so each tolerance integrates afresh
+        return _q_near.__wrapped__(gamma, hi) if lo == 1.0 else _q_far(gamma, lo, hi)
+
     for spec in (spec_case_a(), spec_case_b()):
         b_max, e2 = 1.0 / spec.a, math.exp(2.0)
         ranges = [(1.0, min(b_max, e2))]
         if e2 < b_max:
             ranges += [(e2, b_max), (1.0, mid), (mid, b_max)]
         for lo, hi in ranges:
-            loose = _q_integral_beta(spec.gamma, lo, hi, tol=1e-8)
-            tight = _q_integral_beta(spec.gamma, lo, hi, tol=5e-9)
-            default = _q_integral_beta(spec.gamma, lo, hi)
+            loose, tight, default = (integral(tol, spec.gamma, lo, hi) for tol in tols)
             assert abs(tight[0] - loose[0]) <= loose[1] + 1e-15
             assert abs(default[0] - loose[0]) <= loose[1] + 1e-15
 
@@ -419,17 +425,20 @@ def _split_specs(r0=0.55, gamma=0.3):
 
 def test_q_near_part_integrated_once_per_gamma(monkeypatch):
     _q_near.cache_clear()
-    integrals = _Counting(_q_integral_beta)
+    rules = _Counting(cutoff._near_integral)
+    far = _Counting(_q_far)
     kernel = _Counting(_q_smooth)
-    monkeypatch.setattr(cutoff, "_q_integral_beta", integrals)
+    monkeypatch.setattr(cutoff, "_near_integral", rules)
+    monkeypatch.setattr(cutoff, "_q_far", far)
     monkeypatch.setattr(cutoff, "_q_smooth", kernel)
     specs = _split_specs()
     reports = [compute_Q(spec) for spec in specs]
     assert all(rep.split_applied for rep in reports)
-    near = [c for c in integrals.calls if c[1] == 1.0]
-    far = [c for c in integrals.calls if c[1] != 1.0]
-    assert near == [(0.3, 1.0, math.exp(2.0))]
-    assert far == [(0.3, math.exp(2.0), 1.0 / spec.a) for spec in specs]  # one per point
+    # one near integral, over [1, e^2]; the bound's I2 integrates at its own 1e-13
+    assert [c[:2] for c in rules.calls if c[3] == cutoff._Q_TOL] == [(0.3, math.exp(2.0))]
+    near = _q_near.cache_info()
+    assert (near.misses, near.hits, near.currsize) == (1, len(specs) - 1, 1)
+    assert far.calls == [(0.3, math.exp(2.0), 1.0 / spec.a) for spec in specs]  # one per point
     # the near rule's kernel ran once, on the nodes of the first rule pair,
     # which meets the tolerance
     assert [(len(c[0]), c[1]) for c in kernel.calls] == [(20 + 30, 0.3)]
@@ -456,7 +465,7 @@ def test_q_sweep_rows_do_not_depend_on_the_near_cache(monkeypatch):
     _q_near.cache_clear()
     cached = run_q_sweep(cfg).rows
     # a cache that always misses: every point integrates its own near part
-    monkeypatch.setattr(cutoff, "_q_near", _q_near.__wrapped__)
+    monkeypatch.setattr(cutoff, "_q_near", lru_cache(maxsize=0)(_q_near.__wrapped__))
     uncached = run_q_sweep(cfg).rows
     assert any(row["split"] == 1 for row in cached)
     assert uncached == cached
@@ -464,8 +473,9 @@ def test_q_sweep_rows_do_not_depend_on_the_near_cache(monkeypatch):
 
 def test_q_sweep_split_check_catches_a_wrong_near_part(monkeypatch):
     # one Jacobi rule of 30 points over all of [1, 49] is off by 1.1e-7
-    # relative; the same error in compute_Q's near part must fail the split
-    # check, which integrates the whole range on a partition of its own
+    # relative; the same error in compute_Q's near part [1, e^2] must fail
+    # the split check, which integrates the whole range on a partition of
+    # its own and so calls the same _q_near on [1, (1 + e^2)/2]
     from logdiff.config import ExperimentConfig
     from logdiff.experiments import run_q_sweep
 
@@ -473,8 +483,13 @@ def test_q_sweep_split_check_catches_a_wrong_near_part(monkeypatch):
     cfg = ExperimentConfig(experiment="q-sweep", r0=0.55, gamma_list=(0.1, 0.3),
                            R_list=tuple(math.exp(-0.98 * (s0 / 3.0) * 0.5 ** j) for j in range(6)))
     exact = _q_near.__wrapped__
-    monkeypatch.setattr(cutoff, "_q_near", lambda gamma: (exact(gamma)[0] * (1.0 + 1.1e-7),
-                                                          exact(gamma)[1]))
+
+    @lru_cache(maxsize=0)
+    def wrong_near(gamma, b_hi):
+        value, err = exact(gamma, b_hi)
+        return (value * (1.0 + 1.1e-7) if b_hi == math.exp(2.0) else value), err
+
+    monkeypatch.setattr(cutoff, "_q_near", wrong_near)
     result = run_q_sweep(cfg)
     split = [row for row in result.rows if row["split"] == 1]
     assert split and all(row["split_gap"] > row["split_budget"] for row in split)
@@ -489,7 +504,9 @@ def test_unmet_tolerance_raises_and_fails_its_q_sweep_rows(monkeypatch):
 
     monkeypatch.setattr(cutoff, "_RULE_SIZES", (4,))
     with pytest.raises(ValueError, match="missed tolerance 1e-12: gap .* at 6 points"):
-        _q_integral_beta(0.3, 1.0, 5.0)
+        _q_near.__wrapped__(0.3, 5.0)
+    with pytest.raises(ValueError, match="missed tolerance 1e-12: gap .* at 6 points"):
+        _q_far(0.3, 5.0, 500.0)
     cfg = ExperimentConfig(experiment="q-sweep", r0=0.55, gamma_list=(0.3,),
                            R_list=(0.86, 0.995))
     result = run_q_sweep(cfg)

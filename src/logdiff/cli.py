@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    from .config import INI_KEYS, ConfigError, ExperimentConfig, parse_config
+    from .config import DEFAULTS, INI_KEYS, ConfigError, ExperimentConfig, parse_config
     from .cutoff import CutoffSpec
     from .estimates import full_report
     from .experiments import (
@@ -120,7 +120,7 @@ def _cmd_boundary_layer(args) -> int:
     # each field's INI key is its lowercase name
     for name in LAYER_FIXED_FIELDS if cfg else ():
         value = getattr(cfg, name)
-        if value != getattr(ExperimentConfig(), name):
+        if value != DEFAULTS[name]:
             shown = ", ".join(map(str, value)) if isinstance(value, tuple) else value
             print(f"note: boundary-layer ignores {name.lower()} = {shown}; "
                   "it runs its fixed grid, step and sample times", file=sys.stderr)

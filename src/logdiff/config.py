@@ -7,7 +7,6 @@ error text always cites the same invariant the library enforces.
 
 import configparser
 import math
-from dataclasses import dataclass, fields
 
 from .cutoff import CutoffSpec
 
@@ -16,7 +15,7 @@ try:  # CPython's built-in SHA-1, which hashlib falls back to, without loading O
 except ImportError:
     from hashlib import sha1
 
-__all__ = ["ConfigError", "ExperimentConfig", "INI_KEYS", "parse_config"]
+__all__ = ["ConfigError", "DEFAULTS", "ExperimentConfig", "INI_KEYS", "parse_config"]
 
 _EXPERIMENTS = ("uniqueness", "q-sweep", "boundary-layer", "simulate")
 
@@ -34,32 +33,39 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str = "simulate"
-    s_min: float | None = None  # None: derive S/4 from the cutoff at run time
-    s_max: float | None = None  # None: derive max(8, 4 s0)
-    n: int = 261
-    ratio: float = 1.02
-    r0: float = 0.55
-    R_list: tuple = (0.8352702114112720,)
-    gamma_list: tuple = (0.25,)
-    ramps: tuple = (1e2, 1e3)
-    T: float = 0.1
-    dt: float = 1e-3
-    sample_times: tuple = ()
+# ExperimentConfig's fields and their defaults, in the order the config hash
+# walks them
+DEFAULTS = {
+    "experiment": "simulate",
+    "s_min": None,  # None: derive S/4 from the cutoff at run time
+    "s_max": None,  # None: derive max(8, 4 s0)
+    "n": 261,
+    "ratio": 1.02,
+    "r0": 0.55,
+    "R_list": (0.8352702114112720,),
+    "gamma_list": (0.25,),
+    "ramps": (1e2, 1e3),
+    "T": 0.1,
+    "dt": 1e-3,
+    "sample_times": (),
+}
 
-    def __post_init__(self):
+
+class ExperimentConfig:
+    """The fields of DEFAULTS as attributes: the keywords given, the defaults
+    for the rest, validated together."""
+
+    def __init__(self, **fields):
+        if unknown := fields.keys() - DEFAULTS:
+            raise TypeError(f"unknown ExperimentConfig fields: {', '.join(sorted(unknown))}")
+        vars(self).update(DEFAULTS, **fields)
         errors = validate(self)
         if errors:
             raise ConfigError(errors)
 
     @property
     def config_hash(self) -> str:
-        parts = []
-        for f in fields(self):
-            parts.append(f"{f.name}={getattr(self, f.name)!r}")
-        return _short_sha1("|".join(parts))
+        return _short_sha1("|".join(f"{name}={getattr(self, name)!r}" for name in DEFAULTS))
 
     def grid_bounds(self, R: float) -> tuple:
         """(s_min, s_max) for a run at cut-off radius R, deriving the default
@@ -74,11 +80,11 @@ class ExperimentConfig:
 def validate(cfg: ExperimentConfig) -> list:
     errors = []
     # NaN passes every comparison below, and inf most of them
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
+    for name in DEFAULTS:
+        value = getattr(cfg, name)
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
-            errors.append(f"{f.name} must be finite")
+            errors.append(f"{name} must be finite")
     if cfg.experiment not in _EXPERIMENTS:
         errors.append(f"experiment id {cfg.experiment!r} not one of {_EXPERIMENTS}")
     if cfg.n < 16:

@@ -19,8 +19,8 @@ numerically rather than hidden in a generic C(gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -203,32 +203,26 @@ def flux_second_deriv(a: float, sigma):
     return _flux_piecewise(a, sigma, 2)
 
 
-@dataclass(frozen=True)
 class CutoffSpec:
-    """The triple (r0, R, gamma) with the derived cut-off geometry.
+    """The triple (r0, R, gamma) with the derived cut-off geometry s0 = -log r0,
+    S = -log R and a = 2S/s0.
 
     Invariants enforced: r0 in (1/2, 1) so s0 = -log r0 <= log 2;
     R in (r0^{1/3}, 1) so S = -log R <= s0/3 and a = 2S/s0 <= 2/3;
     gamma in (0, 1/2) so the Q singularity (sigma-a)^{-2 gamma} is integrable.
     """
 
-    r0: float
-    R: float
-    gamma: float
-    s0: float = field(init=False)
-    S: float = field(init=False)
-    a: float = field(init=False)
-
-    def __post_init__(self):
-        if not (0.5 < self.r0 < 1.0):
+    def __init__(self, r0: float, R: float, gamma: float):
+        if not (0.5 < r0 < 1.0):
             raise ValueError("r0 must lie in (1/2, 1)")
-        if not (self.r0 ** (1.0 / 3.0) < self.R < 1.0):
+        if not (r0 ** (1.0 / 3.0) < R < 1.0):
             raise ValueError("R must lie in (r0^{1/3}, 1)")
-        if not (0.0 < self.gamma < 0.5):
+        if not (0.0 < gamma < 0.5):
             raise ValueError("gamma must lie in (0, 1/2)")
-        object.__setattr__(self, "s0", -math.log(self.r0))
-        object.__setattr__(self, "S", -math.log(self.R))
-        object.__setattr__(self, "a", 2.0 * self.S / self.s0)
+        self.r0, self.R, self.gamma = r0, R, gamma
+        self.s0 = -math.log(r0)
+        self.S = -math.log(R)
+        self.a = 2.0 * self.S / self.s0
 
     def value(self, s):
         """phi(s) = f(2s/s0) with a = 2S/s0."""
@@ -245,8 +239,7 @@ class CutoffSpec:
         return tuple(k * self.s0 / 2.0 for k in flux_knots(self.a))
 
 
-@dataclass(frozen=True)
-class QReport:
+class QReport(NamedTuple):
     """Q quadrature values, split parts, analytic bound and quadrature error."""
 
     Q: float
@@ -255,10 +248,6 @@ class QReport:
     analytic_bound: float
     quadrature_error: float
     split_applied: bool
-
-    def __post_init__(self):
-        if self.Q < 0.0 or self.Q1 < 0.0 or self.Q2 < 0.0:
-            raise ValueError("Q integrals must be nonnegative")
 
 
 # compute_Q splits the beta integral at e^2
@@ -389,6 +378,8 @@ def compute_Q(spec: CutoffSpec) -> QReport:
         (near, err_near), (far, err_far) = _q_near.__wrapped__(gamma, b_max), (0.0, 0.0)
     prefactor = _q_prefactor(spec)
     q1, q2 = prefactor * far, prefactor * near
+    if q1 < 0.0 or q2 < 0.0:
+        raise ValueError("Q integrals must be nonnegative")
     return QReport(
         Q=q1 + q2, Q1=q1, Q2=q2,
         analytic_bound=q_analytic_bound(spec),

@@ -18,7 +18,7 @@ The tracked constants are assembled once per gamma:
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def lemma_constant(gamma: float) -> float:
 # -------------------------------------------------------------- report types
 
 
-@dataclass(frozen=True)
-class InequalityRow:
+class InequalityRow(NamedTuple):
     """One certified inequality at one sample time; pass means lhs <= rhs."""
 
     time: float
@@ -98,12 +97,11 @@ class InequalityRow:
         return self.lhs == 0.0 and self.rhs == 0.0
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     rows: tuple
-    meta: dict = field(default_factory=dict)
+    meta: dict
     # family -> why its precondition failed and it wrote no rows; not in the CSV
-    gated: dict = field(default_factory=dict)
+    gated: dict
 
     @property
     def passed(self) -> bool:
@@ -130,8 +128,7 @@ class EstimateReport:
 # ------------------------------------------------------------ pair plumbing
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Outcome of a pointwise trajectory comparison U_a <= U_b."""
 
     ordered: bool
@@ -450,10 +447,10 @@ def full_report(traj_g, traj_G, cutoff: CutoffSpec) -> EstimateReport:
     pair it would drop the ordered certificates and pass on a volume excess
     that is zero by construction.  The 1/U bound, curvature monotonicity and
     the dJ/dt identity add rows only when their preconditions hold;
-    report.gated names each family that wrote no rows and why.  A pair with fewer than two
-    sample times raises ValueError: it holds no evolved state to certify.
-    J, Q and the pair's order are computed once per report; the checks
-    share them.
+    report.gated names each family that wrote no rows and why.  A pair with
+    fewer than two sample times raises ValueError: it holds no evolved state
+    to certify.  J, Q and the pair's order are computed once per report; the
+    checks share them.
     """
     if min(len(traj_g.states), len(traj_G.states)) < 2:
         raise ValueError("pair has fewer than two sample times: no evolved state to certify")

@@ -19,8 +19,8 @@ Newton solve per step, and the Q sweep evaluates its points in turn.
 import math
 import os
 import time
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,8 +132,7 @@ def _exact_row(kind, model, level, run, traj):
             "dt": run.dt, "h": h, "error": error, "status": "ok"}
 
 
-@dataclass(frozen=True)
-class ExactSuiteResult:
+class ExactSuiteResult(NamedTuple):
     rows: tuple
     orders: dict  # (model, kind) -> fitted slope of log error vs log h
     flat_max_error: float
@@ -231,8 +230,7 @@ def _nonincreasing(vals, rel=1e-9, floor=1e-12) -> bool:
     return all(b <= a * (1.0 + rel) + floor for a, b in zip(vals, vals[1:]))
 
 
-@dataclass(frozen=True)
-class QSweepResult:
+class QSweepResult(NamedTuple):
     rows: tuple
     all_bounded: bool       # Q <= analytic bound in every ok row
     monotone_in_R: bool     # Q nonincreasing as R increases, per (r0, gamma)
@@ -290,8 +288,7 @@ def run_q_sweep(config=None, out_dir=None) -> QSweepResult:
 
 # -------------------------------------------------------------- uniqueness
 
-@dataclass(frozen=True)
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     rows: tuple
     gauge: dict
     area_monotone_in_R: bool
@@ -451,8 +448,7 @@ def matched_truncation_gauge() -> dict:
 
 # ----------------------------------------------------------- boundary layer
 
-@dataclass(frozen=True)
-class BoundaryLayerResult:
+class BoundaryLayerResult(NamedTuple):
     rows: tuple
     exponent: float
     width_monotone: bool
@@ -479,7 +475,11 @@ def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerRes
     """
     k = 3e5 if config is None else float(config.ramps[-1])
     s_min = 0.005 if config is None or config.s_min is None else config.s_min
-    grid = LogPolarGrid.graded(s_min, 4.0, 301, 1.02)
+    try:
+        grid = LogPolarGrid.graded(s_min, 4.0, 301, 1.02)
+    except ValueError as exc:
+        # validate has refused s_min <= 0: only a config's s_min at or past 4 lands here
+        raise ConfigError([f"grid on [s_min, 4] = [{s_min:g}, 4]: {exc}"]) from None
     traj = evolve(flat_start_run(grid, k, 1e-4, 0.1, np.logspace(-3.0, -1.0, _LAYER_SAMPLES),
                                  dt_cap=2e-3))
     rows = []

@@ -10,7 +10,6 @@ explicit 2*pi because all states are rotationally symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,21 +47,18 @@ def hyperbolic_factor(s):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
 class LogPolarGrid:
     """Strictly increasing nodes s_0 < s_1 < ... < s_{N-1}, all positive."""
 
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+    def __init__(self, nodes):
+        nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("grid needs at least 3 nodes")
         if not np.all(np.isfinite(nodes)) or nodes[0] <= 0.0:
             raise ValueError("nodes must be finite and positive")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("nodes must be strictly increasing")
-        object.__setattr__(self, "nodes", nodes)
+        self.nodes = nodes
 
     @property
     def n(self) -> int:
@@ -110,23 +106,18 @@ class LogPolarGrid:
         return LogPolarGrid(out)
 
 
-@dataclass(frozen=True)
 class ConformalState:
     """Conformal factor samples U_i > 0 on a grid at a fixed flow time t >= 0."""
 
-    grid: LogPolarGrid
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
+    def __init__(self, grid: LogPolarGrid, values, time: float):
+        values = np.asarray(values, dtype=float)
+        if values.shape != (grid.n,):
             raise ValueError("values shape must match grid")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise ValueError("conformal factor must be positive and finite")
-        if not (np.isfinite(self.time) and self.time >= 0.0):
+        if not (np.isfinite(time) and time >= 0.0):
             raise ValueError("time must be nonnegative and finite")
-        object.__setattr__(self, "values", values)
+        self.grid, self.values, self.time = grid, values, time
 
     @property
     def log_values(self) -> np.ndarray:

@@ -34,8 +34,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,8 +96,7 @@ class RunError(RuntimeError):
         self.partial = partial
 
 
-@dataclass(frozen=True)
-class BoundarySchedule:
+class BoundarySchedule(NamedTuple):
     """Dirichlet data M_in(t) at s_min and M_out(t) at s_max.
 
     The inner side is the disc-boundary side (small s); pumping area into the
@@ -136,12 +134,12 @@ STREAK_TO_GROW = 3  # cheap steps in a row before dt doubles
 FAST_ITERS = 3  # a step is cheap with at most this many Newton iterations
 
 
-@dataclass(frozen=True)
-class Run:
+class Run(NamedTuple):
     """March initial under schedule to T, snapshotting at sample_times (T
     alone when None), with target step dt: halved on a failed step, doubled
-    back after cheap steps, never above dt_cap (default dt).  T, the sample
-    times and the schedule's fit to initial are checked when the run starts."""
+    back after cheap steps, never above dt_cap (default dt).  The steps, T,
+    the sample times and the schedule's fit to initial are checked when the
+    run starts."""
 
     initial: ConformalState
     schedule: BoundarySchedule
@@ -150,32 +148,22 @@ class Run:
     sample_times: Sequence[float] | None = None
     dt_cap: float | None = None
 
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.dt_cap is not None and self.dt_cap < self.dt:
-            raise ValueError("dt_cap must not undercut dt")
 
-
-@dataclass(frozen=True)
 class Trajectory:
     """Snapshots of one run at strictly increasing sample times; plain data
     that pickles."""
 
-    states: tuple
-    nsteps: int = 0
-    newton_iters: int = 0
-
-    def __post_init__(self):
-        if len(self.states) < 1:
+    def __init__(self, states: tuple, nsteps: int = 0, newton_iters: int = 0):
+        if len(states) < 1:
             raise ValueError("trajectory needs at least one state")
-        times = [st.time for st in self.states]
+        times = [st.time for st in states]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
-        nodes0 = self.states[0].grid.nodes
-        for st in self.states[1:]:
+        nodes0 = states[0].grid.nodes
+        for st in states[1:]:
             if not np.array_equal(st.grid.nodes, nodes0):
                 raise ValueError("all states must share one grid")
+        self.states, self.nsteps, self.newton_iters = states, nsteps, newton_iters
 
     @property
     def grid(self) -> LogPolarGrid:
@@ -249,12 +237,12 @@ def _newton_solve(lay, values, bounds, dts):
     Member k steps from values[k] to the boundary values bounds[k] =
     (w_in, w_out) with step dts[k].  Junction entries of the stacked u_old
     are set to exp(w), so their residual is exactly 0.  Each member has its
-    own line search, acceptance test and convergence test; a converged member rides along with a zero right-hand
-    side, so its step is exactly 0, until the rest converge.  errors maps a
-    member to the ValueError (non-finite initial residual) or StepFailure
-    (singular Jacobian, exhausted damping or iteration budget) that stopped
-    it.  A failure ends the solve at once, leaving the other members
-    unsolved.
+    own line search, acceptance test and convergence test; a converged
+    member rides along with a zero right-hand side, so its step is exactly
+    0, until the rest converge.  errors maps a member to the ValueError
+    (non-finite initial residual) or StepFailure (singular Jacobian,
+    exhausted damping or iteration budget) that stopped it.  A failure ends
+    the solve at once, leaving the other members unsolved.
     """
     u_old = np.concatenate(values)
     w = np.log(u_old)
@@ -358,6 +346,10 @@ def _march(run: Run):
     (u, (w_in, w_out), dt), is sent back (u_new, Newton iterations) or has
     the step's StepFailure thrown in, and returns the Trajectory."""
     initial, schedule, T, sample_times = run.initial, run.schedule, run.T, run.sample_times
+    if run.dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if run.dt_cap is not None and run.dt_cap < run.dt:
+        raise ValueError("dt_cap must not undercut dt")
     t0 = initial.time
     if T <= t0:
         raise ValueError("T must exceed the initial time")

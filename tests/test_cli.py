@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -183,6 +182,18 @@ def test_boundary_layer_without_a_layer_reports_nan(tmp_path, capsys):
     assert "fitted exponent p = nan (exploratory window [0.35, 0.65]: out of range)" in out
     widths = [float(r["width"]) for r in read_rows_csv(tmp_path / "boundary_layer.csv")]
     assert len(widths) == 9 and set(widths) == {0.0}
+
+
+@pytest.mark.parametrize("s_min", [4.0, 9.0])
+def test_boundary_layer_s_min_at_or_past_its_grid_end_exits_three(tmp_path, capsys, s_min):
+    # boundary-layer's grid ends at s = 4 whatever the config says, so a
+    # config s_min there or beyond is a config error naming the window
+    path = tmp_path / "bl.ini"
+    write_ini(ExperimentConfig(experiment="boundary-layer", s_min=s_min), path)
+    assert main(["boundary-layer", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (f"config error: grid on [s_min, 4] = [{s_min:g}, 4]: "
+                                       "need 0 < s_min < s_max and n >= 3\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_exact_suite_run_fails_the_suite(tmp_path, capsys, monkeypatch):
@@ -435,9 +446,11 @@ def test_cli_import_loads_lapack_without_the_scipy_linalg_package():
     # scipy.linalg package init would import numpy.f2py, numpy.testing and
     # more, about 0.2 s of every command's start-up, and the scipy package
     # init ten modules, subprocess among them.  The config hash's SHA-1 is
-    # the built-in one, not OpenSSL's _hashlib
+    # the built-in one, not OpenSSL's _hashlib.  The records are built
+    # without dataclasses, whose decorations took about half of the
+    # package's own import time, and so without copy, which it loads
     names = ("scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
-             "subprocess", "_hashlib", "scipy.linalg._flapack")
+             "subprocess", "_hashlib", "dataclasses", "copy", "scipy.linalg._flapack")
     code = f"import sys, logdiff.cli; print([m for m in {names!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -634,7 +647,8 @@ def test_verify_names_djdt_gated_without_an_interior_sample_time(tmp_path, capsy
     # the shipped pair sampled at t = 0.1 alone: dJ/dt needs a time between
     # the first and the last, so verify says it wrote no djdt-identity rows
     for run in ("lo", "hi"):
-        cfg = replace(parse_config(CONFIGS / f"exhaustion_{run}.ini"), sample_times=(0.1,))
+        shipped = parse_config(CONFIGS / f"exhaustion_{run}.ini")
+        cfg = ExperimentConfig(**{**vars(shipped), "sample_times": (0.1,)})
         write_ini(cfg, tmp_path / f"{run}.ini")
         assert main(["simulate", "--config", str(tmp_path / f"{run}.ini"),
                      "--out", str(tmp_path / run)]) == 0

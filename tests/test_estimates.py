@@ -541,8 +541,8 @@ def test_inequality_row_margin():
 def test_worst_row_skips_vacuous_rows():
     rows = (est.InequalityRow(0.0, "a", 0.0, 0.0), est.InequalityRow(0.1, "b", 1.0, 1.5),
             est.InequalityRow(0.2, "c", 0.0, 2.0))
-    assert est.EstimateReport(rows=rows).worst is rows[1]
-    assert est.EstimateReport(rows=rows[:1]).worst is None
+    assert est.EstimateReport(rows, {}, {}).worst is rows[1]
+    assert est.EstimateReport(rows[:1], {}, {}).worst is None
 
 
 def test_J_table_must_cover_every_sample_time(model_pair):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,11 +66,11 @@ class TestExactSuite:
 
     def test_a_failed_row_fails_the_suite(self, exact_suite):
         failed = dict(exact_suite.rows[0], status="failed: Newton damping exhausted")
-        assert not replace(exact_suite, rows=exact_suite.rows + (failed,)).passed
+        assert not exact_suite._replace(rows=exact_suite.rows + (failed,)).passed
 
     @pytest.mark.parametrize("drift, passed", [(1e-10, True), (3e-10, False)])
     def test_flat_drift_above_1e_10_fails_the_suite(self, exact_suite, drift, passed):
-        assert replace(exact_suite, flat_max_error=drift).passed is passed
+        assert exact_suite._replace(flat_max_error=drift).passed is passed
 
     @pytest.mark.parametrize("kind, slope, passed", [
         ("spatial", 1.7, True), ("spatial", 2.3, True),
@@ -82,7 +81,7 @@ class TestExactSuite:
     def test_order_outside_its_window_fails_the_suite(self, exact_suite, kind, slope, passed):
         # spatial orders must lie in [1.7, 2.3], temporal ones in [0.8, 1.2]
         key = next(key for key in exact_suite.orders if key[1] == kind)
-        assert replace(exact_suite, orders={**exact_suite.orders, key: slope}).passed is passed
+        assert exact_suite._replace(orders={**exact_suite.orders, key: slope}).passed is passed
 
     def test_runtime_budget(self, exact_suite):
         assert exact_suite.elapsed < 120.0
@@ -201,7 +200,8 @@ class TestUniqueness:
 
         monkeypatch.setattr(experiments, "check_order_preservation", counted)
         monkeypatch.setattr(estimates, "check_order_preservation", counted)
-        cfg = replace(parse_config(CONFIGS / "uniqueness_small.ini"), gamma_list=(0.15, 0.25, 0.35))
+        shipped = parse_config(CONFIGS / "uniqueness_small.ini")
+        cfg = ExperimentConfig(**{**vars(shipped), "gamma_list": (0.15, 0.25, 0.35)})
         res = run_uniqueness_experiment(cfg)
         assert len(calls) == 3
         # 3 R x 1 pair x 3 gamma x 2 sample times

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import sys
@@ -69,7 +68,7 @@ def test_flatdisc_is_discrete_fixed_point():
 def test_step_rejects_bad_dt_and_schedule():
     g, st0, sched = flat_setup()
     with pytest.raises(ValueError, match="dt must be positive"):
-        Run(st0, sched, -0.1, 0.05)
+        evolve(Run(st0, sched, -0.1, 0.05))
     # consistent with the initial data, nonpositive at the first step
     u_in, u_out = float(st0.values[0]), float(st0.values[-1])
     bad = BoundarySchedule(inner=lambda t: u_in if t == 0.0 else -1.0, outer=lambda t: u_out)
@@ -311,7 +310,7 @@ def test_schedule_consistency_tolerance(side):
 
     def off_by(rel):
         moved = getattr(sched, side)
-        return dataclasses.replace(sched, **{side: lambda t: moved(t) * (1.0 + rel)})
+        return sched._replace(**{side: lambda t: moved(t) * (1.0 + rel)})
 
     solver._check_schedule_consistency(st0, off_by(3e-7))
     with pytest.raises(ValueError, match=f"{side} .* inconsistent"):
@@ -451,10 +450,10 @@ def test_evolve_trajectory_pickles():
 def test_run_validation():
     g, st0, sched = flat_setup()
     with pytest.raises(ValueError, match="dt must be positive"):
-        Run(st0, sched, 0.0, 0.1)
+        evolve(Run(st0, sched, 0.0, 0.1))
     with pytest.raises(ValueError, match="undercut"):
-        Run(st0, sched, 1e-2, 0.1, dt_cap=1e-3)
-    assert Run(st0, sched, 1e-2, 0.1, dt_cap=1e-2).dt_cap == 1e-2
+        evolve(Run(st0, sched, 1e-2, 0.1, dt_cap=1e-3))
+    assert evolve(Run(st0, sched, 1e-2, 0.1, dt_cap=1e-2)).times[-1] == 0.1
 
 
 def test_schedule_constructors_validate():

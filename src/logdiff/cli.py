@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    from .config import DEFAULTS, INI_KEYS, ConfigError, ExperimentConfig, parse_config
+    from .config import FIELDS, ConfigError, ExperimentConfig, parse_config
     from .cutoff import CutoffSpec
     from .estimates import full_report
     from .experiments import (
@@ -47,12 +47,12 @@ EXIT_INFRA = 3
 
 
 def _load_config(args, experiment: str, single=()) -> ExperimentConfig | None:
-    # single names the (section, key)s of which the command runs one value:
-    # a config listing more is refused, not run on its first value alone
+    # single names the fields of which the command runs one value: a config
+    # listing more is refused, not run on its first value alone
     if args.config is None:
         return None
     cfg = parse_config(args.config)
-    lists = {key: getattr(cfg, INI_KEYS[section, key][0]) for section, key in single}
+    lists = {FIELDS[name][1]: getattr(cfg, name) for name in single}  # by INI key
     many = [f"{args.command} takes one value of {key}, got {len(values)}: "
             + ", ".join(f"{v:g}" for v in values) for key, values in lists.items() if len(values) > 1]
     if many:
@@ -81,16 +81,15 @@ def _default_uniqueness_config() -> ExperimentConfig:
     )
 
 
-def _cmd_exact_suite(args) -> int:
+def _cmd_exact_suite(args) -> str:
     result = run_exact_solution_suite(out_dir=args.out)
     for (model, kind), slope in sorted(result.orders.items()):
         print(f"  {model:8s} {kind:8s} order {slope:.3f}")
     print(f"  flat-disc max drift {result.flat_max_error:.3e}  ({result.elapsed:.1f}s)")
-    print("exact-suite:", "PASS" if result.passed else "FAIL")
-    return EXIT_PASS if result.passed else EXIT_CERT_FAIL
+    return "PASS" if result.passed else "FAIL"
 
 
-def _cmd_q_sweep(args) -> int:
+def _cmd_q_sweep(args) -> str:
     cfg = _load_config(args, "q-sweep")
     result = run_q_sweep(cfg, out_dir=args.out)
     # nan when every row failed: the run is then a FAIL, not an error
@@ -98,11 +97,10 @@ def _cmd_q_sweep(args) -> int:
     print(f"  {len(result.rows)} rows, worst Q/bound ratio {worst:.4f}")
     print(f"  bounded={result.all_bounded} monotone={result.monotone_in_R} "
           f"split={result.split_consistent}")
-    print("q-sweep:", "PASS" if result.passed else "FAIL")
-    return EXIT_PASS if result.passed else EXIT_CERT_FAIL
+    return "PASS" if result.passed else "FAIL"
 
 
-def _cmd_uniqueness(args) -> int:
+def _cmd_uniqueness(args) -> str:
     cfg = _load_config(args, "uniqueness") or _default_uniqueness_config()
     result = run_uniqueness_experiment(cfg, out_dir=args.out)
     print(f"  {len(result.rows)} certificate rows, failures={len(result.failures)}")
@@ -111,33 +109,31 @@ def _cmd_uniqueness(args) -> int:
     g = result.gauge
     print(f"  gauge: pair_diff={g['pair_diff']:.3e} threshold={g['threshold']:.3e} "
           f"passed={g['passed']}")
-    print("uniqueness:", "PASS" if result.passed else "FAIL")
-    return EXIT_PASS if result.passed else EXIT_CERT_FAIL
+    return "PASS" if result.passed else "FAIL"
 
 
-def _cmd_boundary_layer(args) -> int:
+def _cmd_boundary_layer(args) -> str:
     cfg = _load_config(args, "boundary-layer")
-    # each field's INI key is its lowercase name
     for name in LAYER_FIXED_FIELDS if cfg else ():
+        _, key, _, default = FIELDS[name]
         value = getattr(cfg, name)
-        if value != DEFAULTS[name]:
+        if value != default:
             shown = ", ".join(map(str, value)) if isinstance(value, tuple) else value
-            print(f"note: boundary-layer ignores {name.lower()} = {shown}; "
+            print(f"note: boundary-layer ignores {key} = {shown}; "
                   "it runs its fixed grid, step and sample times", file=sys.stderr)
     result = run_boundary_layer_experiment(cfg, out_dir=args.out)
     print(f"  fitted exponent p = {result.exponent:.4f} "
           f"(exploratory window [0.35, 0.65]: {'in' if result.in_range else 'out of'} range)")
     print(f"  width monotone: {result.width_monotone}")
     # exploratory by design: reported, never build-failing
-    print("boundary-layer: REPORTED")
-    return EXIT_PASS
+    return "REPORTED"
 
 
-# the keys of which simulate runs one value; verify reads only the first two
-_ONE_MEMBER = (("cutoff", "r"), ("cutoff", "gamma"), ("flow", "ramps"))
+# the fields of which simulate runs one value; verify reads only the first two
+_ONE_MEMBER = ("R_list", "gamma_list", "ramps")
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     cfg = _load_config(args, "simulate", _ONE_MEMBER) or ExperimentConfig()
     R, k = cfg.R_list[0], cfg.ramps[0]
     traj = evolve(exhaustion_member(cfg, R, k))
@@ -145,11 +141,10 @@ def _cmd_simulate(args) -> int:
     manifest = save_trajectory(traj, args.out, cfg.config_hash)
     print(f"  {len(traj.states)} snapshots (k={k:g}, window [{s_lo:.4g}, {s_hi:.4g}])")
     print(f"  manifest: {manifest}")
-    print("simulate: DONE")
-    return EXIT_PASS
+    return "DONE"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> str:
     # verify replays a pair of simulate runs, so a simulate config is expected
     cfg = _load_config(args, "simulate", _ONE_MEMBER[:2]) or ExperimentConfig()
     traj_g = load_trajectory(args.manifest_g)
@@ -160,26 +155,27 @@ def _cmd_verify(args) -> int:
     report.write_csv(path)
     for family, why in report.gated.items():
         print(f"note: {family} gated off, no rows: {why}", file=sys.stderr)
+    # never None: every volume-excess row after t = 0 has rhs > 0
     worst = report.worst
     skipped = sum(r.vacuous for r in report.rows)
-    if worst is None:
-        print(f"  {len(report.rows)} inequality rows, all with lhs = rhs = 0")
-    else:
-        print(f"  {len(report.rows)} inequality rows, worst margin {worst.margin:.3e} "
-              f"({worst.inequality} at t={worst.time:g}); "
-              f"{skipped} rows with lhs = rhs = 0 skipped")
+    print(f"  {len(report.rows)} inequality rows, worst margin {worst.margin:.3e} "
+          f"({worst.inequality} at t={worst.time:g}); "
+          f"{skipped} rows with lhs = rhs = 0 skipped")
     print(f"  report: {path}")
-    print("verify:", "PASS" if report.passed else "FAIL")
-    return EXIT_PASS if report.passed else EXIT_CERT_FAIL
+    return "PASS" if report.passed else "FAIL"
 
 
+# subcommand -> (runner, whether it takes --config, help line), in --help order;
+# each runner returns its verdict word
 _COMMANDS = {
-    "exact-suite": _cmd_exact_suite,
-    "q-sweep": _cmd_q_sweep,
-    "uniqueness": _cmd_uniqueness,
-    "boundary-layer": _cmd_boundary_layer,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
+    # the exact suite's studies are fixed: it takes no config
+    "exact-suite": (_cmd_exact_suite, False, "convergence orders against closed-form flows"),
+    "q-sweep": (_cmd_q_sweep, True, "Q integral against its analytic bound over (r0, R, gamma)"),
+    "uniqueness": (_cmd_uniqueness, True, "interior differences between exhaustion ramps, per R"),
+    "boundary-layer": (_cmd_boundary_layer, True,
+                       "boundary layer width exponent (exploratory, never gates)"),
+    "simulate": (_cmd_simulate, True, "evolve one exhaustion trajectory and write snapshots"),
+    "verify": (_cmd_verify, True, "replay estimate certificates on two snapshot trajectories"),
 }
 
 
@@ -205,19 +201,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Log-diffusion flow laboratory: exhaustion runs and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the exact suite's studies are fixed: it takes no config
-    sub.add_parser("exact-suite", parents=[out_opt],
-                   help="convergence orders against closed-form flows")
-    sub.add_parser("q-sweep", parents=[common],
-                   help="Q integral against its analytic bound over (r0, R, gamma)")
-    sub.add_parser("uniqueness", parents=[common],
-                   help="interior differences between exhaustion ramps, per R")
-    sub.add_parser("boundary-layer", parents=[common],
-                   help="boundary layer width exponent (exploratory, never gates)")
-    sub.add_parser("simulate", parents=[common],
-                   help="evolve one exhaustion trajectory and write snapshots")
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="replay estimate certificates on two snapshot trajectories")
+    for name, (_, takes_config, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common if takes_config else out_opt], help=help_line)
+    # verify also reads the two saved runs it compares
+    p_verify = sub.choices["verify"]
     p_verify.add_argument("manifest_g", metavar="MANIFEST_G",
                           help="snapshot manifest of the smaller flow")
     p_verify.add_argument("manifest_G", metavar="MANIFEST_BIG",
@@ -228,16 +215,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        verdict = _COMMANDS[args.command][0](args)
+        print(f"{args.command}: {verdict}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_INFRA
     except RunError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_INFRA
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFRA
+    else:
+        return EXIT_CERT_FAIL if verdict == "FAIL" else EXIT_PASS
+    return EXIT_INFRA
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ try:  # CPython's built-in SHA-1, which hashlib falls back to, without loading O
 except ImportError:
     from hashlib import sha1
 
-__all__ = ["ConfigError", "DEFAULTS", "ExperimentConfig", "INI_KEYS", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "FIELDS", "parse_config"]
 
 _EXPERIMENTS = ("uniqueness", "q-sweep", "boundary-layer", "simulate")
 
@@ -33,39 +33,46 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-# ExperimentConfig's fields and their defaults, in the order the config hash
-# walks them
-DEFAULTS = {
-    "experiment": "simulate",
-    "s_min": None,  # None: derive S/4 from the cutoff at run time
-    "s_max": None,  # None: derive max(8, 4 s0)
-    "n": 261,
-    "ratio": 1.02,
-    "r0": 0.55,
-    "R_list": (0.8352702114112720,),
-    "gamma_list": (0.25,),
-    "ramps": (1e2, 1e3),
-    "T": 0.1,
-    "dt": 1e-3,
-    "sample_times": (),
+def _floats(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+# ExperimentConfig field -> (INI section, INI key, conversion of the value
+# text, default), in the order the config hash walks them.  Anything else in
+# a file is an unknown section or key; configparser lowercases option names,
+# so the keys are lowercase too.
+FIELDS = {
+    "experiment": ("experiment", "id", str, "simulate"),
+    "s_min": ("grid", "s_min", float, None),  # None: derive S/4 from the cutoff at run time
+    "s_max": ("grid", "s_max", float, None),  # None: derive max(8, 4 s0)
+    "n": ("grid", "n", int, 261),
+    "ratio": ("grid", "ratio", float, 1.02),
+    "r0": ("cutoff", "r0", float, 0.55),
+    "R_list": ("cutoff", "r", _floats, (0.8352702114112720,)),
+    "gamma_list": ("cutoff", "gamma", _floats, (0.25,)),
+    "ramps": ("flow", "ramps", _floats, (1e2, 1e3)),
+    "T": ("flow", "t", float, 0.1),
+    "dt": ("flow", "dt", float, 1e-3),
+    "sample_times": ("flow", "sample_times", _floats, ()),
 }
 
 
 class ExperimentConfig:
-    """The fields of DEFAULTS as attributes: the keywords given, the defaults
+    """The fields of FIELDS as attributes: the keywords given, the defaults
     for the rest, validated together."""
 
     def __init__(self, **fields):
-        if unknown := fields.keys() - DEFAULTS:
+        if unknown := fields.keys() - FIELDS:
             raise TypeError(f"unknown ExperimentConfig fields: {', '.join(sorted(unknown))}")
-        vars(self).update(DEFAULTS, **fields)
+        for name, (*_, default) in FIELDS.items():
+            setattr(self, name, fields.get(name, default))
         errors = validate(self)
         if errors:
             raise ConfigError(errors)
 
     @property
     def config_hash(self) -> str:
-        return _short_sha1("|".join(f"{name}={getattr(self, name)!r}" for name in DEFAULTS))
+        return _short_sha1("|".join(f"{name}={getattr(self, name)!r}" for name in FIELDS))
 
     def grid_bounds(self, R: float) -> tuple:
         """(s_min, s_max) for a run at cut-off radius R, deriving the default
@@ -80,7 +87,7 @@ class ExperimentConfig:
 def validate(cfg: ExperimentConfig) -> list:
     errors = []
     # NaN passes every comparison below, and inf most of them
-    for name in DEFAULTS:
+    for name in FIELDS:
         value = getattr(cfg, name)
         if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
@@ -130,29 +137,6 @@ def validate(cfg: ExperimentConfig) -> list:
     return errors
 
 
-def _floats(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-# (section, key) -> (ExperimentConfig field, conversion of the value text);
-# anything else in a file is an unknown section or key.  configparser
-# lowercases option names, so the keys are lowercase too.
-INI_KEYS = {
-    ("experiment", "id"): ("experiment", str),
-    ("grid", "s_min"): ("s_min", float),
-    ("grid", "s_max"): ("s_max", float),
-    ("grid", "n"): ("n", int),
-    ("grid", "ratio"): ("ratio", float),
-    ("cutoff", "r0"): ("r0", float),
-    ("cutoff", "r"): ("R_list", _floats),
-    ("cutoff", "gamma"): ("gamma_list", _floats),
-    ("flow", "ramps"): ("ramps", _floats),
-    ("flow", "t"): ("T", float),
-    ("flow", "dt"): ("dt", float),
-    ("flow", "sample_times"): ("sample_times", _floats),
-}
-
-
 def parse_config(path) -> ExperimentConfig:
     # values are literal: no key refers to another, so '%' is just a bad value
     cp = configparser.ConfigParser(interpolation=None)
@@ -167,7 +151,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError([f"config file {path} not found or unreadable"])
     errors = []
     for section in cp.sections():
-        keys = {key for sec, key in INI_KEYS if sec == section}
+        keys = {key for sec, key, *_ in FIELDS.values() if sec == section}
         if not keys:
             errors.append(f"unknown section [{section}]")
         elif unknown := set(cp[section]) - keys:
@@ -176,7 +160,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(errors)
     try:
         kwargs = {name: convert(cp[section][key])
-                  for (section, key), (name, convert) in INI_KEYS.items()
+                  for name, (section, key, convert, _) in FIELDS.items()
                   if cp.has_option(section, key)}
     except ValueError as exc:
         raise ConfigError([f"malformed value: {exc}"]) from exc

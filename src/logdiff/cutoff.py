@@ -378,8 +378,6 @@ def compute_Q(spec: CutoffSpec) -> QReport:
         (near, err_near), (far, err_far) = _q_near.__wrapped__(gamma, b_max), (0.0, 0.0)
     prefactor = _q_prefactor(spec)
     q1, q2 = prefactor * far, prefactor * near
-    if q1 < 0.0 or q2 < 0.0:
-        raise ValueError("Q integrals must be nonnegative")
     return QReport(
         Q=q1 + q2, Q1=q1, Q2=q2,
         analytic_bound=q_analytic_bound(spec),

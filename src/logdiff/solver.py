@@ -394,7 +394,6 @@ def _march(run: Run):
                             Trajectory(tuple(snapshots), nsteps, newton_total),
                         ) from exc
                     dt_try *= 0.5
-                    streak = 0
             t = t_new
             nsteps += 1
             newton_total += iters

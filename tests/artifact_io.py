@@ -7,7 +7,7 @@ import math
 from itertools import zip_longest
 from pathlib import Path
 
-from logdiff.config import INI_KEYS
+from logdiff.config import FIELDS
 
 
 def read_rows_csv(path) -> list:
@@ -90,10 +90,9 @@ def artifact_changes(old_dir, new_dir) -> list:
 
 def write_ini(cfg, path) -> None:
     """Write an ExperimentConfig as an INI file that parse_config reads back
-    to an equal config: one line per key of config.INI_KEYS whose field is
-    set."""
+    to an equal config: one line per field of config.FIELDS that is set."""
     lines, section = [], None
-    for (sec, key), (name, _) in INI_KEYS.items():
+    for name, (sec, key, *_) in FIELDS.items():
         value = getattr(cfg, name)
         if value is None:
             continue

@@ -39,11 +39,19 @@ def _pair_configs(tmp_path, k_lo, k_hi):
     return lo, hi
 
 
-def test_help_exits_zero(capsys):
+def test_help_exits_zero(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no help line wraps
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert "exact-suite" in capsys.readouterr().out
+    assert re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, re.M) == [
+        ("exact-suite", "convergence orders against closed-form flows"),
+        ("q-sweep", "Q integral against its analytic bound over (r0, R, gamma)"),
+        ("uniqueness", "interior differences between exhaustion ramps, per R"),
+        ("boundary-layer", "boundary layer width exponent (exploratory, never gates)"),
+        ("simulate", "evolve one exhaustion trajectory and write snapshots"),
+        ("verify", "replay estimate certificates on two snapshot trajectories"),
+    ]
 
 
 def test_usage_errors_exit_three():

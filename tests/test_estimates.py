@@ -545,6 +545,17 @@ def test_worst_row_skips_vacuous_rows():
     assert est.EstimateReport(rows[:1], {}, {}).worst is None
 
 
+def test_full_report_always_has_a_worst_row(model_pair, exhaust_pair, crossing_pair,
+                                            exhaust_spec):
+    # verify prints the worst margin unconditionally: every report holds
+    # volume-excess rows, and at each t > 0 their rhs init + C_L (t/denom)^p
+    # is positive, so some row is not vacuous
+    tg, _ = model_pair
+    for pair, spec in (((tg, tg), case_a_spec()), (model_pair, case_a_spec()),
+                       (crossing_pair, exhaust_spec), (exhaust_pair, exhaust_spec)):
+        assert est.full_report(*pair, spec).worst is not None
+
+
 def test_J_table_must_cover_every_sample_time(model_pair):
     tg, tG = model_pair
     spec = case_a_spec()

@@ -95,6 +95,26 @@ def test_state_validation():
         ConformalState(g, np.ones(50), -1.0)
 
 
+_FLAT = model_state(FlatDisc, LogPolarGrid.uniform(0.5, 4.0, 8))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hyperbolic_factor(-0.5), "s must be positive"),
+    (lambda: Cusp.factor(0.0, 1.0), "s must be positive"),
+    (lambda: FlatDisc.factor(np.array([1.0, -0.5])), "s must be positive"),
+    (lambda: LogPolarGrid.graded(0.1, 8.0, 10, ratio=-1.05), "ratio must be positive"),
+    (lambda: annulus_area(_FLAT, 2.0, 1.0), "empty interval reversed"),
+    (lambda: annulus_area(_FLAT, 1.0, 5.0), "interval outside grid"),
+    (lambda: disc_area(_FLAT, 0.9), "disc boundary falls outside the grid"),
+], ids=["hyperbolic-s", "cusp-s", "flat-s", "graded-ratio", "annulus-reversed",
+        "annulus-outside", "disc-outside"])
+def test_out_of_domain_arguments_raise(call, message):
+    # without its check each call returns a number: a positive factor, a
+    # grid that another check refuses for a different reason, or an area
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_model_factor_names_and_classes():
     # the names are the model column of exact_suite.csv
     assert [m.name for m in (BigBang, Cusp, FlatDisc)] == ["bigbang", "cusp", "flatdisc"]

@@ -23,6 +23,16 @@ clock stay per run, so every run gives bitwise the results it gives alone.
 A zero pivot fails the step like a stalled iteration does, so the run halves
 dt and retries while the others go on.
 
+Each Newton solve starts from the run's own linear extrapolation
+log(u_n) + r (w_n - w_{n-1}), r = dt / dt_{n-1} (Hairer and Wanner, Solving
+ODEs II, IV.8), which evolve_many keeps stacked; it depends on the run's own
+history alone, so batch and solo runs stay bitwise equal.  The shipped
+simulate member takes 314 Newton iterations for its 100 steps so, against
+407 from its previous state.  A run whose dt may grow (dt_cap above dt)
+starts from its previous state: its controller reads a cheap solve as a
+smooth flow, and extrapolated, the boundary-layer run took 91 steps instead
+of 414 at 4.6 times the error.
+
 No randomness anywhere: identical inputs produce bitwise-identical runs.
 """
 
@@ -137,9 +147,11 @@ FAST_ITERS = 3  # a step is cheap with at most this many Newton iterations
 class Run(NamedTuple):
     """March initial under schedule to T, snapshotting at sample_times (T
     alone when None), with target step dt: halved on a failed step, doubled
-    back after cheap steps, never above dt_cap (default dt).  The steps, T,
-    the sample times and the schedule's fit to initial are checked when the
-    run starts."""
+    back after cheap steps, never above dt_cap (default dt).  Each Newton
+    solve starts from the run's linear extrapolation of its last two steps,
+    or from its previous state when dt_cap exceeds dt.  The steps, T, the
+    sample times and the schedule's fit to initial are checked when the run
+    starts."""
 
     initial: ConformalState
     schedule: BoundarySchedule
@@ -230,22 +242,26 @@ class _Layout:
         return np.maximum.reduceat(np.abs(x), self.starts).tolist()
 
 
-def _newton_solve(lay, values, bounds, dts):
+def _newton_solve(lay, values, bounds, dts, trend):
     """Backward-Euler systems in w = log U of every member of lay, solved by
     damped Newton in lockstep; returns (w, iterations, errors).
 
     Member k steps from values[k] to the boundary values bounds[k] =
-    (w_in, w_out) with step dts[k].  Junction entries of the stacked u_old
-    are set to exp(w), so their residual is exactly 0.  Each member has its
-    own line search, acceptance test and convergence test; a converged
-    member rides along with a zero right-hand side, so its step is exactly
-    0, until the rest converge.  errors maps a member to the ValueError
+    (w_in, w_out) with step dts[k].  Newton starts from log(values) + trend:
+    trend is the stacked extrapolation of evolve_many, or 0.0 for the
+    previous state, and the two boundary entries of each member are set to
+    its bounds either way.  Junction entries of the stacked u_old are set
+    to exp(w), so their residual is exactly 0.  Each member has its own line
+    search, acceptance test and convergence test; a converged member rides
+    along with a zero right-hand side, so its step is exactly 0, until the
+    rest converge.  errors maps a member to the ValueError
     (non-finite initial residual) or StepFailure (singular Jacobian,
     exhausted damping or iteration budget) that stopped it.  A failure ends
     the solve at once, leaving the other members unsolved.
     """
     u_old = np.concatenate(values)
     w = np.log(u_old)
+    w += trend
     for (first, last), (w_in, w_out) in zip(lay.ends, bounds):
         w[first], w[last] = w_in, w_out
     if lay.junctions.size:
@@ -417,10 +433,10 @@ def evolve_many(runs: Sequence[Run]) -> list:
 
     Runs step in lockstep: every round, each live run attempts its next step
     and one Newton solve serves them all, with one dgtsv call per iteration.
-    Every run keeps its own clock, and its results are bitwise those of a
-    lone evolve.  Returns one entry per run: its Trajectory, or the
-    ValueError or RunError that ended it; one run's failure never stops the
-    others.
+    Every run keeps its own clock and the history that its Newton starts
+    extrapolate, and its results are bitwise those of a lone evolve.
+    Returns one entry per run: its Trajectory, or the ValueError or RunError
+    that ended it; one run's failure never stops the others.
     """
     out = [None] * len(runs)
     marches = [_march(run) for run in runs]
@@ -442,20 +458,40 @@ def evolve_many(runs: Sequence[Run]) -> list:
 
     for i in range(len(runs)):
         resume(i, None)
+    # the history behind each start: every live run's last accepted step
+    # and, stacked, its w after that step and the change of w over it, which
+    # is 0 before the first step.  A run whose dt may grow keeps ratio 0,
+    # starting from its previous state
+    dt_last = {i: ask[2] for i, ask in asks.items()}
+    previous = {i for i in asks if runs[i].dt_cap is not None and runs[i].dt_cap > runs[i].dt}
+    w_last, dw_last = None, 0.0
     lay_for = None
     while asks:
         group = list(asks)
         if group != lay_for:
             # rebuilt only when the set of live runs changes
+            if w_last is not None:
+                segs = [slice(lay.off[k], lay.off[k + 1])
+                        for k, i in enumerate(lay_for) if i in asks]
+                w_last = np.concatenate([w_last[seg] for seg in segs])
+                dw_last = np.concatenate([dw_last[seg] for seg in segs])
             lay, lay_for = _Layout([runs[i].initial.grid.nodes for i in group]), group
         values, bounds, dts = zip(*[asks[i] for i in group])
-        w, iters, errors = _newton_solve(lay, values, bounds, dts)
+        ratios = [0.0 if i in previous else dt / dt_last[i] for i, dt in zip(group, dts)]
+        r = (ratios[0] if ratios.count(ratios[0]) == len(ratios)
+             else np.repeat(ratios, np.diff(lay.off)))
+        trend = r * dw_last
+        w, iters, errors = _newton_solve(lay, values, bounds, dts, trend)
         if errors:
             # the others' solve was cut short; they retry the same step in
-            # the next round, with the same result
+            # the next round, with the same result.  No history changes
             for k, exc in errors.items():
                 resume(group[k], exc)
             continue
+        if w_last is None:  # every member took its first step: w_0 = log u_0
+            w_last = np.log(np.concatenate(values))
+        w_last, dw_last = w, w - w_last
+        dt_last.update(zip(group, dts))
         u = np.exp(w)
         for k, i in enumerate(group):
             resume(i, (u[lay.off[k]:lay.off[k + 1]], iters[k]))

@@ -598,10 +598,11 @@ def test_malformed_snapshot_row_exits_three_naming_the_line(tmp_path, capsys):
 
 
 def test_uniqueness_precondition_exits_three(tmp_path, capsys):
+    # a config short of ramps and of R values is told both, by INI key
     cfg = ExperimentConfig(
         experiment="uniqueness",
         r0=0.75,
-        R_list=(0.92, 0.94, 0.96),
+        R_list=(0.92,),
         gamma_list=(0.25,),
         ramps=(1e3,),
     )
@@ -609,7 +610,9 @@ def test_uniqueness_precondition_exits_three(tmp_path, capsys):
     write_ini(cfg, path)
     rc = main(["uniqueness", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 3
-    assert "at least 2 ramps" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: uniqueness needs at least 2 ramps ([flow] ramps), got 1: 1000; "
+        "uniqueness needs at least 3 R values ([cutoff] r), got 1: 0.92\n")
 
 
 def test_experiment_id_mismatch_warns_but_runs(tmp_path, capsys):

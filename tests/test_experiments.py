@@ -6,6 +6,7 @@ import pytest
 from logdiff import estimates, experiments
 from logdiff.config import ConfigError, ExperimentConfig, parse_config
 from logdiff.experiments import (
+    exhaustion_member,
     matched_truncation_gauge,
     run_boundary_layer_experiment,
     run_exact_solution_suite,
@@ -13,6 +14,7 @@ from logdiff.experiments import (
     run_uniqueness_experiment,
 )
 from logdiff.geometry import LogPolarGrid
+from logdiff.solver import evolve
 from artifact_io import read_rows_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -266,3 +268,29 @@ class TestBoundaryLayer:
         run_boundary_layer_experiment(out_dir=tmp_path)
         rows = read_rows_csv(tmp_path / "boundary_layer.csv")
         assert len(rows) == 9
+
+
+class TestNewtonStart:
+    def test_shipped_member_extrapolates_the_same_steps(self):
+        # each Newton solve starts from the run's own linear extrapolation:
+        # the shipped simulate member keeps its 100 steps and takes 314
+        # iterations, where starting from the previous state took 407
+        cfg = parse_config(CONFIGS / "exhaustion_lo.ini")
+        traj = evolve(exhaustion_member(cfg, cfg.R_list[0], cfg.ramps[0]))
+        assert traj.nsteps == 100
+        assert traj.newton_iters <= 330
+
+    def test_run_that_may_grow_dt_starts_from_its_previous_state(self, monkeypatch):
+        # the dt controller grows dt after cheap Newton solves, reading their
+        # count as smoothness; the default boundary-layer run, the only one
+        # with dt_cap above dt, keeps its steps and iterations (extrapolated,
+        # it took 91 steps at 4.6 times the relative error at t = 0.1)
+        trajs = []
+
+        def recorded(run):
+            trajs.append(evolve(run))
+            return trajs[-1]
+
+        monkeypatch.setattr(experiments, "evolve", recorded)
+        run_boundary_layer_experiment()
+        assert [(traj.nsteps, traj.newton_iters) for traj in trajs] == [(414, 1654)]

@@ -42,27 +42,27 @@ RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
 
 GOLDEN = {
     "lo/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
-    "lo/snap_001.txt": "3789c496f58e94126012f89ad60b26974d4e193a2fd022ffd618805e6311c10d",
-    "lo/snap_002.txt": "de0850c900221cdb1ed07664d744d6f16e2d628eff229114f1490d8284ed279d",
-    "lo/snap_003.txt": "72ccd5467cdde136a32a107394eef7ae007e08b330f086907b2de8f49c7ec715",
-    "lo/snap_004.txt": "0c84cd6f94324b935c8c0c72c859788bff2361848791c50921c77d4809129104",
-    "lo/snap_005.txt": "5c6d6aea1846808cb980e6e7c6a94aa76f1c3a2ff9f45b43d22d7afd1203c8c0",
+    "lo/snap_001.txt": "78adfd4a1689b2b6afbdf65e3e14f313c37cf26914f80cfd71adf5bb64a6fca5",
+    "lo/snap_002.txt": "9ec19ab9982ee6a66588080e03e28ec573f204fa633394122999df873294a482",
+    "lo/snap_003.txt": "cc02fd286b55f0c7edac046d2f001b6b2e754dc99becc2d773e3864ba1f5df47",
+    "lo/snap_004.txt": "2e21e4a32243f1d7f1b5491c4428affe4ef53385e3c9f142cb83a718e41f7c6d",
+    "lo/snap_005.txt": "1fda7b0f588b82b4694485766f0edaea274364e6ae1802c928421783bce19e00",
     "lo/snap_manifest.csv": "f36867ca2755b6483afbea91521aaf564142fe8f5b2779f9f977fc88d9530762",
     "hi/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
-    "hi/snap_001.txt": "5f3a14ecd0ef2ddb1dfb0c1bbdbffe42eb442230c6740aa0b023638480a90909",
-    "hi/snap_002.txt": "ffcaa8094523e57f68abf8ff34bde31ae85da0e96fc484852db9913dcdbd38fb",
-    "hi/snap_003.txt": "00b63764ebb4d5a5d97a2b99931af2f70ce7b202d5427229969d3e6d38254f66",
-    "hi/snap_004.txt": "9080c2965f94521701564225d2ff7acdd4b6cbec90c47d9ffb1ff75cf2224334",
-    "hi/snap_005.txt": "077ef0ce254d8ceaa87337d55b413ca78dc86904fb50d98deacc7e6236a4dd21",
+    "hi/snap_001.txt": "1f93993c2ca69a4d97d7eac8b4b0857816dacecf620fa1e2cef4501a28e1b2c2",
+    "hi/snap_002.txt": "e3c2f76b41dc4b791612857bd4d4f2f65c124fa3d7c6677068d9e843b4d5dadf",
+    "hi/snap_003.txt": "66bc1e8d22e1442c140a08d7b2fb42ae1bb408443abe9cdd826dd9b17f9f696d",
+    "hi/snap_004.txt": "33d5c55a3af29b41065b751067e51eb46787bb9179005fdb327c7f54f6c06a2f",
+    "hi/snap_005.txt": "4a2e8d6203df7fba5b48562f5cd4646ac421fa749b6b83af7f33063edc89232f",
     "hi/snap_manifest.csv": "e8476656da33eaf950546213a06b1264519a4baee8dc09373ca528a7ecc5ee28",
-    "verify/verify_report.csv": "63352861a730f1823f6fe6776baaffe14179040b26309e5fab94f2218e874989",
-    "exact/exact_suite.csv": "2317d9d100eed57dea7c7beb0946a33357ce4ccaab5ca7a0ceba01cf202810ed",
+    "verify/verify_report.csv": "b06453129049d10168efb0486951258c50b6e274ac5db4cb866898880bc2c16e",
+    "exact/exact_suite.csv": "517b472234281aac1a6a304ac9e006e4faec1462a94d8ea1928930c153b1a065",
     "q/q_sweep.csv": "1b34b48d58fdfe3481144ff9a64afa5beb76c3a0f92a9a42451ef653d748c8a8",
     "qc/q_sweep.csv": "20b6ec140dfdb274b411f9ecf50488445d7a6bd09064c8286871c82c76635254",
-    "u/uniqueness.csv": "9cba6c9b37976551f4afa6121f978fc97cd0fc72926e1d37a511fa5b48c8105c",
-    "u/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
-    "us/uniqueness.csv": "9cba6c9b37976551f4afa6121f978fc97cd0fc72926e1d37a511fa5b48c8105c",
-    "us/uniqueness_gauge.csv": "5f3151f3a3eaf2699ea7a5977b65841ea30d4223fdcc1d17dea8c1f0a5ac1031",
+    "u/uniqueness.csv": "decefcceedd1652057366557aa233af18e5831c4333a1102843c7cd060aa7ee9",
+    "u/uniqueness_gauge.csv": "702c15b33df9a8a945d171d36f83e102a89b9ba06252730a87adf858f355757c",
+    "us/uniqueness.csv": "decefcceedd1652057366557aa233af18e5831c4333a1102843c7cd060aa7ee9",
+    "us/uniqueness_gauge.csv": "702c15b33df9a8a945d171d36f83e102a89b9ba06252730a87adf858f355757c",
     "bl/boundary_layer.csv": "dcd9a227c9b595422fe2a18a45541f0cadc57b108e66e3ac48a8da73bfc6ab3b",
 }
 

@@ -7,6 +7,7 @@ file, and the CLI must turn it into exit 3 with one line on stderr.
 """
 
 import contextlib
+import csv
 import io
 import tempfile
 from pathlib import Path
@@ -113,6 +114,16 @@ def test_undecodable_bytes_name_the_file(tmp_path):
     with pytest.raises(ValueError, match="not a trajectory manifest") as exc:
         load_trajectory(manifest)
     assert str(exc.value).startswith(str(manifest))
+
+
+def test_over_long_manifest_field_names_the_file(tmp_path):
+    # the csv module raises its own Error, not a ValueError, on a field over
+    # its size limit; the fuzz cases below reach this only by chance
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("index,time,file\n0,0.0," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_trajectory(manifest)
+    assert str(exc.value).startswith(f"{manifest}: malformed CSV: field larger than field limit")
 
 
 # ------------------------------------------------------------------ manifests

@@ -40,7 +40,7 @@ def _newton_one(s, u, w_in, w_out, dt):
     """The batched Newton kernel on one member: (w, iterations), or raises
     the member's error."""
     lay = solver._Layout([s])
-    w, (iters,), errors = solver._newton_solve(lay, [u], [(w_in, w_out)], (dt,))
+    w, (iters,), errors = solver._newton_solve(lay, [u], [(w_in, w_out)], (dt,), 0.0)
     if errors:
         raise errors[0]
     return w, iters
@@ -322,11 +322,11 @@ def test_failed_step_retries_at_half_dt(monkeypatch):
     dts = []
     real_solve = solver._newton_solve
 
-    def fail_once(lay, values, bounds, step_dts):
+    def fail_once(lay, values, bounds, step_dts, trend):
         dts.append(step_dts[0])
         if len(dts) == 1:
             return None, None, {0: StepFailure("forced", 1.0)}
-        return real_solve(lay, values, bounds, step_dts)
+        return real_solve(lay, values, bounds, step_dts, trend)
 
     monkeypatch.setattr(solver, "_newton_solve", fail_once)
     _, st0, sched = flat_setup()
@@ -358,7 +358,7 @@ def test_line_search_slack(monkeypatch, growth, whole):
     monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, np.array([step]), 0))
     monkeypatch.setattr(solver, "MAX_NEWTON_ITER", 1)
     w, _, errors = solver._newton_solve(solver._Layout([s]), [np.array([1.0, u, 1.0])],
-                                        [(0.0, 0.0)], (dt,))
+                                        [(0.0, 0.0)], (dt,), 0.0)
     assert str(errors[0]).startswith("Newton iteration budget exhausted")
     assert w[1] == w0 + (step if whole else 0.5 * step)
 
@@ -370,7 +370,7 @@ def test_uphill_step_exhausts_the_damping(monkeypatch):
     s, dt, u = np.array([0.0, 1.0, 2.0]), 1.0, math.e
     monkeypatch.setattr(solver, "dgtsv", lambda dl, d, du, b, **kw: (dl, d, du, np.array([1.0]), 0))
     w, done, errors = solver._newton_solve(solver._Layout([s]), [np.array([1.0, u, 1.0])],
-                                           [(0.0, 0.0)], (dt,))
+                                           [(0.0, 0.0)], (dt,), 0.0)
     assert list(errors) == [0] and done == [None]
     assert isinstance(errors[0], StepFailure)
     assert str(errors[0]) == "Newton damping exhausted"

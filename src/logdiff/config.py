@@ -15,7 +15,7 @@ try:  # CPython's built-in SHA-1, which hashlib falls back to, without loading O
 except ImportError:
     from hashlib import sha1
 
-__all__ = ["ConfigError", "ExperimentConfig", "FIELDS", "parse_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "FIELDS", "parse_config", "require_values"]
 
 _EXPERIMENTS = ("uniqueness", "q-sweep", "boundary-layer", "simulate")
 
@@ -135,6 +135,21 @@ def validate(cfg: ExperimentConfig) -> list:
                     errors.append(msg)
                     seen.add(str(exc))
     return errors
+
+
+def require_values(cfg: ExperimentConfig, command: str, least: dict):
+    """Raises one ConfigError naming, by INI key, each field of cfg with
+    fewer values than command needs; least maps a field to (count, what its
+    values are)."""
+    short = []
+    for name, (count, what) in least.items():
+        section, key, _, _ = FIELDS[name]
+        values = getattr(cfg, name)
+        if len(values) < count:
+            short.append(f"{command} needs at least {count} {what} ([{section}] {key}), "
+                         f"got {len(values)}: " + ", ".join(f"{v:g}" for v in values))
+    if short:
+        raise ConfigError(short)
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FIELDS, ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, require_values
 from .cutoff import CutoffSpec, compute_Q, q_split_check
 from .estimates import check_order_preservation, interior_area_verify
 from .geometry import BigBang, Cusp, FlatDisc, LogPolarGrid, model_factor, model_state
@@ -311,15 +311,7 @@ def run_uniqueness_experiment(config: ExperimentConfig, out_dir=None) -> Uniquen
     envelope column is the certificate right side raised to 1+gamma, i.e.
     the bound expressed in plain area units.
     """
-    short = []  # reported together, by INI key, as a bad field is
-    for name, least, what in (("ramps", 2, "ramps"), ("R_list", 3, "R values")):
-        section, key, _, _ = FIELDS[name]
-        values = getattr(config, name)
-        if len(values) < least:
-            short.append(f"uniqueness needs at least {least} {what} ([{section}] {key}), "
-                         f"got {len(values)}: " + ", ".join(f"{v:g}" for v in values))
-    if short:
-        raise ConfigError(short)
+    require_values(config, "uniqueness", {"ramps": (2, "ramps"), "R_list": (3, "R values")})
     Rs = sorted(config.R_list)
 
     # one evolve_many run per (R, ramp), keyed (R, ramp index): its

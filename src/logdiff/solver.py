@@ -27,7 +27,7 @@ Each Newton solve starts from the run's own linear extrapolation
 log(u_n) + r (w_n - w_{n-1}), r = dt / dt_{n-1} (Hairer and Wanner, Solving
 ODEs II, IV.8), which evolve_many keeps stacked; it depends on the run's own
 history alone, so batch and solo runs stay bitwise equal.  The shipped
-simulate member takes 314 Newton iterations for its 100 steps so, against
+simulate member takes 314 Newton iterations for its 100 steps, against
 407 from its previous state.  A run whose dt may grow (dt_cap above dt)
 starts from its previous state: its controller reads a cheap solve as a
 smooth flow, and extrapolated, the boundary-layer run took 91 steps instead
@@ -275,10 +275,17 @@ def _newton_solve(lay, values, bounds, dts, trend):
 
     def residual(wv):
         # returns F(w) and e^w at the system's rows; e^w is reused as the
-        # Jacobian diagonal of the next iteration
+        # Jacobian diagonal of the next iteration.  F is summed in place and
+        # the right-hand side overwrites it, so that a solve's temporaries
+        # leave room for the two stacked vectors of evolve_many's history
         ew = np.exp(wv[1:-1])
-        d2 = cl * wv[:-2] + cc * wv[1:-1] + cr * wv[2:]
-        return ew - u_int - dt * d2, ew
+        d2 = cl * wv[:-2]
+        d2 += cc * wv[1:-1]
+        d2 += cr * wv[2:]
+        d2 *= dt
+        f = ew - u_int
+        f -= d2
+        return f, ew
 
     f, ew = residual(w)
     fnorm = lay.seg_max(f)
@@ -288,7 +295,7 @@ def _newton_solve(lay, values, bounds, dts, trend):
         return w, done, bad
     active = list(range(m))
     for it in itertools.count(1):
-        rhs = -f
+        rhs = np.negative(f, out=f)  # f is not read again
         for k in range(m):
             if done[k] is not None:
                 rhs[lay.segments[k]] = 0.0
@@ -461,7 +468,9 @@ def evolve_many(runs: Sequence[Run]) -> list:
     # the history behind each start: every live run's last accepted step
     # and, stacked, its w after that step and the change of w over it, which
     # is 0 before the first step.  A run whose dt may grow keeps ratio 0,
-    # starting from its previous state
+    # starting from its previous state.  The trend is written into one kept
+    # buffer and each new change into the buffer of the w it replaces, so a
+    # round allocates nothing for the history but its per-node ratios
     dt_last = {i: ask[2] for i, ask in asks.items()}
     previous = {i for i in asks if runs[i].dt_cap is not None and runs[i].dt_cap > runs[i].dt}
     w_last, dw_last = None, 0.0
@@ -476,11 +485,10 @@ def evolve_many(runs: Sequence[Run]) -> list:
                 w_last = np.concatenate([w_last[seg] for seg in segs])
                 dw_last = np.concatenate([dw_last[seg] for seg in segs])
             lay, lay_for = _Layout([runs[i].initial.grid.nodes for i in group]), group
+            trend = np.empty(lay.off[-1])
         values, bounds, dts = zip(*[asks[i] for i in group])
         ratios = [0.0 if i in previous else dt / dt_last[i] for i, dt in zip(group, dts)]
-        r = (ratios[0] if ratios.count(ratios[0]) == len(ratios)
-             else np.repeat(ratios, np.diff(lay.off)))
-        trend = r * dw_last
+        np.multiply(dw_last, np.repeat(ratios, np.diff(lay.off)), out=trend)
         w, iters, errors = _newton_solve(lay, values, bounds, dts, trend)
         if errors:
             # the others' solve was cut short; they retry the same step in
@@ -490,7 +498,8 @@ def evolve_many(runs: Sequence[Run]) -> list:
             continue
         if w_last is None:  # every member took its first step: w_0 = log u_0
             w_last = np.log(np.concatenate(values))
-        w_last, dw_last = w, w - w_last
+        np.subtract(w, w_last, out=w_last)
+        w_last, dw_last = w, w_last
         dt_last.update(zip(group, dts))
         u = np.exp(w)
         for k, i in enumerate(group):

@@ -132,6 +132,8 @@ class TestParseConfig:
     def test_direct_construction_validates(self):
         with pytest.raises(ConfigError, match="horizon"):
             ExperimentConfig(T=-1.0)
+        with pytest.raises(ConfigError, match="s_min must be positive"):
+            ExperimentConfig(s_min=0.0)
         with pytest.raises(TypeError, match="seed"):
             ExperimentConfig(seed=1)
 

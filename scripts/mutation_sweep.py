@@ -1,22 +1,33 @@
 #!/usr/bin/env python3
-"""Comparison-flip mutation sweep over the logdiff package.
+"""Mutation sweep over the logdiff package: comparison flips and deleted
+verdicts.
 
-Every `<`, `<=`, `>` and `>=` in src/logdiff/*.py, cli.py excepted, is
-negated in turn (`<` becomes `>=`, `<=` becomes `>`, and back), in a copy of
-src/, tests/ and configs/.  For each such mutant the tier-1 suite runs on the
-copy with `-x`; a mutant that no test fails survives.  The sweep exits 1 if a
-survivor is missing from ALLOWED, which names each expected survivor with its
-reason, and 0 otherwise.
+Two operators run over src/logdiff/*.py, cli.py excepted, each mutant made
+in a copy of src/, tests/ and configs/:
+
+  flip    every `<`, `<=`, `>` and `>=` is negated in turn (`<` becomes
+          `>=`, `<=` becomes `>`, and back);
+  delete  every whole `raise`, `return False` or `name = False` statement
+          is replaced by `pass` in turn, so a verdict or a refusal that
+          nothing exercises shows up, which no flip can show.
+
+For each mutant the tier-1 suite runs on the copy with `-x`; a mutant that
+no test fails survives.  The sweep exits 1 if a survivor is missing from
+ALLOWED, which names each expected survivor with its reason, and 0
+otherwise.
 
     python3 scripts/mutation_sweep.py
 
-A mutant is named by its module, its source line (stripped) and which
-comparison of that line it flips, so ALLOWED survives edits elsewhere in the
-file.  A suite run that exceeds TIMEOUT seconds counts as killing its mutant.
-The copy lives in a temporary directory, removed when the sweep ends.
-Stdlib only; the suite needs what tier-1 needs (pytest, hypothesis, mpmath).
+A mutant is named by its module, its source line (stripped) and, for a
+flip, which comparison of that line it flips, or, for a deletion, which of
+the module's statements with that first line it deletes; so ALLOWED
+survives edits elsewhere in the file.  A suite run that exceeds TIMEOUT
+seconds counts as killing its mutant.  The copy lives in a temporary
+directory, removed when the sweep ends.  Stdlib only; the suite needs what
+tier-1 needs (pytest, hypothesis, mpmath).
 """
 
+import ast
 import io
 import os
 import shutil
@@ -42,7 +53,7 @@ ALLOWED = {
 }
 
 
-def mutants(module: str, text: str):
+def flips(module: str, text: str):
     """(key, line number, mutated text) of each comparison flip in text."""
     lines = text.splitlines(keepends=True)
     seen = {}
@@ -55,6 +66,36 @@ def mutants(module: str, text: str):
         flipped = line[:col] + FLIP[tok.string] + line[col + len(tok.string):]
         mutated = "".join(lines[:row - 1]) + flipped + "".join(lines[row:])
         yield (module, line.strip(), index), row, mutated
+
+
+def _verdict(node) -> bool:
+    """True for a `raise`, a `return False` or a `name = False` statement."""
+    if isinstance(node, ast.Raise):
+        return True
+    value = getattr(node, "value", None)
+    if not (isinstance(value, ast.Constant) and value.value is False):
+        return False
+    return isinstance(node, ast.Return) or (
+        isinstance(node, ast.Assign) and all(isinstance(t, ast.Name) for t in node.targets))
+
+
+def deletions(module: str, text: str):
+    """(key, line number, mutated text) of each verdict statement of text
+    replaced by `pass`."""
+    data = text.encode()  # ast offsets count UTF-8 bytes
+    lines = data.splitlines(keepends=True)
+    starts = [0]
+    for line in lines:
+        starts.append(starts[-1] + len(line))
+    seen = {}
+    nodes = sorted((n for n in ast.walk(ast.parse(text)) if _verdict(n)),
+                   key=lambda n: (n.lineno, n.col_offset))
+    for node in nodes:
+        first = lines[node.lineno - 1].decode().strip()
+        index = seen[first] = seen.get(first, -1) + 1
+        lo = starts[node.lineno - 1] + node.col_offset
+        hi = starts[node.end_lineno - 1] + node.end_col_offset
+        yield (module, first, f"delete {index}"), node.lineno, (data[:lo] + b"pass" + data[hi:]).decode()
 
 
 def run_suite(tree: Path) -> bool:
@@ -92,7 +133,8 @@ def sweep(tree: Path, todo) -> list:
 
 def main() -> int:
     sources = sorted(p for p in (ROOT / "src" / "logdiff").glob("*.py") if p.stem not in SKIP)
-    todo = [(path, *m) for path in sources for m in mutants(path.stem, path.read_text())]
+    todo = [(path, *m) for path in sources for operator in (flips, deletions)
+            for m in operator(path.stem, path.read_text())]
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as work:
         tree = Path(work)
         skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")

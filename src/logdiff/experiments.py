@@ -132,6 +132,13 @@ def _exact_row(kind, model, level, run, traj):
             "dt": run.dt, "h": h, "error": error, "status": "ok"}
 
 
+def _log_slope(x, y) -> float:
+    """Least-squares slope of log y against log x, in closed form."""
+    x, y = np.log(x), np.log(y)
+    x -= x.mean()
+    return float(x @ (y - y.mean()) / (x @ x))
+
+
 class ExactSuiteResult(NamedTuple):
     rows: tuple
     orders: dict  # (model, kind) -> fitted slope of log error vs log h
@@ -186,7 +193,7 @@ def run_exact_solution_suite(out_dir=None) -> ExactSuiteResult:
         if kind == "static":
             flat_max = max([flat_max] + errs)
         elif len(errs) >= 2:
-            slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+            slope = _log_slope(hs, errs)
             orders[(model.name, kind)] = slope
             rows.append({"kind": kind, "model": model.name, "level": "fit", "n": "",
                          "dt": "", "h": "", "error": "", "order": slope,
@@ -490,10 +497,7 @@ def run_boundary_layer_experiment(config=None, out_dir=None) -> BoundaryLayerRes
         if w > 0.0:
             widths.append(w)
             ts.append(float(st.time))
-    if len(widths) >= 2:
-        exponent = float(np.polyfit(np.log(ts), np.log(widths), 1)[0])
-    else:
-        exponent = float("nan")
+    exponent = _log_slope(ts, widths) if len(widths) >= 2 else float("nan")
     monotone = all(b["width"] >= a["width"] for a, b in zip(rows, rows[1:]))
     result = BoundaryLayerResult(rows=tuple(rows), exponent=exponent,
                                  width_monotone=monotone)

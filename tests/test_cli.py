@@ -129,6 +129,29 @@ def test_certificate_that_raises_fails_uniqueness(tmp_path, capsys, monkeypatch)
     assert "uniqueness: FAIL" in capsys.readouterr().out
 
 
+def test_uniqueness_rows_follow_their_config(tmp_path, capsys):
+    # the shipped uniqueness_small.ini equals the no-config default, so the
+    # goldens cannot tell a config that is read from one that is ignored:
+    # this config differs from the default in every list field uniqueness
+    # reads, and the CSV must hold its R, ramp pairs, gammas and times
+    Rs, ramps = (0.92, 0.95, 0.975), (150.0, 500.0, 1500.0)
+    gammas, samples = (0.2, 0.3), (0.03, 0.06, 0.08)
+    default = _default_uniqueness_config()
+    assert set(Rs).isdisjoint(default.R_list) and set(ramps).isdisjoint(default.ramps)
+    assert set(gammas).isdisjoint(default.gamma_list)
+    assert set(samples).isdisjoint(default.sample_times)
+    path = tmp_path / "u.ini"
+    write_ini(ExperimentConfig(experiment="uniqueness", r0=0.75, R_list=Rs, gamma_list=gammas,
+                               ramps=ramps, T=0.08, dt=1e-3, n=161, ratio=1.04,
+                               sample_times=samples), path)
+    assert main(["uniqueness", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "uniqueness: PASS" in capsys.readouterr().out
+    rows = read_rows_csv(tmp_path / "uniqueness.csv")
+    got = [tuple(float(r[key]) for key in ("R", "k_lo", "k_hi", "gamma", "t")) for r in rows]
+    assert got == [(R, lo, hi, gamma, t) for R in Rs for lo, hi in zip(ramps, ramps[1:])
+                   for gamma in gammas for t in samples]
+
+
 def test_q_sweep_whose_every_row_failed_exits_two(tmp_path, capsys, monkeypatch):
     # rules of 4 and 6 points cannot reach the Q tolerance, so no row has a
     # ratio: the run is a FAIL with its failed rows written, not an error

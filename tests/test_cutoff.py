@@ -366,8 +366,9 @@ def test_i2_frozen_table():
 def test_q_bound_constant_frozen_table():
     for gamma, val in CQ_TABLE.items():
         assert q_bound_constant(gamma) == pytest.approx(val, rel=1e-12)
-    with pytest.raises(ValueError):
-        q_bound_constant(0.5)
+    for gamma in (0.0, 0.5):  # gamma = 0 would give a finite constant unchecked
+        with pytest.raises(ValueError, match="gamma must lie"):
+            q_bound_constant(gamma)
 
 
 def test_q_bound_constant_matches_reference():

@@ -272,13 +272,13 @@ class TestBoundaryLayer:
 
 class TestNewtonStart:
     def test_shipped_member_extrapolates_the_same_steps(self):
-        # each Newton solve starts from the run's own linear extrapolation:
-        # the shipped simulate member keeps its 100 steps and takes 314
-        # iterations, where starting from the previous state took 407
+        # each Newton solve starts from the run's own degree-4 extrapolation:
+        # the shipped simulate member keeps its 100 steps and takes 229
+        # iterations, where a linear start took 314 and the previous state 407
         cfg = parse_config(CONFIGS / "exhaustion_lo.ini")
         traj = evolve(exhaustion_member(cfg, cfg.R_list[0], cfg.ramps[0]))
         assert traj.nsteps == 100
-        assert traj.newton_iters <= 330
+        assert traj.newton_iters <= 235
 
     def test_run_that_may_grow_dt_starts_from_its_previous_state(self, monkeypatch):
         # the dt controller grows dt after cheap Newton solves, reading their

@@ -124,6 +124,8 @@ def test_model_factor_names_and_classes():
     assert np.allclose(model_factor(FlatDisc, s), np.exp(-2.0 * s))
     with pytest.raises(ValueError, match="time must be nonnegative"):
         model_factor(BigBang, s, -0.5)
+    # the static flat disc has no time to check
+    assert np.array_equal(model_factor(FlatDisc, s, -0.5), model_factor(FlatDisc, s))
 
 
 def test_bigbang_dominates_poincare_after_t_half():

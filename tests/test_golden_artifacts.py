@@ -42,27 +42,27 @@ RECORDED_WITH = ("2.4.6", "1.17.1")  # numpy, scipy
 
 GOLDEN = {
     "lo/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
-    "lo/snap_001.txt": "78adfd4a1689b2b6afbdf65e3e14f313c37cf26914f80cfd71adf5bb64a6fca5",
-    "lo/snap_002.txt": "9ec19ab9982ee6a66588080e03e28ec573f204fa633394122999df873294a482",
-    "lo/snap_003.txt": "cc02fd286b55f0c7edac046d2f001b6b2e754dc99becc2d773e3864ba1f5df47",
-    "lo/snap_004.txt": "2e21e4a32243f1d7f1b5491c4428affe4ef53385e3c9f142cb83a718e41f7c6d",
-    "lo/snap_005.txt": "1fda7b0f588b82b4694485766f0edaea274364e6ae1802c928421783bce19e00",
+    "lo/snap_001.txt": "c8e0a05f694c896b97c6ecdde6d933ba5b7f5497954d09c0a5a4d1e604969ca0",
+    "lo/snap_002.txt": "eb05b219cb7d8498986fb3a8c0f059d2e37d859aa483ce49556e60e7bf346ebe",
+    "lo/snap_003.txt": "034b7c6b9618abb638718f464a8fd4ec64eda82c921703a3ef16fa968986380f",
+    "lo/snap_004.txt": "76766a2a8e29a0ffa3ecf7a79b5c64d5b5531046bc68744312b270175406cecf",
+    "lo/snap_005.txt": "8d9bd3fd3b6e65a4b8c5ceb3db329f8e5c2d4db65a24e1246b0dad322f136a2a",
     "lo/snap_manifest.csv": "f36867ca2755b6483afbea91521aaf564142fe8f5b2779f9f977fc88d9530762",
     "hi/snap_000.txt": "ce65adeb3d5dfaf9a2c6c8f18f3c70939a2b41281418321288345c50b87628b5",
-    "hi/snap_001.txt": "1f93993c2ca69a4d97d7eac8b4b0857816dacecf620fa1e2cef4501a28e1b2c2",
-    "hi/snap_002.txt": "e3c2f76b41dc4b791612857bd4d4f2f65c124fa3d7c6677068d9e843b4d5dadf",
-    "hi/snap_003.txt": "66bc1e8d22e1442c140a08d7b2fb42ae1bb408443abe9cdd826dd9b17f9f696d",
-    "hi/snap_004.txt": "33d5c55a3af29b41065b751067e51eb46787bb9179005fdb327c7f54f6c06a2f",
-    "hi/snap_005.txt": "4a2e8d6203df7fba5b48562f5cd4646ac421fa749b6b83af7f33063edc89232f",
+    "hi/snap_001.txt": "2dacbdefdc28fd4fbfd04dc85eb4743bcb9e5d676276e4b4c3dd1aa5867d112f",
+    "hi/snap_002.txt": "adf69d2e520f1c0afb63b480b07e924b0e54599177ec11095d9228a1854bba54",
+    "hi/snap_003.txt": "654354d52e5bb30d56c3d907c88f4005f1804eb541830d9ae9244a307ac9fc07",
+    "hi/snap_004.txt": "be07a586e116dce2f89d098c3c4a5a0867640fab9dd64e46bb1d13ca4548fe39",
+    "hi/snap_005.txt": "c46226b4c68306eaa4048ac85d4c75464e21ccc403cd6dd2d82a63f0e618d44d",
     "hi/snap_manifest.csv": "e8476656da33eaf950546213a06b1264519a4baee8dc09373ca528a7ecc5ee28",
-    "verify/verify_report.csv": "b06453129049d10168efb0486951258c50b6e274ac5db4cb866898880bc2c16e",
-    "exact/exact_suite.csv": "517b472234281aac1a6a304ac9e006e4faec1462a94d8ea1928930c153b1a065",
+    "verify/verify_report.csv": "0d8af1df6eaef7b27c798df752718536cda14d2ad113045e874459811f87e502",
+    "exact/exact_suite.csv": "a3368aa44508d2751fab7b323e6b2bd0bcd2b064734dad8f899fcbda037ffa82",
     "q/q_sweep.csv": "1b34b48d58fdfe3481144ff9a64afa5beb76c3a0f92a9a42451ef653d748c8a8",
     "qc/q_sweep.csv": "20b6ec140dfdb274b411f9ecf50488445d7a6bd09064c8286871c82c76635254",
-    "u/uniqueness.csv": "decefcceedd1652057366557aa233af18e5831c4333a1102843c7cd060aa7ee9",
-    "u/uniqueness_gauge.csv": "702c15b33df9a8a945d171d36f83e102a89b9ba06252730a87adf858f355757c",
-    "us/uniqueness.csv": "decefcceedd1652057366557aa233af18e5831c4333a1102843c7cd060aa7ee9",
-    "us/uniqueness_gauge.csv": "702c15b33df9a8a945d171d36f83e102a89b9ba06252730a87adf858f355757c",
+    "u/uniqueness.csv": "5f22709fb86d898018df9f6050c74ae13d266817e9c82787ab6a75de25e4c892",
+    "u/uniqueness_gauge.csv": "5c13f096c4592f227ddd05a8dce839a27d01ca67569e010697a3dc037c9c1212",
+    "us/uniqueness.csv": "5f22709fb86d898018df9f6050c74ae13d266817e9c82787ab6a75de25e4c892",
+    "us/uniqueness_gauge.csv": "5c13f096c4592f227ddd05a8dce839a27d01ca67569e010697a3dc037c9c1212",
     "bl/boundary_layer.csv": "dcd9a227c9b595422fe2a18a45541f0cadc57b108e66e3ac48a8da73bfc6ab3b",
 }
 

@@ -454,6 +454,9 @@ def test_run_validation():
     with pytest.raises(ValueError, match="undercut"):
         evolve(Run(st0, sched, 1e-2, 0.1, dt_cap=1e-3))
     assert evolve(Run(st0, sched, 1e-2, 0.1, dt_cap=1e-2)).times[-1] == 0.1
+    for samples in ([0.0, 0.05], [0.05, 0.2]):  # at t0, past T
+        with pytest.raises(ValueError, match="sample times must lie"):
+            evolve(Run(st0, sched, 1e-2, 0.1, samples))
 
 
 def test_schedule_constructors_validate():
@@ -562,6 +565,68 @@ def test_failing_member_fails_alone_with_its_solo_error(monkeypatch):
     for got, want in zip(batch[:2] + batch[4:6], solo):
         _assert_same_run(got, want)
     assert calls  # the stub was in the loop
+
+
+def _polynomial_starts(monkeypatch, degree):
+    """(steps behind, |start - p(t_new)|, dt) of every step attempt of two
+    batch members under a stub solve whose every step lands on w = p_k(t),
+    a polynomial of the given degree in t: member 0 takes dt 0.1 to T = 1
+    with a sample at 0.37 and has its third attempt fail, so it retries at
+    dt / 2 and grows dt back; member 1 takes dt 0.08 to T = 0.6."""
+    grid = LogPolarGrid.uniform(0.5, 2.0, 6)
+    powers = np.arange(degree + 1)
+
+    def p(k, t):
+        coeffs = np.outer(1.0 + 0.1 * grid.nodes + 0.3 * k, (-1.7) ** powers / (1 + powers))
+        return coeffs @ t ** powers
+
+    runs = []
+    for k, (dt, T, samples) in enumerate(((0.1, 1.0, [0.37]), (0.08, 0.6, None))):
+        ends = [lambda t, k=k, i=i: math.exp(p(k, t)[i]) for i in (0, -1)]
+        runs.append(Run(ConformalState(grid, np.exp(p(k, 0.0)), 0.0),
+                        BoundarySchedule(*ends), dt, T, samples))
+    clocks, behind, attempts = [0.0, 0.0], [0, 0], []
+    seen = ([], [])
+
+    def stub(lay, values, bounds, dts, trend):
+        start = np.log(np.concatenate(values)) + trend
+        w = np.empty_like(start)
+        for k, dt in enumerate(dts):
+            seg = slice(lay.off[k], lay.off[k + 1])
+            w[seg] = p(k, clocks[k] + dt)
+            seen[k].append((behind[k], float(np.max(np.abs(start[seg] - w[seg]))), dt))
+        attempts.append(dts)
+        if len(attempts) == 3:
+            return w, [None] * len(dts), {0: StepFailure("stub failure", 1.0)}
+        for k, dt in enumerate(dts):
+            clocks[k] += dt
+            behind[k] += 1
+        return w, [1] * len(dts), {}
+
+    monkeypatch.setattr(solver, "_newton_solve", stub)
+    assert all(isinstance(traj, Trajectory) for traj in solver.evolve_many(runs))
+    return seen
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_start_reproduces_a_polynomial_history(monkeypatch, degree):
+    # the degree-4 extrapolant through the last five accepted states is
+    # exact on any polynomial of degree <= 4 once that many steps lie
+    # behind, whatever the steps: halved, grown back or cut to a sample time
+    seen = _polynomial_starts(monkeypatch, degree)
+    dts = [dt for _, _, dt in seen[0]]
+    assert {0.05, 0.1} <= set(dts) and len(set(dts)) >= 4  # the retry and the landing
+    assert dts[2] == 0.1 and dts[3] == 0.05  # the failed attempt, then its retry
+    exact = [err for k in (0, 1) for behind, err, _ in seen[k] if behind >= degree]
+    assert len(exact) >= 12 and max(exact) < 1e-12
+    low = [err for k in (0, 1) for behind, err, _ in seen[k] if behind < degree]
+    assert max(low) > 1e-4  # fewer steps behind than the degree: not yet exact
+
+
+def test_start_does_not_reproduce_a_degree_five_history(monkeypatch):
+    seen = _polynomial_starts(monkeypatch, 5)
+    late = [err for k in (0, 1) for behind, err, _ in seen[k] if behind >= 5]
+    assert len(late) > 10 and min(late) > 1e-6
 
 
 # -------------------------------------------------------------- exhaustion

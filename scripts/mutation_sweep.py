@@ -21,8 +21,9 @@ otherwise.
 A mutant is named by its module, its source line (stripped) and, for a
 flip, which comparison of that line it flips, or, for a deletion, which of
 the module's statements with that first line it deletes; so ALLOWED
-survives edits elsewhere in the file.  A suite run that exceeds TIMEOUT
-seconds counts as killing its mutant.  The copy lives in a temporary
+survives edits elsewhere in the file.  The unmutated suite is timed once
+first; a mutant's suite run that takes TIMEOUT_FACTOR times as long counts
+as killing it (a deleted refusal can leave a march that never ends).  The copy lives in a temporary
 directory, removed when the sweep ends.  Stdlib only; the suite needs what
 tier-1 needs (pytest, hypothesis, mpmath).
 """
@@ -41,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FLIP = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 SKIP = {"cli"}  # the front end: its comparisons format output and parse argv
-TIMEOUT = 600.0  # seconds per suite run
+TIMEOUT_FACTOR = 10  # a mutant suite run this many times the unmutated one is killed
 
 # (module, stripped source line, index of the comparison in that line) -> reason
 _IN_RANGE = "return 0.35 <= self.exponent <= 0.65"
@@ -98,19 +99,20 @@ def deletions(module: str, text: str):
         yield (module, first, f"delete {index}"), node.lineno, (data[:lo] + b"pass" + data[hi:]).decode()
 
 
-def run_suite(tree: Path) -> bool:
-    """True if tier-1 passes on tree (the mutant survives)."""
+def run_suite(tree: Path, timeout=None) -> bool:
+    """True if tier-1 passes on tree within timeout seconds (the mutant
+    survives)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--continue-on-collection-errors"]
     try:
-        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT)
+        proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
 
 
-def sweep(tree: Path, todo) -> list:
+def sweep(tree: Path, todo, timeout) -> list:
     """Run the suite on tree once per mutant; the keys of the survivors."""
     survivors = []
     started = time.time()
@@ -119,7 +121,7 @@ def sweep(tree: Path, todo) -> list:
         original = target.read_text()
         target.write_text(mutated)
         try:
-            survived = run_suite(tree)
+            survived = run_suite(tree, timeout)
         finally:
             target.write_text(original)
         if survived:
@@ -140,10 +142,13 @@ def main() -> int:
         skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
         for part in ("src", "tests", "configs"):
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        started = time.time()
         if not run_suite(tree):
             print("the unmutated suite fails; nothing to measure", file=sys.stderr)
             return 2
-        survivors = sweep(tree, todo)
+        timeout = TIMEOUT_FACTOR * (time.time() - started)
+        print(f"unmutated suite passes; mutant timeout {timeout:.0f} s", flush=True)
+        survivors = sweep(tree, todo, timeout)
 
     unexpected = [key for key in survivors if key not in ALLOWED]
     for key in survivors:

@@ -502,13 +502,12 @@ def evolve_many(runs: Sequence[Run]) -> list:
     # accepted steps, latest first, and, stacked, its w after the last one
     # and the divided differences f[t_n..t_{n-k}] of w, k = 1..len(diffs),
     # which grow by one a step up to DEGREE.  A run whose dt may grow gets a
-    # zero trend, starting from its previous state, and a batch of only such
-    # runs keeps no history.  Each new divided difference is written into the
-    # buffer of the one it replaces, so a round allocates nothing for the
-    # history but its trend and its per-node coefficients
+    # zero trend, starting from its previous state.  Each new divided
+    # difference is written into the buffer of the one it replaces, so a
+    # round allocates nothing for the history but its trend and its per-node
+    # coefficients
     steps = {i: [] for i in asks}
     previous = {i for i in asks if runs[i].dt_cap is not None and runs[i].dt_cap > runs[i].dt}
-    keep = len(previous) < len(asks)
     w_last, diffs = None, []
     lay = lay_for = None
     while asks:
@@ -541,17 +540,16 @@ def evolve_many(runs: Sequence[Run]) -> list:
             for k, exc in errors.items():
                 resume(group[k], exc)
             continue
-        if keep:
-            if w_last is None:  # every member took its first step: w_0 = log u_0
-                w_last = np.log(np.concatenate(values))
-            np.subtract(w, w_last, out=w_last)
-            w_last, diffs = w, [w_last] + diffs[:DEGREE - 1]
-            for j, diff in enumerate(diffs):
-                if j:
-                    np.subtract(diffs[j - 1], diff, out=diff)
-                diff /= _per_node(spans[j], nodes)
-            for i, dt in zip(group, dts):
-                steps[i] = [dt] + steps[i][:DEGREE - 2]
+        if w_last is None:  # every member took its first step: w_0 = log u_0
+            w_last = np.log(np.concatenate(values))
+        np.subtract(w, w_last, out=w_last)
+        w_last, diffs = w, [w_last] + diffs[:DEGREE - 1]
+        for j, diff in enumerate(diffs):
+            if j:
+                np.subtract(diffs[j - 1], diff, out=diff)
+            diff /= _per_node(spans[j], nodes)
+        for i, dt in zip(group, dts):
+            steps[i] = [dt] + steps[i][:DEGREE - 2]
         u = np.exp(w)
         for k, i in enumerate(group):
             resume(i, (u[lay.off[k]:lay.off[k + 1]], iters[k]))
